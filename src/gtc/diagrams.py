@@ -16,8 +16,11 @@ wires.  Cycles are allowed.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, Trace
 from .signatures import BoxSig, ObjectExpr, Split, mk_split, parse_object
@@ -98,20 +101,125 @@ class Diagram:
         )
         return Diagram(self.boxes, self.wires, bi, bo)
 
-    def is_ideally_guarded(self) -> bool:
-        return all(sig.kind in ("white", "black") for sig in self.boxes)
+    @cached_property
+    def index(self) -> "DiagramIndex":
+        return DiagramIndex(self)
 
     def wire_from(self, src: Port) -> tuple[Port, Port]:
-        for w in self.wires:
-            if w[0] == src:
-                return w
-        raise DiagramError(f"no wire out of {src}")
+        try:
+            return self.index.wire_from[src]
+        except KeyError:
+            raise DiagramError(f"no wire out of {src}") from None
 
     def wire_into(self, dst: Port) -> tuple[Port, Port]:
-        for w in self.wires:
-            if w[1] == dst:
-                return w
-        raise DiagramError(f"no wire into {dst}")
+        try:
+            return self.index.wire_into[dst]
+        except KeyError:
+            raise DiagramError(f"no wire into {dst}") from None
+
+
+# --- the graph index ----------------------------------------------------------
+
+
+def tarjan(adj: list) -> tuple[list[int], list[int]]:
+    """Strongly connected components of the graph on ``0..n-1`` with
+    successor lists ``adj`` (Tarjan 1972, with an explicit stack).  Returns
+    ``(comp, closed)``: each node's component number, and the nodes in the
+    order their components close, one component after another in reverse
+    topological order (no edge leads to a later component)."""
+    n = len(adj)
+    order, low, comp = [-1] * n, [0] * n, [-1] * n
+    closed: list[int] = []
+    open_nodes: list[int] = []  # visited, component not yet closed
+    tick = itertools.count()
+    n_comps = 0
+    for root in range(n):
+        work = [(root, iter(adj[root]))] if order[root] < 0 else []
+        while work:
+            v, succ = work[-1]
+            if order[v] < 0:
+                order[v] = low[v] = next(tick)
+                open_nodes.append(v)
+            for w in succ:
+                if order[w] < 0:
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] < 0:  # still open, so in v's component
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == order[v]:
+                    while not closed or closed[-1] != v:
+                        closed.append(open_nodes.pop())
+                        comp[closed[-1]] = n_comps
+                    n_comps += 1
+    return comp, closed
+
+
+class DiagramIndex:
+    """The port graphs of one diagram and the answers read off them,
+    built once per diagram (``Diagram.index``).
+
+    Ports get integer ids in ``Diagram.all_ports`` order.  The full graph
+    has an edge for every wire and box passage, the unguarded graph drops
+    the guarded passages.  A port has at most one wire out, and passages
+    leave an input gate in output-gate order, so searches along these
+    successor lists are deterministic.
+    """
+
+    def __init__(self, d: Diagram) -> None:
+        self.ports = d.all_ports()
+        self.pid = pid = {p: n for n, p in enumerate(self.ports)}
+        self.full: list = [()] * len(self.ports)  # successor ids per port
+        self.unguarded: list = [()] * len(self.ports)
+        self.wire_from: dict[Port, tuple[Port, Port]] = {}
+        self.wire_into: dict[Port, tuple[Port, Port]] = {}
+        # per box, the wires touching it (a wire from a box to itself once)
+        self.box_wires: list[list] = [[] for _ in d.boxes]
+        for w in d.wires:
+            self.wire_from[w[0]] = self.wire_into[w[1]] = w
+            self.full[pid[w[0]]] = self.unguarded[pid[w[0]]] = (pid[w[1]],)
+            for b in {p[1] for p in w if p[0] in ("bin", "bout")}:
+                self.box_wires[b].append(w)
+        for b, sig in enumerate(d.boxes):
+            outs = [pid[("bout", b, j)] for j in range(len(sig.outputs))]
+            guarded = sig.split.passage_guarded
+            for i in range(len(sig.inputs)):
+                v = pid[("bin", b, i)]
+                self.full[v] = outs
+                self.unguarded[v] = [t for j, t in enumerate(outs) if not guarded(i, j)]
+
+    @cached_property
+    def full_sccs(self) -> tuple[list[int], list[int]]:
+        return tarjan(self.full)
+
+    @cached_property
+    def unguarded_sccs(self) -> tuple[list[int], list[int]]:
+        return tarjan(self.unguarded)
+
+    @cached_property
+    def unguarded_loop(self) -> bool:
+        # no port leads to itself in one step: a cycle fills a component
+        return len(set(self.unguarded_sccs[0])) < len(self.ports)
+
+    def unguarded_reach_masks(self, bits: list[int]) -> list[int]:
+        """Per port, the union of ``bits`` over the ports it reaches along
+        unguarded paths of zero or more steps."""
+        comp, closed = self.unguarded_sccs
+        mask = [0] * len(comp)  # per component
+        for v in closed:
+            mask[comp[v]] |= bits[v]
+            for w in self.unguarded[v]:
+                mask[comp[v]] |= mask[comp[w]]
+        return [mask[c] for c in comp]
+
+    @cached_property
+    def reach_out(self) -> list[int]:
+        """Per port, the boundary outputs it reaches along unguarded paths,
+        with bit ``j`` for ``("dout", j)``."""
+        return self.unguarded_reach_masks([1 << p[1] if p[0] == "dout" else 0 for p in self.ports])
 
 
 # --- elaboration ------------------------------------------------------------
@@ -189,27 +297,22 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
     drivers: dict[int, Port] = {}
     consumers: dict[int, Port] = {}
 
-    def add_driver(node: int, port: Port) -> None:
+    def attach(ends: dict[int, Port], node: int, port: Port) -> None:
         r = fr.find(node)
-        if r in drivers:
-            raise DiagramError(f"node driven twice: {drivers[r]} and {port}")
-        drivers[r] = port
-
-    def add_consumer(node: int, port: Port) -> None:
-        r = fr.find(node)
-        if r in consumers:
-            raise DiagramError(f"node consumed twice: {consumers[r]} and {port}")
-        consumers[r] = port
+        if r in ends:
+            verb = "driven" if ends is drivers else "consumed"
+            raise DiagramError(f"node {verb} twice: {ends[r]} and {port}")
+        ends[r] = port
 
     for i, n in enumerate(top_ins):
-        add_driver(n, ("din", i))
+        attach(drivers, n, ("din", i))
     for j, n in enumerate(top_outs):
-        add_consumer(n, ("dout", j))
+        attach(consumers, n, ("dout", j))
     for b, (_, ins, outs) in enumerate(fr.boxes):
         for k, n in enumerate(ins):
-            add_consumer(n, ("bin", b, k))
+            attach(consumers, n, ("bin", b, k))
         for k, n in enumerate(outs):
-            add_driver(n, ("bout", b, k))
+            attach(drivers, n, ("bout", b, k))
 
     roots = {fr.find(i) for i in range(len(fr.parent))}
     wires = set()
@@ -240,57 +343,59 @@ def diagram_iso(d1: Diagram, d2: Diagram) -> bool:
     gate order, wires, and both boundaries verbatim."""
     if d1.boundary_in != d2.boundary_in or d1.boundary_out != d2.boundary_out:
         return False
-    if len(d1.boxes) != len(d2.boxes):
+    if Counter(d1.boxes) != Counter(d2.boxes):
+        return False
+    wires2 = d2.wires
+    # wires from boundary to boundary map to themselves
+    if any(s[0] == "din" and t[0] == "dout" and (s, t) not in wires2 for s, t in d1.wires):
         return False
     by_sig: dict[BoxSig, list[int]] = {}
     for b, sig in enumerate(d2.boxes):
         by_sig.setdefault(sig, []).append(b)
-    groups = sorted(
-        ((sig, list(idxs)) for sig, idxs in by_sig.items()),
-        key=lambda kv: str(kv[0]),
-    )
-    want: dict[BoxSig, int] = {}
-    for sig in d1.boxes:
-        want[sig] = want.get(sig, 0) + 1
-    for sig, idxs in groups:
-        if want.get(sig, 0) != len(idxs):
-            return False
-    if sum(want.values()) != len(d1.boxes):
-        return False
-
-    wires2 = d2.wires
     order1 = sorted(range(len(d1.boxes)), key=lambda b: str(d1.boxes[b]))
+    box_wires = d1.index.box_wires
+    assign: dict[int, int] = {}
 
-    def mapped(p: Port, assign: dict[int, int]) -> Port | None:
+    def mapped(p: Port) -> Port | None:
         if p[0] in ("din", "dout"):
             return p
         if p[1] in assign:
             return (p[0], assign[p[1]], p[2])
         return None
 
-    def consistent(assign: dict[int, int]) -> bool:
-        for src, dst in d1.wires:
-            ms, md = mapped(src, assign), mapped(dst, assign)
+    def consistent(b1: int) -> bool:
+        """Do the wires between ``b1`` and what is already assigned map?"""
+        for src, dst in box_wires[b1]:
+            ms, md = mapped(src), mapped(dst)
             if ms is not None and md is not None and (ms, md) not in wires2:
                 return False
         return True
 
-    def backtrack(pos: int, assign: dict[int, int], used: set[int]) -> bool:
-        if pos == len(order1):
-            return True
+    # depth-first search over the positions of ``order1``, keeping for each
+    # position entered an iterator over its untried candidates
+    used: set[int] = set()
+    tries: list = []
+    pos = 0
+    while pos < len(order1):
         b1 = order1[pos]
-        for b2 in by_sig.get(d1.boxes[b1], []):
-            if b2 in used:
-                continue
-            assign[b1] = b2
-            used.add(b2)
-            if consistent(assign) and backtrack(pos + 1, assign, used):
-                return True
-            del assign[b1]
-            used.discard(b2)
-        return False
-
-    return backtrack(0, {}, set())
+        if len(tries) == pos:
+            tries.append(iter(by_sig[d1.boxes[b1]]))
+        else:  # back from a dead end below
+            used.discard(assign.pop(b1))
+        for b2 in tries[pos]:
+            if b2 not in used:
+                assign[b1] = b2
+                if consistent(b1):
+                    used.add(b2)
+                    pos += 1
+                    break
+                del assign[b1]
+        else:
+            if pos == 0:
+                return False
+            tries.pop()
+            pos -= 1
+    return True
 
 
 # --- reversal ---------------------------------------------------------------
@@ -306,14 +411,10 @@ def reverse_diagram(d: Diagram) -> Diagram:
         for sig in d.boxes
     )
 
+    flip = {"din": "dout", "dout": "din", "bin": "bout", "bout": "bin"}
+
     def rev(p: Port) -> Port:
-        if p[0] == "din":
-            return ("dout", p[1])
-        if p[0] == "dout":
-            return ("din", p[1])
-        if p[0] == "bin":
-            return ("bout", p[1], p[2])
-        return ("bin", p[1], p[2])
+        return (flip[p[0]],) + p[1:]
 
     wires = frozenset((rev(dst), rev(src)) for src, dst in d.wires)
     bi = tuple((a, not g) for a, g in d.boundary_out)
@@ -343,10 +444,6 @@ def _sig_from_json(d: dict) -> BoxSig:
     return BoxSig(d["name"], inputs, outputs, split)
 
 
-def _port_to_json(p: Port) -> list:
-    return list(p)
-
-
 def _port_from_json(v: list) -> Port:
     kind = v[0]
     if kind in ("din", "dout"):
@@ -360,7 +457,7 @@ def export_json(d: Diagram) -> str:
     payload = {
         "boxes": [{"id": b, "sig": _sig_to_json(sig)} for b, sig in enumerate(d.boxes)],
         "wires": sorted(
-            [[_port_to_json(s), _port_to_json(t)] for s, t in d.wires]
+            [[list(s), list(t)] for s, t in d.wires]
         ),
         "in": [{"atom": a, "guarded": g} for a, g in d.boundary_in],
         "out": [{"atom": a, "guarded": g} for a, g in d.boundary_out],
@@ -411,12 +508,9 @@ def export_dot(d: Diagram) -> str:
         lines.append(f'  b{b} [label="{{{left}{sig.name}{right}}}"];')
 
     def dot_ref(p: Port) -> str:
-        if p[0] == "din":
-            return f"din{p[1]}"
-        if p[0] == "dout":
-            return f"dout{p[1]}"
-        side = "i" if p[0] == "bin" else "o"
-        return f"b{p[1]}:{side}{p[2]}"
+        if p[0] in ("din", "dout"):
+            return f"{p[0]}{p[1]}"
+        return f"b{p[1]}:{'i' if p[0] == 'bin' else 'o'}{p[2]}"
 
     for src, dst in sorted(d.wires):
         lines.append(f"  {dot_ref(src)} -> {dot_ref(dst)};")

@@ -3,7 +3,8 @@
 * ``geometric_check`` inspects the port graph: a claim holds when no
   unguarded path joins a claimed-unguarded input to a claimed-guarded
   output and no loop is unguarded.  A path is guarded when it crosses
-  some box from an unguarded input gate to a guarded output gate.
+  some box from an unguarded input gate to a guarded output gate.  The
+  diagram's cached ``DiagramIndex`` answers both questions.
 
 * ``derivable_splits`` runs the structural rules bottom-up over a
   trace-free expression, returning the exact derivable claims as an
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .diagrams import Diagram, Port, elaborate
+from .diagrams import Diagram, DiagramIndex, Port, elaborate
 from .expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, Trace
 from .signatures import BoxSig, Split
 
@@ -59,88 +60,61 @@ class PortPath:
         )
 
 
-def _unguarded_successors(d: Diagram) -> dict[Port, list[Port]]:
-    """Adjacency of the graph whose edges are wires plus every box
-    passage that is not guarded."""
-    succ: dict[Port, list[Port]] = {p: [] for p in d.all_ports()}
-    for src, dst in d.wires:
-        succ[src].append(dst)
-    for b, sig in enumerate(d.boxes):
-        for i in range(len(sig.inputs)):
-            for j in range(len(sig.outputs)):
-                if not sig.split.passage_guarded(i, j):
-                    succ[("bin", b, i)].append(("bout", b, j))
-    return succ
-
-
 def unguarded_reach(d: Diagram) -> dict[Port, frozenset[Port]]:
     """For every port, the set of ports reachable along unguarded paths
     of at least one step."""
-    succ = _unguarded_successors(d)
+    ix = d.index
+    zero_or_more = ix.unguarded_reach_masks([1 << v for v in range(len(ix.ports))])
     reach: dict[Port, frozenset[Port]] = {}
-    for start in succ:
-        seen: set[Port] = set()
-        stack = list(succ[start])
-        while stack:
-            p = stack.pop()
-            if p in seen:
-                continue
-            seen.add(p)
-            stack.extend(succ[p])
-        reach[start] = frozenset(seen)
+    for v, p in enumerate(ix.ports):
+        m = 0
+        for w in ix.unguarded[v]:
+            m |= zero_or_more[w]
+        reach[p] = frozenset(q for w, q in enumerate(ix.ports) if m >> w & 1)
     return reach
 
 
-def _bfs_path(
-    succ: dict[Port, list[Port]], sources: list[Port], targets: set[Port]
-) -> list[Port] | None:
-    parent: dict[Port, Port | None] = {}
-    queue = []
-    for s in sources:
-        if s not in parent:
-            parent[s] = None
-            queue.append(s)
-    while queue:
-        p = queue.pop(0)
+def _first_unguarded_loop(ix: DiagramIndex) -> list[Port]:
+    """The cycle a depth-first search of the unguarded graph closes
+    first, rooted in port order; the graph must have one."""
+    adj = ix.unguarded
+    color = [0] * len(adj)  # 0 unseen, 1 on the search path, 2 done
+    path, work = [], []
+    for root in range(len(adj)):
+        if color[root] == 0:
+            color[root] = 1
+            path, work = [root], [iter(adj[root])]
+        while work:
+            for q in work[-1]:
+                if color[q] == 1:
+                    return [ix.ports[v] for v in path[path.index(q) :] + [q]]
+                if color[q] == 0:
+                    color[q] = 1
+                    path.append(q)
+                    work.append(iter(adj[q]))
+                    break
+            else:
+                color[path.pop()] = 2
+                work.pop()
+    raise AssertionError("the unguarded graph is acyclic")
+
+
+def _shortest_path(ix: DiagramIndex, sources: list[int], targets: set[int]) -> list[Port]:
+    """A shortest unguarded path from ``sources`` to ``targets``, found
+    breadth first; one must exist."""
+    parent: dict[int, int | None] = dict.fromkeys(sources)
+    queue = list(parent)
+    for p in queue:  # the queue grows while it is read
         if p in targets:
             path = [p]
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])
-            return list(reversed(path))
-        for q in succ[p]:
+            return [ix.ports[v] for v in reversed(path)]
+        for q in ix.unguarded[p]:
             if q not in parent:
                 parent[q] = p
                 queue.append(q)
-    return None
-
-
-def find_unguarded_loop(d: Diagram) -> PortPath | None:
-    """A cycle surviving deletion of all guarded passages, if any."""
-    succ = _unguarded_successors(d)
-    color: dict[Port, int] = {}
-    stack_path: list[Port] = []
-
-    def dfs(p: Port) -> list[Port] | None:
-        color[p] = 1
-        stack_path.append(p)
-        for q in succ[p]:
-            if color.get(q, 0) == 1:
-                i = stack_path.index(q)
-                return stack_path[i:] + [q]
-            if color.get(q, 0) == 0:
-                got = dfs(q)
-                if got is not None:
-                    return got
-        stack_path.pop()
-        color[p] = 2
-        return None
-
-    for p in succ:
-        if color.get(p, 0) == 0:
-            cyc = dfs(p)
-            if cyc is not None:
-                return PortPath(tuple(cyc))
-    return None
+    raise AssertionError("no unguarded path joins the sources to the targets")
 
 
 @dataclass(frozen=True)
@@ -152,25 +126,32 @@ class GeometricWitness:
         return {"kind": self.kind, "ports": [list(p) for p in self.path.ports]}
 
 
-def geometric_witness(d: Diagram, claim: Split) -> GeometricWitness | None:
-    """None if the claim holds geometrically, else the offending path or
-    unguarded loop."""
+def _holds(d: Diagram, claim: Split) -> bool:
     if claim.n_in != len(d.boundary_in) or claim.n_out != len(d.boundary_out):
         raise ValueError("claim does not fit the diagram boundary")
-    loop = find_unguarded_loop(d)
-    if loop is not None:
-        return GeometricWitness("loop", loop)
-    succ = _unguarded_successors(d)
-    sources = [("din", i) for i in sorted(claim.unguarded_in)]
-    targets = {("dout", j) for j in claim.guarded_out}
-    path = _bfs_path(succ, sources, targets)
-    if path is not None:
-        return GeometricWitness("path", PortPath(tuple(path)))
-    return None
+    ix = d.index
+    if ix.unguarded_loop:
+        return False
+    guarded = _mask(claim.guarded_out)
+    return not any(ix.reach_out[ix.pid[("din", i)]] & guarded for i in claim.unguarded_in)
+
+
+def geometric_witness(d: Diagram, claim: Split) -> GeometricWitness | None:
+    """None if the claim holds geometrically, else the offending
+    unguarded loop or, failing one, a shortest offending path."""
+    if _holds(d, claim):
+        return None
+    ix = d.index
+    if ix.unguarded_loop:
+        return GeometricWitness("loop", PortPath(tuple(_first_unguarded_loop(ix))))
+    sources = [ix.pid[("din", i)] for i in sorted(claim.unguarded_in)]
+    targets = {ix.pid[("dout", j)] for j in claim.guarded_out}
+    return GeometricWitness("path", PortPath(tuple(_shortest_path(ix, sources, targets))))
 
 
 def geometric_check(d: Diagram, claim: Split) -> bool:
-    return geometric_witness(d, claim) is None
+    """Does the claim hold geometrically?  Builds no witness."""
+    return _holds(d, claim)
 
 
 # --- structural derivation search -------------------------------------------
@@ -182,21 +163,15 @@ class TraceNotAllowed(ValueError):
 
 def _antichain(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
     # distinct pairs with a <= a2 and d <= d2 are strictly dominated
-    out = set()
-    for a, d in pairs:
-        if not any(
-            (a, d) != (a2, d2) and a & ~a2 == 0 and d & ~d2 == 0
-            for a2, d2 in pairs
-        ):
-            out.add((a, d))
-    return out
+    return {
+        (a, d)
+        for a, d in pairs
+        if not any((a, d) != (a2, d2) and a & ~a2 == 0 and d & ~d2 == 0 for a2, d2 in pairs)
+    }
 
 
-def _mask(gates, n: int) -> int:
-    m = 0
-    for g in gates:
-        m |= 1 << g
-    return m
+def _mask(gates: frozenset[int]) -> int:
+    return sum(1 << g for g in gates)
 
 
 def _derivable_masks(e: MorphExpr, memo: dict) -> set[tuple[int, int]]:
@@ -209,19 +184,15 @@ def _derivable_masks(e: MorphExpr, memo: dict) -> set[tuple[int, int]]:
     if isinstance(e, Box):
         s = e.sig.split
         cands = {
-            (_mask(s.unguarded_in, n_in), _mask(s.guarded_out, n_out)),
+            (_mask(s.unguarded_in), _mask(s.guarded_out)),
             (full_in, 0),
             (0, full_out),
         }
     elif isinstance(e, (Id, Sym)):
-        # wires only: a claim holds iff no claimed-unguarded input is
-        # wired straight to a claimed-guarded output
-        if isinstance(e, Id):
-            perm = list(range(n_in))
-        else:
-            k = len(e.left)
-            perm = [i + len(e.right) for i in range(k)] + list(range(len(e.right)))
-            perm = [perm[i] for i in range(n_in)]
+        # wires only: a claim holds iff no claimed-unguarded input is wired
+        # straight to a claimed-guarded output; input i feeds output perm[i]
+        k, r = (len(e.left), len(e.right)) if isinstance(e, Sym) else (0, 0)
+        perm = [i + r if i < k else i - k for i in range(n_in)]
         cands = set()
         for s_mask in range(1 << n_in):
             img = 0

@@ -87,12 +87,19 @@ def parse_object(text: str) -> ObjectExpr:
     return ObjectExpr(tuple(out))
 
 
+# one shared instance per gate set, up to a bound: a corpus holds many splits
+# over the same few small gate sets, and each frozenset costs over 200 bytes
+_GATE_SETS: dict[frozenset[int], frozenset[int]] = {}
+
+
 def _as_frozen(gates: Iterable[int]) -> frozenset[int]:
     fs = frozenset(gates)
     for g in fs:
         if not isinstance(g, int) or g < 0:
             raise SignatureError(f"bad gate index {g!r}")
-    return fs
+    if len(_GATE_SETS) < 4096:
+        return _GATE_SETS.setdefault(fs, fs)
+    return _GATE_SETS.get(fs, fs)
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,13 @@ from a loop, so the recursion terminates.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .diagrams import Diagram, Port
 from .expressions import Comp, Id, MorphExpr, Sym, Tensor
 from .expressions import Box as BoxNode
 from .expressions import trace as mk_trace
-from .guardedness import (
-    GeometricWitness,
-    geometric_witness,
-    unguarded_reach,
-)
+from .guardedness import GeometricWitness, _mask, geometric_witness
 from .signatures import ObjectExpr, Split, mk_split
 
 
@@ -51,53 +49,30 @@ def compute_uv(d: Diagram, claim: Split) -> tuple[frozenset[int], frozenset[int]
     """U: boxes with an unguarded path from their own inputs to a
     claimed-guarded output.  V: boxes whose outputs lie on an unguarded
     path from a claimed-unguarded input."""
-    reach = unguarded_reach(d)
-    guarded_outs = {("dout", j) for j in claim.guarded_out}
-    u_set = set()
-    for b, sig in enumerate(d.boxes):
-        for i in range(len(sig.inputs)):
-            if reach[("bin", b, i)] & guarded_outs:
-                u_set.add(b)
-                break
-    v_set = set()
-    from_inputs: set[Port] = set()
-    for i in claim.unguarded_in:
-        from_inputs |= reach[("din", i)]
-    for b, sig in enumerate(d.boxes):
-        if any(("bout", b, k) in from_inputs for k in range(len(sig.outputs))):
-            v_set.add(b)
-    return frozenset(u_set), frozenset(v_set)
-
-
-def _full_successors(d: Diagram) -> dict[Port, list[Port]]:
-    succ: dict[Port, list[Port]] = {p: [] for p in d.all_ports()}
-    for src, dst in d.wires:
-        succ[src].append(dst)
-    for b, sig in enumerate(d.boxes):
-        for i in range(len(sig.inputs)):
-            for j in range(len(sig.outputs)):
-                succ[("bin", b, i)].append(("bout", b, j))
-    return succ
+    ix = d.index
+    guarded = _mask(claim.guarded_out)
+    u_set = frozenset(
+        b
+        for b, sig in enumerate(d.boxes)
+        if any(ix.reach_out[ix.pid[("bin", b, i)]] & guarded for i in range(len(sig.inputs)))
+    )
+    seen = {ix.pid[("din", i)] for i in claim.unguarded_in}
+    todo = list(seen)
+    while todo:
+        for q in ix.unguarded[todo.pop()]:
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    v_set = frozenset(ix.ports[v][1] for v in seen if ix.ports[v][0] == "bout")
+    return u_set, v_set
 
 
 def loop_wires(d: Diagram) -> list[tuple[Port, Port]]:
-    """Wires lying on some directed cycle (box passages included)."""
-    succ = _full_successors(d)
-
-    def reaches(start: Port, goal: Port) -> bool:
-        seen = set()
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            if p == goal:
-                return True
-            if p in seen:
-                continue
-            seen.add(p)
-            stack.extend(succ[p])
-        return False
-
-    return [w for w in d.wires if reaches(w[1], w[0])]
+    """Wires lying on some directed cycle (box passages included): those
+    whose two ends share a strongly connected component."""
+    ix = d.index
+    comp = ix.full_sccs[0]
+    return [w for w in d.wires if comp[ix.pid[w[0]]] == comp[ix.pid[w[1]]]]
 
 
 def find_cut_wire(
@@ -168,37 +143,19 @@ def perm_to_expr(atoms: list[str], dest: list[int]) -> MorphExpr:
             )
             if q + 1 < n:
                 pieces.append(Id(ObjectExpr(tuple(cur_atoms[q + 1 :]))))
-            step = pieces[0]
-            for p in pieces[1:]:
-                step = Tensor(step, p)
-            slices.append(step)
+            slices.append(reduce(Tensor, pieces))
             cur[q - 1], cur[q] = cur[q], cur[q - 1]
             cur_atoms[q - 1], cur_atoms[q] = cur_atoms[q], cur_atoms[q - 1]
             q -= 1
     if not slices:
         return Id(ObjectExpr(tuple(atoms)))
-    e = slices[0]
-    for s in slices[1:]:
-        e = Comp(e, s)
-    return e
-
-
-def _compose(parts: list[MorphExpr]) -> MorphExpr:
-    e = parts[0]
-    for p in parts[1:]:
-        e = Comp(e, p)
-    return e
-
-
-def _is_trivial_perm(e: MorphExpr) -> bool:
-    return isinstance(e, Id)
+    return reduce(Comp, slices)
 
 
 def _compose_opt(parts: list[MorphExpr]) -> MorphExpr:
-    useful = [p for p in parts if not _is_trivial_perm(p)]
-    if not useful:
-        return parts[0]
-    return _compose(useful)
+    """``parts`` composed in order, identities dropped."""
+    useful = [p for p in parts if not isinstance(p, Id)]
+    return reduce(Comp, useful) if useful else parts[0]
 
 
 # --- acyclic extraction -------------------------------------------------------
@@ -210,29 +167,22 @@ def acyclic_to_expr(d: Diagram) -> MorphExpr:
     if loop_wires(d):
         raise SynthesisError("diagram is cyclic", witness=None)
 
-    # longest-path layering over the box dependency graph
-    deps: dict[int, set[int]] = {b: set() for b in range(len(d.boxes))}
-    for src, dst in d.wires:
-        if src[0] == "bout" and dst[0] == "bin":
-            deps[dst[1]].add(src[1])
-    layer: dict[int, int] = {}
+    # longest-path layering of the boxes: the full graph is acyclic, so its
+    # components are single ports, closed sinks first
+    ix = d.index
+    layer = [1] * len(d.boxes)
+    for v in reversed(ix.full_sccs[1]):
+        p = ix.ports[v]
+        if p[0] == "bin":
+            src = ix.wire_into[p][0]
+            if src[0] == "bout":
+                layer[p[1]] = max(layer[p[1]], layer[src[1]] + 1)
+    by_level: dict[int, list[int]] = {}
+    for b, lv in enumerate(layer):
+        by_level.setdefault(lv, []).append(b)
 
-    def depth(b: int) -> int:
-        if b not in layer:
-            layer[b] = 1 + max((depth(p) for p in deps[b]), default=0)
-        return layer[b]
-
-    for b in deps:
-        depth(b)
-    levels = sorted({v for v in layer.values()})
-
-    alive: list[tuple[Port, Port]] = [
-        d.wire_from(("din", i)) for i in range(len(d.boundary_in))
-    ]
+    alive = [d.wire_from(("din", i)) for i in range(len(d.boundary_in))]
     parts: list[MorphExpr] = []
-
-    def alive_atoms() -> list[str]:
-        return [d.port_atom(w[0]) for w in alive]
 
     def rearrange(desired: list[tuple[Port, Port]]) -> None:
         nonlocal alive
@@ -240,32 +190,23 @@ def acyclic_to_expr(d: Diagram) -> MorphExpr:
             return
         index = {w: i for i, w in enumerate(alive)}
         dest = [index[w] for w in desired]
-        parts.append(perm_to_expr(alive_atoms(), dest))
+        parts.append(perm_to_expr([d.port_atom(w[0]) for w in alive], dest))
         alive = desired
 
-    for lv in levels:
-        boxes = sorted(b for b in layer if layer[b] == lv)
-        needed: list[tuple[Port, Port]] = []
-        for b in boxes:
-            for k in range(len(d.boxes[b].inputs)):
-                needed.append(d.wire_into(("bin", b, k)))
-        rest = [w for w in alive if w not in set(needed)]
+    for lv in sorted(by_level):
+        boxes = by_level[lv]
+        needed = [d.wire_into(("bin", b, k)) for b in boxes for k in range(len(d.boxes[b].inputs))]
+        needed_set = set(needed)
+        rest = [w for w in alive if w not in needed_set]
         rearrange(needed + rest)
         pieces: list[MorphExpr] = [BoxNode(d.boxes[b]) for b in boxes]
         if rest:
             pieces.append(Id(ObjectExpr(tuple(d.port_atom(w[0]) for w in rest))))
-        slice_expr = pieces[0]
-        for p in pieces[1:]:
-            slice_expr = Tensor(slice_expr, p)
-        parts.append(slice_expr)
-        produced: list[tuple[Port, Port]] = []
-        for b in boxes:
-            for k in range(len(d.boxes[b].outputs)):
-                produced.append(d.wire_from(("bout", b, k)))
-        alive = produced + rest
+        parts.append(reduce(Tensor, pieces))
+        outs = [("bout", b, k) for b in boxes for k in range(len(d.boxes[b].outputs))]
+        alive = [d.wire_from(p) for p in outs] + rest
 
-    final = [d.wire_into(("dout", j)) for j in range(len(d.boundary_out))]
-    rearrange(final)
+    rearrange([d.wire_into(("dout", j)) for j in range(len(d.boundary_out))])
     if not parts:
         return Id(d.dom)
     return _compose_opt(parts)
@@ -302,28 +243,19 @@ def _synthesize(d: Diagram, claim: Split) -> MorphExpr:
     # canonical body domain: A then loop then B; inner's domain appends the
     # fresh loop input after the original boundary
     canon_in = [dom_atoms[g] for g in a_gates] + [atom] + [dom_atoms[g] for g in b_gates]
-    src_of_gate: dict[int, int] = {}
-    for pos, g in enumerate(a_gates):
-        src_of_gate[g] = pos
-    for pos, g in enumerate(b_gates):
-        src_of_gate[g] = len(a_gates) + 1 + pos
+    src_of_gate = {g: pos for pos, g in enumerate(a_gates)}
+    src_of_gate.update((g, len(a_gates) + 1 + pos) for pos, g in enumerate(b_gates))
     pre_dest = [src_of_gate[g] for g in range(n_in)] + [len(a_gates)]
     perm_pre = perm_to_expr(canon_in, pre_dest)
 
     # canonical body codomain: C then D then loop
-    post_dest = c_gates + d_gates + [n_out]
-    inner_cod_atoms = cod_atoms + [atom]
-    perm_post = perm_to_expr(inner_cod_atoms, post_dest)
+    perm_post = perm_to_expr(cod_atoms + [atom], c_gates + d_gates + [n_out])
 
     body = _compose_opt([perm_pre, inner, perm_post])
     traced = mk_trace(loop, body, len(a_gates), len(c_gates))
 
     outer_pre = perm_to_expr(dom_atoms, a_gates + b_gates)
-    out_pos: dict[int, int] = {}
-    for pos, g in enumerate(c_gates):
-        out_pos[g] = pos
-    for pos, g in enumerate(d_gates):
-        out_pos[g] = len(c_gates) + pos
+    out_pos = {g: pos for pos, g in enumerate(c_gates + d_gates)}
     outer_post = perm_to_expr(
         [cod_atoms[g] for g in c_gates] + [cod_atoms[g] for g in d_gates],
         [out_pos[g] for g in range(n_out)],

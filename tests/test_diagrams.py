@@ -24,6 +24,8 @@ SIGS = {
             "box g : B | I -> I | C",
             "box b : A | I -> I | A",
             "box w : I | B -> C | I",
+            "box p : A*A | I -> I | A*A",
+            "box q : I | A*A -> A*A | I",
         ],
     )
 }
@@ -67,6 +69,25 @@ def test_iso_reflexive_and_boundary_sensitive():
     d2 = elaborate(parse_expr("g (*) f", SIGS))
     assert diagram_iso(d1, d1)
     assert not diagram_iso(d1, d2)
+
+
+def test_iso_compares_boundary_to_boundary_wires():
+    from gtc.expressions import Id, Sym
+    from gtc.signatures import obj
+
+    x = obj("X")
+    straight = elaborate(Id(x * x))
+    crossed = elaborate(Sym(x, x))
+    assert straight.boundary_in == crossed.boundary_in
+    assert not diagram_iso(straight, crossed)
+    assert diagram_iso(crossed, elaborate(Sym(x, x)))
+
+
+def test_iso_detects_crossed_wires_between_boxes():
+    straight = elaborate(parse_expr("p ; q", SIGS))
+    crossed = elaborate(parse_expr("p ; sym[A,A] ; q", SIGS))
+    assert not diagram_iso(straight, crossed)
+    assert not diagram_iso(crossed, straight)
 
 
 def test_iso_after_round_trip_through_text():

@@ -229,3 +229,26 @@ def test_mixed_box_rejected():
     with pytest.raises(SynthesisError) as err:
         synthesize(d, mk_split(2, 2, {0}, {1}))
     assert "white nor black" in str(err.value)
+
+
+def test_long_unguarded_pipeline_round_trips_without_deep_recursion():
+    """599 white boxes in a row, closed by one black box: every loop and
+    path search runs the length of the chain, over some 1,200 ports."""
+    import sys
+
+    from gtc.diagrams import export_json, import_json
+    from gtc.expressions import parse_source
+    from gtc.signatures import parse_claim
+
+    n = 600
+    assert sys.getrecursionlimit() <= 1000  # the interpreter's default
+    decls = [f"box s{k} : I | X -> X | I" for k in range(n - 1)]
+    decls.append(f"box s{n - 1} : X | I -> I | X")
+    text = "\n".join(decls) + "\nlet main = " + " ; ".join(f"s{k}" for k in range(n)) + "\n"
+    e = parse_source(text).exprs["main"]
+    claim = parse_claim("X | I -> I | X", e.dom, e.cod)
+    assert check_annotated(e, claim).ok
+    d = import_json(export_json(elaborate(e, claim)))
+    back = synthesize(d, claim)
+    assert check_annotated(back, claim).ok
+    assert diagram_iso(elaborate(back, claim), d)
