@@ -13,7 +13,9 @@ models here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -133,7 +135,7 @@ def _labels(word: ObjectExpr, tag: str) -> list:
     return [(tag, i) for i in range(len(word))]
 
 
-def gen_axiom_instances(axiom: str, sizes, seed: int, count: int = 1):
+def gen_axiom_instances(axiom: str, seed: int, count: int = 1):
     """Instances of one axiom: pairs of expressions plus the signature
     registry serving as the bindings template."""
     if axiom not in AXIOMS:
@@ -186,11 +188,11 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
         pre = [Id(a)] if len(a) else []
         pre += [Box(g)]
         pre += [Id(b)] if len(b) else []
-        lhs_body = Comp(_tensor_chain(pre), Box(f))
+        lhs_body = Comp(reduce(Tensor, pre), Box(f))
         lhs = mk_trace(up, lhs_body, len(a), len(c))
         post = [Id(c * d)] if len(c * d) else []
         post += [Box(g)]
-        rhs_body = Comp(Box(f), _tensor_chain(post))
+        rhs_body = Comp(Box(f), reduce(Tensor, post))
         rhs = mk_trace(u, rhs_body, len(a), len(c))
         claim = _claim(a * b, c * d, len(a), len(d))
         return AxiomInstance(axiom, index, {"f": f, "g": g}, lhs, rhs, claim)
@@ -247,8 +249,8 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
         v1 = _plain_box("v1", c, c2)
         v2 = _plain_box("v2", d, d2)
         lhs_body = Comp(
-            Comp(_tensor_chain([Box(u1), Id(u), Box(u2)]), Box(f)),
-            _tensor_chain([Box(v1), Box(v2), Id(u)]),
+            Comp(reduce(Tensor, [Box(u1), Id(u), Box(u2)]), Box(f)),
+            reduce(Tensor, [Box(v1), Box(v2), Id(u)]),
         )
         lhs = mk_trace(u, lhs_body, len(a2), len(c2))
         rhs = Comp(
@@ -271,7 +273,7 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
         )
         body = Comp(
             Tensor(Box(g), Id(u)),
-            _tensor_chain([Id(wd), Sym(u, u)]),
+            reduce(Tensor, [Id(wd), Sym(u, u)]),
         )
         lhs = mk_trace(u, body, len(a), len(wd) + 1)
         rhs = Box(g)
@@ -279,13 +281,6 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
         return AxiomInstance(axiom, index, {"g": g}, lhs, rhs, claim)
 
     raise AssertionError(axiom)
-
-
-def _tensor_chain(parts: list[MorphExpr]) -> MorphExpr:
-    e = parts[0]
-    for p in parts[1:]:
-        e = Tensor(e, p)
-    return e
 
 
 # --- per-model binding generation --------------------------------------------
@@ -472,10 +467,10 @@ def hilbert_bindings(instance: AxiomInstance, rng, max_dim: int = 2):
             b_gates = sorted(split.guarded_in)
             c_gates = sorted(split.unguarded_out)
             d_gates = sorted(split.guarded_out)
-            da = _prod_of(in_dims, a_gates)
-            db = _prod_of(in_dims, b_gates)
-            dc = _prod_of(out_dims, c_gates)
-            dd = _prod_of(out_dims, d_gates)
+            da = math.prod(in_dims[g] for g in a_gates)
+            db = math.prod(in_dims[g] for g in b_gates)
+            dc = math.prod(out_dims[g] for g in c_gates)
+            dd = math.prod(out_dims[g] for g in d_gates)
             e_dim = int(rng.integers(1, 3))
             g = rng.normal(size=(e_dim * dd, db)) / np.sqrt(max(db, 1))
             h = rng.normal(size=(dc, da * e_dim)) / np.sqrt(max(da * e_dim, 1))
@@ -487,16 +482,9 @@ def hilbert_bindings(instance: AxiomInstance, rng, max_dim: int = 2):
                 in_dims, out_dims, mat, {"e_dim": e_dim, "g": g, "h": h}
             )
         else:
-            mat = rng.normal(size=(int(np.prod(out_dims or (1,))), int(np.prod(in_dims or (1,)))))
+            mat = rng.normal(size=(math.prod(out_dims), math.prod(in_dims)))
             boxes[name] = HilbertMorphism(in_dims, out_dims, mat)
     return model, boxes
-
-
-def _prod_of(dims, gates) -> int:
-    out = 1
-    for g in gates:
-        out *= dims[g]
-    return out
 
 
 def flat_bindings(instance: AxiomInstance, rng, max_size: int = 3):
@@ -552,7 +540,6 @@ def check_axiom(
     model_name: str,
     seed: int,
     tol: float = 1e-9,
-    sizes: dict | None = None,
 ) -> dict:
     """Instantiate one instance in one model and compare both sides."""
     rng = np.random.default_rng(
@@ -611,7 +598,7 @@ def run_axiom_suite(
     tasks = []
     for seed in seeds:
         for axiom in AXIOMS:
-            instances = gen_axiom_instances(axiom, None, seed, per_axiom)
+            instances = gen_axiom_instances(axiom, seed, per_axiom)
             for inst in instances:
                 for model_name in models:
                     tasks.append((inst, model_name, seed))

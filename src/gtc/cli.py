@@ -142,7 +142,7 @@ def cmd_eval(args) -> int:
             print(json.dumps(res.to_json(), indent=2))
             return 1
     with open(args.bindings, encoding="utf-8") as fh:
-        model, boxes = load_bindings(json.load(fh), src.sigs)
+        model, boxes = load_bindings(fh.read(), src.sigs)
     if model.name != args.model:
         raise EvalError(
             f"bindings file is for model {model.name!r}, not {args.model!r}"

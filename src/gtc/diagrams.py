@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, Trace
+from .expressions import Box, Comp, Id, MorphExpr, Trace, fold
 from .signatures import BoxSig, ObjectExpr, Split, mk_split, parse_object
 
 Port = tuple
@@ -40,20 +40,24 @@ class Diagram:
     boundary_out: tuple[tuple[str, bool], ...]
 
     def __post_init__(self) -> None:
-        seen: dict[Port, int] = {}
+        ports = self.all_ports()
+        known = set(ports)
+        seen: set[Port] = set()
         for src, dst in self.wires:
             if src[0] not in ("din", "bout") or dst[0] not in ("dout", "bin"):
                 raise DiagramError(f"wire {src} -> {dst} has bad orientation")
             for p in (src, dst):
-                seen[p] = seen.get(p, 0) + 1
-                if seen[p] > 1:
+                if p not in known:
+                    raise DiagramError(f"wire end {p} is not a port of the diagram")
+                if p in seen:
                     raise DiagramError(f"port {p} carries more than one wire")
+                seen.add(p)
             if self.port_atom(src) != self.port_atom(dst):
                 raise DiagramError(
                     f"wire {src} -> {dst} joins atoms "
                     f"{self.port_atom(src)} and {self.port_atom(dst)}"
                 )
-        for p in self.all_ports():
+        for p in ports:
             if p not in seen:
                 raise DiagramError(f"port {p} is not wired")
 
@@ -258,7 +262,7 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
     """
     fr = _Frag()
 
-    def walk(x: MorphExpr) -> tuple[list[int], list[int]]:
+    def leaf(x: MorphExpr) -> tuple[list[int], list[int]]:
         if isinstance(x, Box):
             ins = [fr.fresh() for _ in x.sig.inputs]
             outs = [fr.fresh() for _ in x.sig.outputs]
@@ -267,32 +271,25 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
         if isinstance(x, Id):
             nodes = [fr.fresh() for _ in x.obj]
             return nodes, list(nodes)
-        if isinstance(x, Sym):
-            nodes = [fr.fresh() for _ in range(len(x.left) + len(x.right))]
-            k = len(x.left)
-            return nodes, nodes[k:] + nodes[:k]
-        if isinstance(x, Comp):
-            ins1, outs1 = walk(x.first)
-            ins2, outs2 = walk(x.second)
-            for a, b in zip(outs1, ins2):
-                fr.union(a, b)
-            return ins1, outs2
-        if isinstance(x, Tensor):
-            ins1, outs1 = walk(x.top)
-            ins2, outs2 = walk(x.bottom)
-            return ins1 + ins2, outs1 + outs2
-        if isinstance(x, Trace):
-            ins, outs = walk(x.body)
-            a, _, _, _ = x.corners
-            k = len(x.loop)
-            a_len = len(a)
-            m = len(outs)
-            for t in range(k):
-                fr.union(outs[m - k + t], ins[a_len + t])
-            return ins[:a_len] + ins[a_len + k :], outs[: m - k]
-        raise TypeError(f"not an expression: {x!r}")
+        nodes = [fr.fresh() for _ in range(len(x.left) + len(x.right))]
+        k = len(x.left)
+        return nodes, nodes[k:] + nodes[:k]
 
-    top_ins, top_outs = walk(e)
+    def comp(x: Comp, first, second) -> tuple[list[int], list[int]]:
+        for a, b in zip(first[1], second[0]):
+            fr.union(a, b)
+        return first[0], second[1]
+
+    def trace(x: Trace, body) -> tuple[list[int], list[int]]:
+        ins, outs = body
+        a_len, k, m = len(x.corners[0]), len(x.loop), len(outs)
+        for t in range(k):
+            fr.union(outs[m - k + t], ins[a_len + t])
+        return ins[:a_len] + ins[a_len + k :], outs[: m - k]
+
+    top_ins, top_outs = fold(
+        e, leaf, comp, lambda x, top, bot: (top[0] + bot[0], top[1] + bot[1]), trace
+    )
 
     drivers: dict[int, Port] = {}
     consumers: dict[int, Port] = {}
@@ -477,7 +474,7 @@ def import_json(text: str) -> Diagram:
         )
         bi = tuple((p["atom"], bool(p["guarded"])) for p in payload["in"])
         bo = tuple((p["atom"], bool(p["guarded"])) for p in payload["out"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"bad diagram JSON: {exc}") from None
     return Diagram(boxes, wires, bi, bo)
 

@@ -48,14 +48,6 @@ class ParseError(ValueError):
 class MorphExpr:
     """Base class; every node exposes a plain profile dom -> cod."""
 
-    @property
-    def dom(self) -> ObjectExpr:
-        raise NotImplementedError
-
-    @property
-    def cod(self) -> ObjectExpr:
-        raise NotImplementedError
-
     def __rshift__(self, other: "MorphExpr") -> "MorphExpr":
         return Comp(self, other)
 
@@ -116,14 +108,9 @@ class Comp(MorphExpr):
                 f"cannot compose: left produces {self.first.cod}, "
                 f"right consumes {self.second.dom}"
             )
-
-    @property
-    def dom(self) -> ObjectExpr:
-        return self.first.dom
-
-    @cached_property
-    def cod(self) -> ObjectExpr:
-        return self.second.cod
+        # set once: the children already hold theirs, so no access walks a chain
+        object.__setattr__(self, "dom", self.first.dom)
+        object.__setattr__(self, "cod", self.second.cod)
 
 
 @dataclass(frozen=True)
@@ -131,13 +118,9 @@ class Tensor(MorphExpr):
     top: MorphExpr
     bottom: MorphExpr
 
-    @cached_property
-    def dom(self) -> ObjectExpr:
-        return self.top.dom * self.bottom.dom
-
-    @cached_property
-    def cod(self) -> ObjectExpr:
-        return self.top.cod * self.bottom.cod
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dom", self.top.dom * self.bottom.dom)
+        object.__setattr__(self, "cod", self.top.cod * self.bottom.cod)
 
 
 @dataclass(frozen=True)
@@ -217,56 +200,83 @@ def trace(loop: ObjectExpr, body: MorphExpr, a_len: int, c_len: int) -> Trace:
     return Trace(loop, body, ann)
 
 
+def fold(e: MorphExpr, leaf, comp, tensor, trace=None):
+    """Fold ``e`` bottom-up with an explicit stack, children left to right.
+
+    ``leaf(x)`` handles ``Box``, ``Id`` and ``Sym``; ``comp(x, first,
+    second)`` and ``tensor(x, top, bottom)`` get the node and its
+    children's values, ``trace(x, body)`` the node and its body's value.
+    Without ``trace``, a trace node goes to ``leaf`` and its body is not
+    entered.  The depth of ``e`` is not limited by Python's recursion limit.
+    """
+    done: list = []
+    todo: list = [e]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:  # (handler, node): the node's children are folded
+            h, x = x
+            if type(x) is Trace:
+                done[-1] = h(x, done[-1])
+            else:
+                right = done.pop()
+                done[-1] = h(x, done[-1], right)
+        elif type(x) is Comp:
+            todo += ((comp, x), x.second, x.first)
+        elif type(x) is Tensor:
+            todo += ((tensor, x), x.bottom, x.top)
+        elif type(x) is Trace and trace is not None:
+            todo += ((trace, x), x.body)
+        else:
+            done.append(leaf(x))
+    return done[0]
+
+
 def leaf_boxes(e: MorphExpr) -> list[BoxSig]:
     """Box leaves in left-to-right order (the diagram's box multiset)."""
     out: list[BoxSig] = []
 
-    def go(x: MorphExpr) -> None:
+    def leaf(x: MorphExpr) -> None:
         if isinstance(x, Box):
             out.append(x.sig)
-        elif isinstance(x, Comp):
-            go(x.first)
-            go(x.second)
-        elif isinstance(x, Tensor):
-            go(x.top)
-            go(x.bottom)
-        elif isinstance(x, Trace):
-            go(x.body)
 
-    go(e)
+    def skip(*_) -> None:
+        pass
+
+    fold(e, leaf, skip, skip, skip)
     return out
 
 
 # --- printer ---------------------------------------------------------------
 
+# precedence of a printed subterm: a ';' chain, a '(*)' chain, or an atom
+_COMP, _TENSOR, _ATOM = range(3)
+
 
 def print_expr(e: MorphExpr) -> str:
     """Render with minimal parentheses; both binary operators print as
     left-associated chains, so right-nested children get parenthesized."""
-    return _pp(e, 0)
 
+    def paren(sub: tuple[str, int], level: int) -> str:
+        return sub[0] if sub[1] >= level else f"({sub[0]})"
 
-def _pp(e: MorphExpr, level: int) -> str:
-    # level 0: composition context; 1: tensor context; 2: atom context
-    if isinstance(e, Comp):
-        s = f"{_pp(e.first, 1)} ; {_pp(e.second, 2 if isinstance(e.second, Comp) else 1)}"
-        return f"({s})" if level >= 1 else s
-    if isinstance(e, Tensor):
-        right = e.bottom
-        s = f"{_pp(e.top, 2)} (*) {_pp(right, 2)}"
-        if isinstance(right, Tensor):
-            s = f"{_pp(e.top, 2)} (*) ({_pp(right, 0)})"
-        return f"({s})" if level >= 2 else s
-    if isinstance(e, Box):
-        return e.sig.name
-    if isinstance(e, Id):
-        return f"id[{e.obj}]"
-    if isinstance(e, Sym):
-        return f"sym[{e.left},{e.right}]"
-    if isinstance(e, Trace):
-        a, b, c, d = e.corners
-        return f"tr[{e.loop}: {a}|{b} -> {c}|{d}]{{ {_pp(e.body, 0)} }}"
-    raise TypeError(f"not an expression: {e!r}")
+    def leaf(x: MorphExpr) -> tuple[str, int]:
+        if isinstance(x, Box):
+            return x.sig.name, _ATOM
+        if isinstance(x, Id):
+            return f"id[{x.obj}]", _ATOM
+        return f"sym[{x.left},{x.right}]", _ATOM
+
+    def trace(x: Trace, body: tuple[str, int]) -> tuple[str, int]:
+        a, b, c, d = x.corners
+        return f"tr[{x.loop}: {a}|{b} -> {c}|{d}]{{ {body[0]} }}", _ATOM
+
+    return fold(
+        e,
+        leaf,
+        lambda x, f, g: (f"{f[0]} ; {paren(g, _TENSOR)}", _COMP),
+        lambda x, f, g: (f"{paren(f, _TENSOR)} (*) {paren(g, _ATOM)}", _TENSOR),
+        trace,
+    )[0]
 
 
 # --- parser ----------------------------------------------------------------

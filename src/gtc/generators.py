@@ -11,6 +11,8 @@ produces cycles and bare wires.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .diagrams import Diagram
 from .expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, trace as mk_trace
 from .guardedness import derivable_splits
@@ -74,9 +76,7 @@ def rand_trace_free_expr(
             boxes_left -= 1
         if not pieces:
             break
-        slice_expr = pieces[0]
-        for p in pieces[1:]:
-            slice_expr = Tensor(slice_expr, p)
+        slice_expr = reduce(Tensor, pieces)
         if len(slice_expr.cod) > max_width:
             continue
         expr = Comp(expr, slice_expr)

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .diagrams import Diagram, DiagramIndex, Port, elaborate
-from .expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, Trace
+from .expressions import Box, Comp, MorphExpr, Sym, Tensor, Trace, fold
 from .signatures import BoxSig, Split
 
 
@@ -174,24 +174,24 @@ def _mask(gates: frozenset[int]) -> int:
     return sum(1 << g for g in gates)
 
 
-def _derivable_masks(e: MorphExpr, memo: dict) -> set[tuple[int, int]]:
-    key = id(e)
-    if key in memo:
-        return memo[key]
-    n_in, n_out = len(e.dom), len(e.cod)
-    full_in = (1 << n_in) - 1
-    full_out = (1 << n_out) - 1
-    if isinstance(e, Box):
-        s = e.sig.split
-        cands = {
-            (_mask(s.unguarded_in), _mask(s.guarded_out)),
-            (full_in, 0),
-            (0, full_out),
-        }
-    elif isinstance(e, (Id, Sym)):
+def _derivable_masks(e: MorphExpr) -> set[tuple[int, int]]:
+    def leaf(x: MorphExpr) -> set[tuple[int, int]]:
+        if isinstance(x, Trace):
+            raise TraceNotAllowed("expression contains a trace node")
+        n_in, n_out = len(x.dom), len(x.cod)
+        full_out = (1 << n_out) - 1
+        if isinstance(x, Box):
+            s = x.sig.split
+            return _antichain(
+                {
+                    (_mask(s.unguarded_in), _mask(s.guarded_out)),
+                    ((1 << n_in) - 1, 0),
+                    (0, full_out),
+                }
+            )
         # wires only: a claim holds iff no claimed-unguarded input is wired
         # straight to a claimed-guarded output; input i feeds output perm[i]
-        k, r = (len(e.left), len(e.right)) if isinstance(e, Sym) else (0, 0)
+        k, r = (len(x.left), len(x.right)) if isinstance(x, Sym) else (0, 0)
         perm = [i + r if i < k else i - k for i in range(n_in)]
         cands = set()
         for s_mask in range(1 << n_in):
@@ -200,39 +200,29 @@ def _derivable_masks(e: MorphExpr, memo: dict) -> set[tuple[int, int]]:
                 if s_mask >> i & 1:
                     img |= 1 << perm[i]
             cands.add((s_mask, full_out & ~img))
-    elif isinstance(e, Comp):
-        left = _derivable_masks(e.first, memo)
-        right = _derivable_masks(e.second, memo)
-        mid_full = (1 << len(e.first.cod)) - 1
-        cands = set()
-        for ag, dg in left:
-            for af, df in right:
-                # need a middle partition E|F with F <= dg and (mid - F) <= af,
-                # i.e. every middle gate is covered by dg or af
-                if mid_full & ~af & ~dg == 0:
-                    cands.add((ag, df))
-    elif isinstance(e, Tensor):
-        top = _derivable_masks(e.top, memo)
-        bottom = _derivable_masks(e.bottom, memo)
-        si, so = len(e.top.dom), len(e.top.cod)
-        cands = {
-            (a1 | (a2 << si), d1 | (d2 << so))
-            for a1, d1 in top
-            for a2, d2 in bottom
-        }
-    elif isinstance(e, Trace):
-        raise TraceNotAllowed("expression contains a trace node")
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    got = _antichain(cands)
-    memo[key] = got
-    return got
+        return _antichain(cands)
+
+    def comp(x: Comp, left, right) -> set[tuple[int, int]]:
+        # need a middle partition E|F with F <= dg and (mid - F) <= af,
+        # i.e. every middle gate is covered by dg or af
+        mid_full = (1 << len(x.first.cod)) - 1
+        return _antichain(
+            {(ag, df) for ag, dg in left for af, df in right if mid_full & ~af & ~dg == 0}
+        )
+
+    def tensor(x: Tensor, top, bottom) -> set[tuple[int, int]]:
+        si, so = len(x.top.dom), len(x.top.cod)
+        return _antichain(
+            {(a1 | (a2 << si), d1 | (d2 << so)) for a1, d1 in top for a2, d2 in bottom}
+        )
+
+    return fold(e, leaf, comp, tensor)
 
 
 def derivable_splits(e: MorphExpr) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
     """All derivable claims of a trace-free expression, given by their
     maximal elements (claims are downward closed under weakening)."""
-    masks = _derivable_masks(e, {})
+    masks = _derivable_masks(e)
     n_in, n_out = len(e.dom), len(e.cod)
 
     def unmask(m: int, n: int) -> frozenset[int]:
@@ -273,16 +263,23 @@ class CheckResult:
 def _opaque(e: MorphExpr, queue: list, counter) -> MorphExpr:
     """Replace maximal trace subterms by boxes decorated with their
     conclusion splits, queueing the nodes for their own layer checks."""
-    if isinstance(e, Trace):
+
+    def leaf(x: MorphExpr) -> MorphExpr:
+        if not isinstance(x, Trace):
+            return x
         idx = next(counter)
-        sig = BoxSig(f"tr_{idx}", e.dom, e.cod, e.conclusion_split())
-        queue.append((idx, e))
-        return Box(sig)
-    if isinstance(e, Comp):
-        return Comp(_opaque(e.first, queue, counter), _opaque(e.second, queue, counter))
-    if isinstance(e, Tensor):
-        return Tensor(_opaque(e.top, queue, counter), _opaque(e.bottom, queue, counter))
-    return e
+        queue.append((idx, x))
+        return Box(BoxSig(f"tr_{idx}", x.dom, x.cod, x.conclusion_split()))
+
+    return fold(e, leaf, _rebuild_comp, _rebuild_tensor)
+
+
+def _rebuild_comp(x: Comp, first: MorphExpr, second: MorphExpr) -> MorphExpr:
+    return Comp(first, second)
+
+
+def _rebuild_tensor(x: Tensor, top: MorphExpr, bottom: MorphExpr) -> MorphExpr:
+    return Tensor(top, bottom)
 
 
 def check_annotated(e: MorphExpr, claim: Split) -> CheckResult:
@@ -337,41 +334,28 @@ def infer_trace_annotations(
     """
     from .expressions import trace as mk_trace
 
-    nodes: list[Trace] = []
-
-    def collect(x: MorphExpr) -> None:
-        if isinstance(x, Trace):
-            nodes.append(x)
-            collect(x.body)
-        elif isinstance(x, Comp):
-            collect(x.first)
-            collect(x.second)
-        elif isinstance(x, Tensor):
-            collect(x.top)
-            collect(x.bottom)
-
-    collect(e)
+    # trace nodes in preorder, each with its rank in the fold's (postorder) visits
+    rank = itertools.count()
+    nodes: list[tuple[int, Trace]] = fold(
+        e,
+        lambda x: [],
+        lambda x, first, second: first + second,
+        lambda x, top, bottom: top + bottom,
+        lambda x, body: [(next(rank), x), *body],
+    )
     if len(nodes) > max_nodes:
         raise ValueError(f"refusing inference with more than {max_nodes} trace nodes")
 
-    def rebuild(x: MorphExpr, choice: dict[int, int], idx: list[int]) -> MorphExpr:
-        if isinstance(x, Trace):
-            my = idx[0]
-            idx[0] += 1
-            body = rebuild(x.body, choice, idx)
-            a, _, _, _ = x.corners
-            return mk_trace(x.loop, body, len(a), choice[my])
-        if isinstance(x, Comp):
-            return Comp(rebuild(x.first, choice, idx), rebuild(x.second, choice, idx))
-        if isinstance(x, Tensor):
-            return Tensor(rebuild(x.top, choice, idx), rebuild(x.bottom, choice, idx))
-        return x
-
-    ranges = [range(len(t.body.cod) - len(t.loop) + 1) for t in nodes]
+    ranges = [range(len(t.body.cod) - len(t.loop) + 1) for _, t in nodes]
     for combo in itertools.product(*ranges):
-        choice = dict(enumerate(combo))
+        choice = {r: c_len for (r, _), c_len in zip(nodes, combo)}
+        rank = itertools.count()
+
+        def retrace(x: Trace, body: MorphExpr) -> MorphExpr:
+            return mk_trace(x.loop, body, len(x.corners[0]), choice[next(rank)])
+
         try:
-            candidate = rebuild(e, choice, [0])
+            candidate = fold(e, lambda x: x, _rebuild_comp, _rebuild_tensor, retrace)
         except Exception:
             continue
         if check_annotated(candidate, claim).ok:

@@ -61,16 +61,6 @@ def _tables(dom_gates, cod_gates):
         yield dict(zip(keys, combo))
 
 
-def _guarded_tables(x, y):
-    """Tables for X -> Y + X landing in the Y summand."""
-    for t in _tables((x,), (y,)):
-        yield {k: v for k, v in t.items()}
-
-
-def _as_shape(table, dom, cod) -> FinSetMorphism:
-    return _fs(dom, cod, table)
-
-
 def _case(parts, dom_gates, cod) -> FinSetMorphism:
     """[p, q, ...]: gatewise cotupling into a shared codomain."""
     table = {}
@@ -115,7 +105,7 @@ def finset_conway_suite(max_size: int = 2) -> dict[str, dict]:
     n = bad = 0
     for sx, sy, sz in iproduct(sizes, sizes, sizes):
         x, y, z = _carrier("x", sx), _carrier("y", sy), _carrier("z", sz)
-        for tf in _guarded_tables(x, y):
+        for tf in _tables((x,), (y,)):
             f = _fs((x,), (y, x), {k: v for k, v in tf.items()})
             fd = finset_iter(f)
             for tg in _tables((y,), (z,)):
@@ -134,7 +124,7 @@ def finset_conway_suite(max_size: int = 2) -> dict[str, dict]:
         inl_yx = _renumber(_identity((y,)), (y, x), {0: 0})
         inl_yz = _renumber(_identity((y,)), (y, z), {0: 0})
         # placement 1: g guarded, h arbitrary
-        for tg in _guarded_tables(x, y):
+        for tg in _tables((x,), (y,)):
             g = _fs((x,), (y, z), tg)
             for th in _tables((z,), (y, x)):
                 h = _fs((z,), (y, x), th)
@@ -144,7 +134,7 @@ def finset_conway_suite(max_size: int = 2) -> dict[str, dict]:
         # placement 2: g arbitrary, h guarded
         for tg in _tables((x,), (y, z)):
             g = _fs((x,), (y, z), tg)
-            for th in _guarded_tables(z, y):
+            for th in _tables((z,), (y,)):
                 h = _fs((z,), (y, x), th)
                 n += 1
                 if not _dinat_holds(g, h, x, y, z, inl_yx, inl_yz):
@@ -171,7 +161,7 @@ def finset_conway_suite(max_size: int = 2) -> dict[str, dict]:
     n = bad = 0
     for sx, sy in iproduct(sizes, sizes):
         x, y = _carrier("x", sx), _carrier("y", sy)
-        for t in _guarded_tables(x, y):
+        for t in _tables((x,), (y,)):
             f = _fs((x,), (y, x), t)
             square = _case([_renumber(_identity((y,)), (y, x), {0: 0}), f], (y, x), (y, x))
             n += 1
@@ -566,30 +556,6 @@ def _tot_rec_multi(model, m):
 # --- flat posets ---------------------------------------------------------------
 
 
-def _monotone_tables(b: Poset, a: Poset):
-    """All monotone tables B x A -> A (curried per parameter element)."""
-    def monotone_maps():
-        picks = []
-        for combo in iproduct(a.elements, repeat=len(a.elements)):
-            t = dict(zip(a.elements, combo))
-            if all(
-                a.le(t[p], t[q])
-                for p in a.elements
-                for q in a.elements
-                if a.le(p, q)
-            ):
-                picks.append(t)
-        return picks
-
-    per_b = monotone_maps()
-    for combo in iproduct(per_b, repeat=len(b.elements)):
-        yield {
-            (bv, av): combo[i][av]
-            for i, bv in enumerate(b.elements)
-            for av in a.elements
-        }
-
-
 def flat_transfer_suite(max_x: int = 3, max_b: int = 2) -> dict[str, dict]:
     """Round trips of the two transport constructions and law transfer,
     exhaustively over lifts of flat carriers of at most ``max_x`` points."""
@@ -606,7 +572,7 @@ def flat_transfer_suite(max_x: int = 3, max_b: int = 2) -> dict[str, dict]:
             x = flat(_carrier("x", sx))
             b = flat(_carrier("b", sb))
             tx, _ = lift(x)
-            for f in _monotone_tables(b, tx):
+            for f in _monotone_tables_between(b, tx, tx):
                 n += 1
                 if rec0(f, b, tx) != rec1(f, b, tx):
                     bad += 1
@@ -665,7 +631,7 @@ def _flat_law_suite(rec, max_x: int, max_b: int) -> dict[str, dict]:
         tx, _ = lift(x)
         for sb in range(1, max_b + 1):
             b = flat(_carrier("b", sb))
-            for f in _monotone_tables(b, tx):
+            for f in _monotone_tables_between(b, tx, tx):
                 r = rec(f, b, tx)
                 n += 1
                 if any(f[(bv, r[bv])] != r[bv] for bv in b.elements):
@@ -678,7 +644,7 @@ def _flat_law_suite(rec, max_x: int, max_b: int) -> dict[str, dict]:
     tx, _ = lift(x)
     b = flat(_carrier("b", 2))
     b2 = flat(_carrier("c", 2))
-    for f in _monotone_tables(b, tx):
+    for f in _monotone_tables_between(b, tx, tx):
         r = rec(f, b, tx)
         for uvals in iproduct(b.elements, repeat=len(b2.elements)):
             u = dict(zip(b2.elements, uvals))
@@ -739,7 +705,7 @@ def _flat_law_suite(rec, max_x: int, max_b: int) -> dict[str, dict]:
     ta, _ = lift(x)
     for sb in range(1, max_b + 1):
         b = flat(_carrier("b", sb))
-        for f in _monotone_tables(b, ta):
+        for f in _monotone_tables_between(b, ta, ta):
             sq = {(bv, av): f[(bv, f[(bv, av)])] for bv in b.elements for av in ta.elements}
             n += 1
             if rec(f, b, ta) != rec(sq, b, ta):
@@ -749,6 +715,7 @@ def _flat_law_suite(rec, max_x: int, max_b: int) -> dict[str, dict]:
 
 
 def _monotone_tables_between(b: Poset, src: Poset, dst: Poset):
+    """All monotone tables B x src -> dst (curried per parameter element)."""
     def monotone_maps():
         picks = []
         for combo in iproduct(dst.elements, repeat=len(src.elements)):

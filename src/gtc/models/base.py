@@ -9,7 +9,7 @@ witnesses).
 
 from __future__ import annotations
 
-from ..expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, Trace
+from ..expressions import Id, MorphExpr, Sym, fold
 
 
 class EvalError(ValueError):
@@ -25,26 +25,23 @@ def eval_expr(e: MorphExpr, model, boxes: dict, tol: float | None = None):
     """
     checked: set[str] = set()
 
-    def go(x: MorphExpr):
-        if isinstance(x, Box):
-            name = x.sig.name
-            if name not in boxes:
-                raise EvalError(f"no binding for box {name!r}")
-            m = boxes[name]
-            if name not in checked:
-                model.validate_box(x.sig, m)
-                checked.add(name)
-            return m
+    def leaf(x: MorphExpr):
         if isinstance(x, Id):
             return model.identity(x.obj)
         if isinstance(x, Sym):
             return model.symmetry(x.left, x.right)
-        if isinstance(x, Comp):
-            return model.compose(go(x.first), go(x.second))
-        if isinstance(x, Tensor):
-            return model.tensor(go(x.top), go(x.bottom))
-        if isinstance(x, Trace):
-            return model.trace(go(x.body), x.loop, x.corners, tol)
-        raise TypeError(f"not an expression: {x!r}")
+        name = x.sig.name
+        if name not in boxes:
+            raise EvalError(f"no binding for box {name!r}")
+        if name not in checked:
+            model.validate_box(x.sig, boxes[name])
+            checked.add(name)
+        return boxes[name]
 
-    return go(e)
+    return fold(
+        e,
+        leaf,
+        lambda x, f, g: model.compose(f, g),
+        lambda x, f, g: model.tensor(f, g),
+        lambda x, body: model.trace(body, x.loop, x.corners, tol),
+    )

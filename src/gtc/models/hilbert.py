@@ -12,6 +12,7 @@ witness or by the orthonormal-basis sum; both are implemented and agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,7 @@ WITNESS_TOL = 1e-12
 
 def kron_perm(dims: tuple[int, ...], perm: list[int]) -> np.ndarray:
     """Matrix reordering tensor factors: output axis t is input axis perm[t]."""
-    total = int(np.prod(dims)) if dims else 1
-    if not dims:
-        return np.eye(1)
+    total = math.prod(dims)
     arr = np.arange(total).reshape(dims)
     flat = arr.transpose(perm).ravel()
     return np.eye(total)[flat]
@@ -41,20 +40,10 @@ class HilbertMorphism:
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.mat, dtype=float)
-        want = (_prod(self.out_dims), _prod(self.in_dims))
+        want = (math.prod(self.out_dims), math.prod(self.in_dims))
         if mat.shape != want:
             raise EvalError(f"matrix shape {mat.shape} does not match profile {want}")
         object.__setattr__(self, "mat", mat)
-
-    def dagger(self) -> "HilbertMorphism":
-        return HilbertMorphism(self.out_dims, self.in_dims, self.mat.T)
-
-
-def _prod(dims) -> int:
-    out = 1
-    for d in dims:
-        out *= int(d)
-    return out
 
 
 class HilbertModel:
@@ -71,7 +60,7 @@ class HilbertModel:
 
     def identity(self, word: ObjectExpr) -> HilbertMorphism:
         dims = self.ob(word)
-        return HilbertMorphism(dims, dims, np.eye(_prod(dims)))
+        return HilbertMorphism(dims, dims, np.eye(math.prod(dims)))
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> HilbertMorphism:
         dl, dr = self.ob(left), self.ob(right)
@@ -92,11 +81,11 @@ class HilbertModel:
     def trace(self, m: HilbertMorphism, loop, corners, tol=None) -> HilbertMorphism:
         a, b, c, d = corners
         n_a, n_c, n_d, k = len(a), len(c), len(d), len(loop)
-        da = _prod(m.in_dims[:n_a])
-        du = _prod(m.in_dims[n_a : n_a + k])
-        db = _prod(m.in_dims[n_a + k :])
-        dc = _prod(m.out_dims[:n_c])
-        dd = _prod(m.out_dims[n_c : n_c + n_d])
+        da = math.prod(m.in_dims[:n_a])
+        du = math.prod(m.in_dims[n_a : n_a + k])
+        db = math.prod(m.in_dims[n_a + k :])
+        dc = math.prod(m.out_dims[:n_c])
+        dd = math.prod(m.out_dims[n_c : n_c + n_d])
         mat = hs_sum_trace(m.mat, da, du, db, dc, dd)
         return HilbertMorphism(
             m.in_dims[:n_a] + m.in_dims[n_a + k :], m.out_dims[: n_c + n_d], mat
@@ -143,10 +132,10 @@ def check_witness(m: HilbertMorphism, split) -> None:
     grouped, in_dims, out_dims = split_permuted(m, split)
     na = len(split.unguarded_in)
     nc = len(split.unguarded_out)
-    da = _prod(in_dims[:na])
-    db = _prod(in_dims[na:])
-    dc = _prod(out_dims[:nc])
-    dd = _prod(out_dims[nc:])
+    da = math.prod(in_dims[:na])
+    db = math.prod(in_dims[na:])
+    dc = math.prod(out_dims[:nc])
+    dd = math.prod(out_dims[nc:])
     e_dim = int(w["e_dim"])
     g = np.asarray(w["g"], dtype=float)
     h = np.asarray(w["h"], dtype=float)

@@ -27,6 +27,7 @@ Carriers and denotations per model:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -49,10 +50,24 @@ def _tag(s: str) -> tuple[int, str]:
 
 
 def load_bindings(payload, sigs: dict[str, BoxSig]):
-    """Build (model, boxes) from a parsed JSON payload; signatures give
-    each box its profile."""
-    if isinstance(payload, str):
-        payload = json.loads(payload)
+    """Build (model, boxes) from JSON text or its parsed payload;
+    signatures give each box its profile.  Malformed data raises
+    EvalError."""
+    try:
+        if isinstance(payload, str):
+            payload = json.loads(payload)
+        if not isinstance(payload, dict):
+            raise EvalError("bindings must be a JSON object")
+        return _load(payload, sigs)
+    except EvalError:
+        raise
+    except KeyError as exc:
+        raise EvalError(f"bad bindings: missing {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise EvalError(f"bad bindings: {exc}") from None
+
+
+def _load(payload: dict, sigs: dict[str, BoxSig]):
     kind = payload.get("model")
     objects = payload.get("objects", {})
     raw_boxes = payload.get("boxes", {})
@@ -144,7 +159,7 @@ def derive_witness(model: HilbertModel, sig: BoxSig, mat: np.ndarray) -> dict:
     in_dims = model.ob(sig.inputs)
     out_dims = model.ob(sig.outputs)
     mat = np.asarray(mat, dtype=float)
-    want = (int(np.prod(out_dims or (1,))), int(np.prod(in_dims or (1,))))
+    want = (math.prod(out_dims), math.prod(in_dims))
     if mat.shape != want:
         raise EvalError(
             f"matrix for {sig.name!r} has shape {mat.shape}, profile needs {want}"
@@ -153,10 +168,10 @@ def derive_witness(model: HilbertModel, sig: BoxSig, mat: np.ndarray) -> dict:
     b_gates = sorted(sig.split.guarded_in)
     c_gates = sorted(sig.split.unguarded_out)
     d_gates = sorted(sig.split.guarded_out)
-    da = _prod(in_dims, a_gates)
-    db = _prod(in_dims, b_gates)
-    dc = _prod(out_dims, c_gates)
-    dd = _prod(out_dims, d_gates)
+    da = math.prod(in_dims[g] for g in a_gates)
+    db = math.prod(in_dims[g] for g in b_gates)
+    dc = math.prod(out_dims[g] for g in c_gates)
+    dd = math.prod(out_dims[g] for g in d_gates)
     p_in = kron_perm(in_dims, a_gates + b_gates)
     p_out = kron_perm(out_dims, c_gates + d_gates)
     grouped = p_out @ np.asarray(mat, dtype=float) @ p_in.T
@@ -175,10 +190,3 @@ def _name_witness(db: int, dd: int) -> np.ndarray:
         for d in range(dd):
             g[(b * dd + d) * dd + d, b] = 1.0
     return g
-
-
-def _prod(dims, gates) -> int:
-    out = 1
-    for gate in gates:
-        out *= dims[gate]
-    return out

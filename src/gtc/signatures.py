@@ -248,11 +248,16 @@ class BoxSig:
         return split_kind(self.split)
 
     def __str__(self) -> str:
-        ui = self.inputs.select(sorted(self.split.unguarded_in))
-        gi = self.inputs.select(sorted(self.split.guarded_in))
-        uo = self.outputs.select(sorted(self.split.unguarded_out))
-        go = self.outputs.select(sorted(self.split.guarded_out))
-        return f"box {self.name} : {ui} | {gi} -> {uo} | {go}"
+        s, n_out = self.split, len(self.outputs)
+        k, j = len(s.unguarded_in), n_out - len(s.guarded_out)
+        if s.unguarded_in == frozenset(range(k)) and s.guarded_out == frozenset(
+            range(j, n_out)
+        ):
+            ins, outs = self.inputs, self.outputs
+            return f"box {self.name} : {ins[:k]} | {ins[k:]} -> {outs[:j]} | {outs[j:]}"
+        # a declaration puts unguarded inputs first and guarded outputs last;
+        # any other split is spelled out, which parse_box_decl rejects
+        return f"box {self.name} : {self.inputs} -> {self.outputs} split {s}"
 
 
 _BOX_RE = re.compile(

@@ -146,7 +146,7 @@ def test_criterion_5_trace_axioms_in_all_models():
     worst = 0.0
     checks = 0
     for axiom in AXIOMS:
-        instances = gen_axiom_instances(axiom, None, seed, per_axiom)
+        instances = gen_axiom_instances(axiom, seed, per_axiom)
         for inst in instances:
             for model in ("finset", "metric", "tot", "hilbert", "flat"):
                 rep = check_axiom(inst, model, seed, tol=NUMERIC_TOL)

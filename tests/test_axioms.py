@@ -10,7 +10,7 @@ from gtc.laws import (
 
 def test_every_instance_type_checks():
     for axiom in AXIOMS:
-        for inst in gen_axiom_instances(axiom, None, seed=1, count=10):
+        for inst in gen_axiom_instances(axiom, seed=1, count=10):
             for side in (inst.lhs, inst.rhs):
                 assert check_annotated(side, inst.claim).ok, (axiom, inst.index)
             assert inst.lhs.dom.factors == inst.rhs.dom.factors
@@ -19,7 +19,7 @@ def test_every_instance_type_checks():
 
 def test_axioms_small_grid_all_models():
     for axiom in AXIOMS:
-        for inst in gen_axiom_instances(axiom, None, seed=2, count=3):
+        for inst in gen_axiom_instances(axiom, seed=2, count=3):
             for model in ("finset", "metric", "tot", "hilbert", "flat"):
                 rep = check_axiom(inst, model, seed=2)
                 assert rep["verdict"] == "pass", rep

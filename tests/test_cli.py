@@ -228,3 +228,43 @@ def test_suite_determinism_across_runs(tmp_path, capsys):
         assert code == 0
         capsys.readouterr()
     assert a.read_text() == b.read_text()
+
+
+def _error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_synthesize_missing_box_exit_2(tmp_path, capsys):
+    payload = json.loads(export_json(_find(np.random.default_rng(2), True)))
+    n_boxes = len(payload["boxes"])
+    payload["wires"][0][1] = ["bin", n_boxes, 0]  # a box that does not exist
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(payload))
+    assert main(["synthesize", str(path)]) == 2
+    assert "not a port" in _error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "model, bindings, message",
+    [
+        ("finset", [], "JSON object"),
+        ("finset", {"model": "finset", "objects": {"A": ["a0"]}, "boxes": {"p": {}}}, "'table'"),
+        (
+            "metric",
+            {"model": "metric", "objects": {"A": 1}, "boxes": {"p": {"weight": [[0.5]]}}},
+            "'offset'",
+        ),
+    ],
+)
+def test_eval_malformed_bindings_exit_2(tmp_path, capsys, model, bindings, message):
+    src = tmp_path / "f.gtc"
+    src.write_text("box p : I | A -> A | I\nlet main = p\n")
+    bind = tmp_path / "b.json"
+    bind.write_text(json.dumps(bindings))
+    argv = ["eval", str(src), "--name", "main", "--model", model, "--bindings", str(bind)]
+    assert main(argv) == 2
+    assert message in _error_line(capsys)

@@ -6,6 +6,7 @@ from gtc.expressions import (
     Id,
     ParseError,
     Tensor,
+    fold,
     parse_expr,
     parse_source,
     print_expr,
@@ -70,6 +71,39 @@ def test_print_respects_precedence():
     e2 = parse_expr("(f ; g) (*) id[A]", SIGS)
     assert isinstance(e2, Tensor)
     assert print_expr(e2) == "(f ; g) (*) id[A]"
+    # left-nested chains print flat
+    assert print_expr(parse_expr("id[A] ; id[A] ; f ; g", SIGS)) == "id[A] ; id[A] ; f ; g"
+    assert print_expr(parse_expr("f (*) f (*) id[A]", SIGS)) == "f (*) f (*) id[A]"
+    # right-nested children keep their parentheses, so the tree round-trips
+    e = Comp(parse_expr("id[A]", SIGS), parse_expr("f ; g", SIGS))
+    assert print_expr(e) == "id[A] ; (f ; g)"
+    assert parse_expr(print_expr(e), SIGS) == e
+    t = Tensor(parse_expr("f", SIGS), parse_expr("f (*) f", SIGS))
+    assert print_expr(t) == "f (*) (f (*) f)"
+    assert parse_expr(print_expr(t), SIGS) == t
+
+
+def test_fold_is_postorder_left_to_right():
+    e = parse_expr("tr[B: A|I -> I|I]{ k ; f } (*) (h ; id[B*C])", SIGS)
+    order = []
+
+    def leaf(x):
+        order.append(print_expr(x))
+        return order[-1]
+
+    def node(op):
+        def handler(x, *kids):
+            order.append(op)
+            return f"{op}({', '.join(kids)})"
+
+        return handler
+
+    got = fold(e, leaf, node(";"), node("(*)"), node("tr"))
+    assert got == "(*)(tr(;(k, f)), ;(h, id[B*C]))"
+    assert order == ["k", "f", ";", "tr", "h", "id[B*C]", ";", "(*)"]
+    # without a trace handler a trace is a leaf and its body is not entered
+    got = fold(e, leaf, node(";"), node("(*)"))
+    assert got == "(*)(tr[B: A|I -> I|I]{ k ; f }, ;(h, id[B*C]))"
 
 
 def test_round_trip_random_expressions():

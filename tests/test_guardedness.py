@@ -5,7 +5,7 @@ import pytest
 
 from gtc.counterexamples import equal_morphisms_different_typing
 from gtc.diagrams import diagram_iso, elaborate
-from gtc.expressions import parse_expr
+from gtc.expressions import parse_expr, print_expr
 from gtc.generators import rand_accepted_traced, rand_trace_free_expr
 from gtc.guardedness import (
     check_annotated,
@@ -174,3 +174,17 @@ def test_inference_refuses_many_nodes():
     sigs, traced, _, claim = equal_morphisms_different_typing()
     with pytest.raises(ValueError):
         infer_trace_annotations(traced, claim, max_nodes=0)
+
+
+def test_inference_annotates_nested_traces_per_node():
+    # the inner body passes U to Y unguarded, so the inner node must leave Y
+    # unpromised; the outer node can still promise Y, which no input reaches
+    sigs = {
+        s.name: s
+        for s in map(parse_box_decl, ["box k : U | I -> Y | U", "box m : V | I -> I | V"])
+    }
+    e = parse_expr("tr[V: I|I -> Y|I]{ tr[U: I|I -> Y|I]{ k } (*) m }", sigs)
+    claim = mk_split(0, 1, guarded_out=[0])
+    got = infer_trace_annotations(e, claim)
+    assert print_expr(got) == "tr[V: I|I -> I|Y]{ tr[U: I|I -> Y|I]{ k } (*) m }"
+    assert check_annotated(got, claim).ok

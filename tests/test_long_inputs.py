@@ -1,0 +1,48 @@
+"""Inputs far longer than Python's default recursion limit is deep."""
+
+import sys
+
+from gtc.diagrams import diagram_iso, elaborate, export_json, import_json
+from gtc.expressions import parse_expr, parse_source, print_expr
+from gtc.guardedness import check_annotated, derivable_splits
+from gtc.models import eval_expr
+from gtc.models.io import load_bindings
+from gtc.signatures import parse_claim
+from gtc.synthesis import synthesize
+
+# a white box on lane X, a black box on lane Y
+DECLS = "box w : I | X -> X | I\nbox b : Y | I -> I | Y\n"
+BINDINGS = {
+    "model": "finset",
+    "objects": {"X": ["x0", "x1"], "Y": []},
+    "boxes": {"w": {"table": {"0:x0": "0:x1", "0:x1": "0:x0"}}, "b": {"table": {}}},
+}
+
+
+def test_5000_box_chain_under_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000  # the interpreter's default
+    slices = 2500  # 5,000 boxes in a left-nested ';' chain of 2,500 slices
+    src = parse_source(DECLS + "let main = " + " ; ".join(["w (*) b"] * slices) + "\n")
+    e = src.exprs["main"]
+    claim = parse_claim("X*Y | I -> X | Y", e.dom, e.cod)
+    assert check_annotated(e, claim).ok
+    d = elaborate(e, claim)
+    assert len(d.boxes) == 5000
+    assert derivable_splits(e) == {
+        (frozenset({1}), frozenset({0, 1})),
+        (frozenset({0, 1}), frozenset({1})),
+    }
+
+    back = synthesize(import_json(export_json(d)), claim)
+    assert check_annotated(back, claim).ok
+    assert diagram_iso(elaborate(back, claim), d)
+
+    # dataclass equality recurses, so compare printed text instead
+    for expr in (e, back):
+        text = print_expr(expr)
+        assert print_expr(parse_expr(text, src.sigs)) == text
+    assert print_expr(e) == " ; ".join(["w (*) b"] * slices)
+
+    model, boxes = load_bindings(BINDINGS, src.sigs)
+    value = eval_expr(e, model, boxes)  # an even number of swaps
+    assert value.table == {(0, "x0"): (0, "x0"), (0, "x1"): (0, "x1")}

@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gtc.generators import rand_split
 from gtc.signatures import (
     UNIT,
     BoxSig,
     SignatureError,
     dual_split,
     mk_split,
+    obj,
     parse_box_decl,
     parse_claim,
     parse_object,
@@ -119,6 +122,27 @@ def test_box_decl_round():
     assert sig3.kind == "mixed"
     assert sig3.split.unguarded_in == frozenset({0})
     assert sig3.split.guarded_out == frozenset({1})
+
+
+def test_box_str_round_trips_or_is_rejected():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(300):
+        n_in, n_out = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        ins = obj(*(str(rng.choice(["A", "B"])) for _ in range(n_in)))
+        outs = obj(*(str(rng.choice(["A", "B"])) for _ in range(n_out)))
+        sig = BoxSig("f", ins, outs, rand_split(rng, n_in, n_out))
+        text = str(sig)
+        assert text.startswith("box f ")
+        try:
+            back = parse_box_decl(text)
+        except SignatureError:
+            seen.add("rejected")
+            assert " split " in text
+            continue
+        seen.add("round-trip")
+        assert back == sig
+    assert seen == {"rejected", "round-trip"}
 
 
 def test_box_decl_rejects_garbage():
