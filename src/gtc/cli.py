@@ -150,8 +150,15 @@ def cmd_eval(args) -> int:
     value = eval_expr(expr, model, boxes, tol=args.tol)
     if args.inputs:
         with open(args.inputs, encoding="utf-8") as fh:
-            point = json.load(fh)
-        print(json.dumps(_apply(model.name, value, point)))
+            text = fh.read()
+        # a point that is malformed or outside the domain is bad input (exit 2)
+        try:
+            out = _apply(model.name, value, json.loads(text))
+        except KeyError as exc:
+            raise EvalError(f"bad input point: no entry {exc}") from None
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise EvalError(f"bad input point: {exc}") from None
+        print(json.dumps(out))
     else:
         print(json.dumps(_render(model.name, value)))
     return 0

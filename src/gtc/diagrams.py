@@ -474,6 +474,9 @@ def import_json(text: str) -> Diagram:
         )
         bi = tuple((p["atom"], bool(p["guarded"])) for p in payload["in"])
         bo = tuple((p["atom"], bool(p["guarded"])) for p in payload["out"])
+        for atom, _ in bi + bo:
+            if not isinstance(atom, str):
+                raise DiagramError(f"boundary atom {atom!r} is not a string")
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"bad diagram JSON: {exc}") from None
     return Diagram(boxes, wires, bi, bo)

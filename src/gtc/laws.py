@@ -720,12 +720,7 @@ def _monotone_tables_between(b: Poset, src: Poset, dst: Poset):
         picks = []
         for combo in iproduct(dst.elements, repeat=len(src.elements)):
             t = dict(zip(src.elements, combo))
-            if all(
-                dst.le(t[p], t[q])
-                for p in src.elements
-                for q in src.elements
-                if src.le(p, q)
-            ):
+            if all(t[q] in dst.up[t[p]] for p in src.elements for q in src.up[p]):
                 picks.append(t)
         return picks
 
@@ -743,14 +738,10 @@ def _monotone_two_arg(b: Poset, a: Poset):
     keys = [(bv, a1, a2) for bv in b.elements for a1 in a.elements for a2 in a.elements]
     for combo in iproduct(a.elements, repeat=len(keys)):
         t = dict(zip(keys, combo))
-        ok = True
-        for bv, a1, a2 in keys:
-            for b1, a3, a4 in keys:
-                if bv == b1 and a.le(a1, a3) and a.le(a2, a4):
-                    if not a.le(t[(bv, a1, a2)], t[(b1, a3, a4)]):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
+        if all(
+            t[(bv, a3, a4)] in a.up[t[(bv, a1, a2)]]
+            for bv, a1, a2 in keys
+            for a3 in a.up[a1]
+            for a4 in a.up[a2]
+        ):
             yield t

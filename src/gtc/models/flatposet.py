@@ -10,7 +10,7 @@ transport one operator into the other and are mutually inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from ..signatures import BoxSig, ObjectExpr
@@ -21,23 +21,26 @@ from .base import EvalError
 class Poset:
     elements: tuple[str, ...]
     leq: frozenset  # all pairs (a, b) with a <= b, reflexivity included
+    # up[a]: the elements above a, from which the order is checked
+    up: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        elems = set(self.elements)
-        if len(elems) != len(self.elements):
+        up = {a: set() for a in self.elements}
+        if len(up) != len(self.elements):
             raise EvalError("duplicate poset elements")
         for a, b in self.leq:
-            if a not in elems or b not in elems:
+            if a not in up or b not in up:
                 raise EvalError(f"order pair ({a}, {b}) uses unknown elements")
-        for a in elems:
-            if (a, a) not in self.leq:
+            up[a].add(b)
+        for a in self.elements:
+            if a not in up[a]:
                 raise EvalError(f"order not reflexive at {a}")
         for a, b in self.leq:
-            for c, d in self.leq:
-                if b == c and (a, d) not in self.leq:
-                    raise EvalError("order not transitive")
-                if (b, a) in self.leq and a != b:
-                    raise EvalError("order not antisymmetric")
+            if not up[b] <= up[a]:
+                raise EvalError("order not transitive")
+            if a != b and a in up[b]:
+                raise EvalError("order not antisymmetric")
+        object.__setattr__(self, "up", {a: frozenset(s) for a, s in up.items()})
 
     def le(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
@@ -48,7 +51,7 @@ class Poset:
 
     def bottom(self) -> str | None:
         for a in self.elements:
-            if all((a, b) in self.leq for b in self.elements):
+            if len(self.up[a]) == len(self.elements):
                 return a
         return None
 
@@ -67,21 +70,19 @@ def lift(p: Poset) -> tuple[Poset, str]:
     return Poset((bot,) + p.elements, frozenset(leq)), bot
 
 
-def product_order(posets: tuple[Poset, ...]):
-    elems = list(product(*(p.elements for p in posets)))
-
-    def le(x, y):
-        return all(p.le(a, b) for p, a, b in zip(posets, x, y))
-
-    return elems, le
+def product_elements(posets: tuple[Poset, ...]) -> list[tuple]:
+    return list(product(*(p.elements for p in posets)))
 
 
 def is_monotone(table: dict, dom: tuple[Poset, ...], cod: tuple[Poset, ...]) -> bool:
-    elems, le = product_order(dom)
-    _, le_out = product_order(cod)
-    return all(
-        le_out(table[x], table[y]) for x in elems for y in elems if le(x, y)
-    )
+    """x <= y implies table[x] <= table[y], componentwise; each x meets
+    only the y in the product of its components' up-sets."""
+    for x in product(*(p.elements for p in dom)):
+        fx = table[x]
+        for y in product(*(p.up[a] for p, a in zip(dom, x))):
+            if not all(v in q.up[u] for q, u, v in zip(cod, fx, table[y])):
+                return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +92,7 @@ class PosetMorphism:
     table: dict
 
     def __post_init__(self) -> None:
-        elems, _ = product_order(self.dom)
-        if set(self.table) != set(elems):
+        if set(self.table) != set(product(*(p.elements for p in self.dom))):
             raise EvalError("table does not cover the domain")
         out_elems = set(product(*(p.elements for p in self.cod)))
         for y in self.table.values():
@@ -130,14 +130,14 @@ class FlatPosetModel:
 
     def identity(self, word: ObjectExpr) -> PosetMorphism:
         dom = self.ob(word)
-        elems, _ = product_order(dom)
+        elems = product_elements(dom)
         return PosetMorphism(dom, dom, {x: x for x in elems})
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> PosetMorphism:
         dom = self.ob(left * right)
         cod = self.ob(right * left)
         k = len(left)
-        elems, _ = product_order(dom)
+        elems = product_elements(dom)
         return PosetMorphism(dom, cod, {x: x[k:] + x[:k] for x in elems})
 
     def compose(self, f: PosetMorphism, g: PosetMorphism) -> PosetMorphism:
@@ -147,7 +147,7 @@ class FlatPosetModel:
 
     def tensor(self, f: PosetMorphism, g: PosetMorphism) -> PosetMorphism:
         ni = len(f.dom)
-        elems, _ = product_order(f.dom + g.dom)
+        elems = product_elements(f.dom + g.dom)
         table = {x: f.table[x[:ni]] + g.table[x[ni:]] for x in elems}
         return PosetMorphism(f.dom + g.dom, f.cod + g.cod, table)
 
@@ -161,7 +161,7 @@ class FlatPosetModel:
             if not p.elements:
                 raise EvalError("empty loop carrier")
         fill = tuple(p.elements[0] for p in loops)
-        elems, _ = product_order(dom)
+        elems = product_elements(dom)
         table = {}
         for x in elems:
             xa, xb = x[:n_a], x[n_a:]

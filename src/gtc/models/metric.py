@@ -199,10 +199,10 @@ def _iterate(m, a_blocks, b_blocks, n_a, k, n_cd, c_loop, tol):
     if d0 <= goal:
         return u1, 1
     budget = math.ceil(math.log(goal / d0) / math.log(c_loop)) + 1 if c_loop > 0 else 2
-    prev, cur = u, u1
+    cur, nxt = u1, step(u1)
     count = 1
-    while dist(cur, step(cur)) > goal:
-        prev, cur = cur, step(cur)
+    while dist(cur, nxt) > goal:
+        cur, nxt = nxt, step(nxt)
         count += 1
         if count > budget + 1:
             raise EvalError(

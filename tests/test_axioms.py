@@ -1,5 +1,12 @@
+import dataclasses
+
+import pytest
+
+import gtc.axioms
 from gtc.axioms import AXIOMS, check_axiom, gen_axiom_instances, run_axiom_suite
 from gtc.guardedness import check_annotated
+from gtc.models import MODEL_NAMES, EvalError
+from gtc.signatures import mk_split
 from gtc.laws import (
     finset_conway_suite,
     flat_transfer_suite,
@@ -36,6 +43,33 @@ def test_suite_parallel_matches_sequential():
     _, seq = run_axiom_suite(models=("finset", "flat"), seeds=(3,), per_axiom=2)
     _, par = run_axiom_suite(models=("finset", "flat"), seeds=(3,), per_axiom=2, jobs=4)
     assert seq == par
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_suite_checks_guardedness_once_per_instance(monkeypatch, jobs):
+    calls = []
+
+    def counted(expr, claim):
+        calls.append(expr)
+        return check_annotated(expr, claim)
+
+    monkeypatch.setattr(gtc.axioms, "check_annotated", counted)
+    _, reports = run_axiom_suite(models=MODEL_NAMES, seeds=(0,), per_axiom=1, jobs=jobs)
+    assert len(reports) == len(AXIOMS) * len(MODEL_NAMES)
+    assert len(calls) == 2 * len(AXIOMS)
+
+
+def test_failed_guardedness_check_raises_in_every_model():
+    inst = gen_axiom_instances("tightening", seed=0)[0]
+    n_in, n_out = len(inst.lhs.dom), len(inst.lhs.cod)
+    # every input unguarded, every output guarded: the plain boxes break it
+    bad = dataclasses.replace(
+        inst, claim=mk_split(n_in, n_out, range(n_in), range(n_out))
+    )
+    assert not check_annotated(bad.lhs, bad.claim).ok
+    for model in MODEL_NAMES:
+        with pytest.raises(EvalError, match="lhs fails its guardedness check"):
+            check_axiom(bad, model, seed=0)
 
 
 def test_finset_law_suite_green():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -230,6 +231,24 @@ def test_suite_determinism_across_runs(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+# sha256 of the `gtc suite --seeds 0 --per-axiom 10` report, one JSON line
+# per line, with the numeric models' (metric, hilbert) max_dev left out:
+# every verdict, the exact models' instance lines, the law and oracle
+# blocks and the summary, all independent of floating-point rounding.
+SUITE_SEED0_DIGEST = "93fae86a7e3e921838bf44f607be7fa3d349a20baab93d0f0002a57b55d1bf2d"
+
+
+def test_suite_report_matches_golden_digest(capsys):
+    assert main(["suite", "--seeds", "0", "--per-axiom", "10"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for line in lines:
+        if line.get("model") in ("metric", "hilbert"):
+            del line["max_dev"]
+    text = "\n".join(json.dumps(line) for line in lines)
+    assert len(lines) == 408
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SEED0_DIGEST
+
+
 def _error_line(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -268,3 +287,58 @@ def test_eval_malformed_bindings_exit_2(tmp_path, capsys, model, bindings, messa
     argv = ["eval", str(src), "--name", "main", "--model", model, "--bindings", str(bind)]
     assert main(argv) == 2
     assert message in _error_line(capsys)
+
+
+_IDENTITY_BINDINGS = {
+    "finset": {"objects": {"A": ["a0", "a1"]}},
+    "metric": {"objects": {"A": 1}},
+    "hilbert": {"objects": {"A": 2}},
+    "tot": {
+        "objects": {
+            "A": {
+                "stages": [["x0"], ["x0", "x1"], ["x0", "x1"]],
+                "restrictions": [{"x0": "x0", "x1": "x0"}, {"x0": "x0", "x1": "x1"}],
+            }
+        }
+    },
+    "flat": {"objects": {"A": {"elements": ["p", "q"]}}},
+}
+
+
+@pytest.mark.parametrize(
+    "model, point, message",
+    [
+        ("finset", '{"gate": 0}', "'elem'"),
+        ("finset", '{"gate": 0, "elem": "a9"}', "no entry"),
+        ("finset", '{"gate": "x", "elem": "a0"}', "bad input point"),
+        ("finset", '{"gate": 0,', "bad input point"),
+        ("metric", '{"vector": [1.0]}', "'blocks'"),
+        ("metric", '{"blocks": [["x"]]}', "bad input point"),
+        ("hilbert", '{"vector": [1.0, 2.0, 3.0]}', "bad input point"),
+        ("hilbert", "[1.0, 2.0]", "bad input point"),
+        ("tot", '{"stages": ["x0"]}', "bad input point"),
+        ("tot", '{"stages": [0, 1, 2]}', "bad input point"),
+        ("flat", '{"elems": "r"}', "no entry"),
+        ("flat", '{"elems": ["p"]}', "bad input point"),
+    ],
+    ids=[
+        "finset-no-elem", "finset-unknown-elem", "finset-bad-gate", "finset-not-json",
+        "metric-no-blocks", "metric-bad-block", "hilbert-wrong-length",
+        "hilbert-not-object", "tot-few-stages", "tot-bad-stage", "flat-unknown-elems",
+        "flat-bad-elems",
+    ],
+)
+def test_eval_malformed_inputs_exit_2(tmp_path, capsys, model, point, message):
+    src = tmp_path / "f.gtc"
+    src.write_text("box p : I | A -> A | I\nlet main = id[A]\n")
+    bind = tmp_path / "b.json"
+    bind.write_text(json.dumps({"model": model, "boxes": {}, **_IDENTITY_BINDINGS[model]}))
+    inputs = tmp_path / "in.json"
+    inputs.write_text(point)
+    argv = [
+        "eval", str(src), "--name", "main", "--model", model,
+        "--bindings", str(bind), "--inputs", str(inputs),
+    ]
+    assert main(argv) == 2
+    assert message in _error_line(capsys)
+

@@ -150,6 +150,11 @@ def test_import_rejects_schema_violation():
         import_json('{"boxes": "nope"}')
     with pytest.raises(DiagramError):
         import_json('{"boxes": [], "wires": [], "in": [{"atom": "A"}], "out": []}')
+    with pytest.raises(DiagramError, match="boundary atom 5"):
+        import_json(
+            '{"boxes": [], "wires": [[["din", 0], ["dout", 0]]],'
+            ' "in": [{"atom": 5, "guarded": false}], "out": [{"atom": 5, "guarded": false}]}'
+        )
 
 
 def test_dot_empty_diagram():

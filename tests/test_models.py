@@ -157,6 +157,20 @@ def test_banach_bound_respected():
         assert resid <= goal * (1.0 + 1e-9)
 
 
+def test_banach_calls_the_loop_map_once_per_iterate():
+    f = affine([1], [1], np.array([[0.5]]), np.array([1.0]))
+    calls = []
+
+    def counted(xs):
+        calls.append(None)
+        return f.fn(xs)
+
+    y, count = banach_rec(MetricMorphism(f.in_dims, f.out_dims, counted, f.lip), [], 1e-12)
+    assert count > 1 and len(calls) == count + 1
+    y_plain, count_plain = banach_rec(f, [], 1e-12)
+    assert count == count_plain and np.array_equal(y[0], y_plain[0])
+
+
 def test_banach_wrong_factor_reported():
     # expanding map declared contractive
     f = MetricMorphism((1,), (1,), lambda xs: [2.0 * xs[0] + 1.0], np.array([[0.9]]))
@@ -403,8 +417,69 @@ def test_lfp_needs_pointed_carrier():
 
 
 def test_poset_validation():
-    with pytest.raises(EvalError):
+    refl = {("a", "a"), ("b", "b"), ("c", "c")}
+    with pytest.raises(EvalError, match="antisymmetric"):
         Poset(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}))
+    with pytest.raises(EvalError, match="unknown elements"):
+        Poset(("a",), frozenset({("a", "a"), ("a", "z")}))
+    with pytest.raises(EvalError, match="not reflexive at b"):
+        Poset(("a", "b"), frozenset({("a", "a"), ("a", "b")}))
+    with pytest.raises(EvalError, match="not transitive"):
+        Poset(("a", "b", "c"), frozenset(refl | {("a", "b"), ("b", "c")}))
+    chain = Poset(("a", "b", "c"), frozenset(refl | {("a", "b"), ("b", "c"), ("a", "c")}))
+    assert chain.bottom() == "a" and chain.le("a", "c") and not chain.le("c", "a")
+
+
+def test_non_monotone_table_on_lifted_carrier_rejected():
+    from gtc.models import PosetMorphism
+
+    tx, bot = lift(flat(("p", "q")))
+    monotone = {(bot,): (bot,), ("p",): ("p",), ("q",): ("q",)}
+    PosetMorphism((tx,), (tx,), monotone)
+    with pytest.raises(EvalError, match="not monotone"):
+        # bot <= q, but the image p of bot is not below the image q of q
+        PosetMorphism((tx,), (tx,), {**monotone, (bot,): ("p",)})
+
+
+def _all_pairs_monotone(keys, values, key_le, value_le):
+    """Reference enumeration: every table keys -> values, kept when each
+    ordered pair of keys maps to an ordered pair of values."""
+    for combo in product(values, repeat=len(keys)):
+        t = dict(zip(keys, combo))
+        if all(value_le(t[k], t[m]) for k in keys for m in keys if key_le(k, m)):
+            yield t
+
+
+def test_monotone_enumerations_match_all_pairs_reference():
+    from gtc.laws import _monotone_tables_between, _monotone_two_arg
+
+    lifted = [lift(flat([f"x{i}" for i in range(n)]))[0] for n in (1, 2)]
+    for nb in (1, 2):
+        b = flat([f"b{i}" for i in range(nb)])
+        for src in lifted:
+            for dst in lifted:
+                keys = [(bv, sv) for bv in b.elements for sv in src.elements]
+                want = list(
+                    _all_pairs_monotone(
+                        keys,
+                        dst.elements,
+                        lambda k, m: k[0] == m[0] and src.le(k[1], m[1]),
+                        dst.le,
+                    )
+                )
+                assert list(_monotone_tables_between(b, src, dst)) == want
+    for a, nb in [(lifted[0], 1), (lifted[0], 2), (lifted[1], 1)]:
+        b = flat([f"b{i}" for i in range(nb)])
+        keys = [(bv, u, v) for bv in b.elements for u in a.elements for v in a.elements]
+        want = list(
+            _all_pairs_monotone(
+                keys,
+                a.elements,
+                lambda k, m: k[0] == m[0] and a.le(k[1], m[1]) and a.le(k[2], m[2]),
+                a.le,
+            )
+        )
+        assert list(_monotone_two_arg(b, a)) == want
 
 
 # --- interchange in every model -------------------------------------------------
