@@ -272,7 +272,7 @@ def _oracle_block(seed: int, n_expr: int = 100) -> dict:
     from itertools import product as iproduct
 
     from .generators import rand_trace_free_expr
-    from .guardedness import claim_derivable, derivable_splits
+    from .guardedness import claim_derivable, derivable_splits, geometric_check
     from .signatures import mk_split
 
     rng = np.random.default_rng([seed, 91])
@@ -290,8 +290,6 @@ def _oracle_block(seed: int, n_expr: int = 100) -> dict:
                     {i for i in range(n_in) if a_bits[i]},
                     {j for j in range(n_out) if d_bits[j]},
                 )
-                from .guardedness import geometric_check
-
                 checked += 1
                 if claim_derivable(maxes, claim) != geometric_check(d, claim):
                     failures += 1

@@ -421,7 +421,10 @@ class _Parser:
 def parse_expr(text: str, sigs: dict[str, BoxSig]) -> MorphExpr:
     """Parse a single expression against a signature registry."""
     p = _Parser(text, sigs)
-    e = p.parse_expr()
+    try:
+        e = p.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply for the parser") from None
     k, v, pos = p.peek()
     if k != "eof":
         raise ParseError(f"trailing input at position {pos}: {v!r}")

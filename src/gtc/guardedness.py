@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .diagrams import Diagram, DiagramIndex, Port, elaborate
 from .expressions import Box, Comp, MorphExpr, Sym, Tensor, Trace, fold
@@ -132,8 +133,11 @@ def _holds(d: Diagram, claim: Split) -> bool:
     ix = d.index
     if ix.unguarded_loop:
         return False
-    guarded = _mask(claim.guarded_out)
-    return not any(ix.reach_out[ix.pid[("din", i)]] & guarded for i in claim.unguarded_in)
+    guarded, reach, pid = claim.guarded_out_mask, ix.reach_out, ix.pid
+    for i in claim.unguarded_in:
+        if reach[pid[("din", i)]] & guarded:
+            return False
+    return True
 
 
 def geometric_witness(d: Diagram, claim: Split) -> GeometricWitness | None:
@@ -161,21 +165,27 @@ class TraceNotAllowed(ValueError):
     """derivable_splits only covers trace-free expressions."""
 
 
-def _antichain(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    # distinct pairs with a <= a2 and d <= d2 are strictly dominated
-    return {
-        (a, d)
-        for a, d in pairs
-        if not any((a, d) != (a2, d2) and a & ~a2 == 0 and d & ~d2 == 0 for a2, d2 in pairs)
-    }
+def _antichain(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The maximal pairs, under ``(a, d) <= (a2, d2)`` iff ``a <= a2`` and
+    ``d <= d2`` as bit sets.
+
+    A pair is only dominated by pairs with more bits, so pairs are visited
+    by decreasing bit count and each is compared with the maxima kept so
+    far; a repeated pair is dominated by its first copy.
+    """
+    maxima: list[tuple[int, int]] = []
+    by_bits = sorted(pairs, key=lambda p: p[0].bit_count() + p[1].bit_count(), reverse=True)
+    for a, d in by_bits:
+        for a2, d2 in maxima:
+            if a & ~a2 == 0 and d & ~d2 == 0:
+                break
+        else:
+            maxima.append((a, d))
+    return maxima
 
 
-def _mask(gates: frozenset[int]) -> int:
-    return sum(1 << g for g in gates)
-
-
-def _derivable_masks(e: MorphExpr) -> set[tuple[int, int]]:
-    def leaf(x: MorphExpr) -> set[tuple[int, int]]:
+def _derivable_masks(e: MorphExpr) -> list[tuple[int, int]]:
+    def leaf(x: MorphExpr) -> list[tuple[int, int]]:
         if isinstance(x, Trace):
             raise TraceNotAllowed("expression contains a trace node")
         n_in, n_out = len(x.dom), len(x.cod)
@@ -184,25 +194,27 @@ def _derivable_masks(e: MorphExpr) -> set[tuple[int, int]]:
             s = x.sig.split
             return _antichain(
                 {
-                    (_mask(s.unguarded_in), _mask(s.guarded_out)),
+                    (s.unguarded_in_mask, s.guarded_out_mask),
                     ((1 << n_in) - 1, 0),
                     (0, full_out),
                 }
             )
         # wires only: a claim holds iff no claimed-unguarded input is wired
-        # straight to a claimed-guarded output; input i feeds output perm[i]
+        # straight to a claimed-guarded output; input i feeds output perm[i].
+        # The candidates form an antichain already: a larger input set has a
+        # larger image under the injective perm, so a smaller output set.
         k, r = (len(x.left), len(x.right)) if isinstance(x, Sym) else (0, 0)
         perm = [i + r if i < k else i - k for i in range(n_in)]
-        cands = set()
+        cands = []
         for s_mask in range(1 << n_in):
             img = 0
             for i in range(n_in):
                 if s_mask >> i & 1:
                     img |= 1 << perm[i]
-            cands.add((s_mask, full_out & ~img))
-        return _antichain(cands)
+            cands.append((s_mask, full_out & ~img))
+        return cands
 
-    def comp(x: Comp, left, right) -> set[tuple[int, int]]:
+    def comp(x: Comp, left, right) -> list[tuple[int, int]]:
         # need a middle partition E|F with F <= dg and (mid - F) <= af,
         # i.e. every middle gate is covered by dg or af
         mid_full = (1 << len(x.first.cod)) - 1
@@ -210,11 +222,12 @@ def _derivable_masks(e: MorphExpr) -> set[tuple[int, int]]:
             {(ag, df) for ag, dg in left for af, df in right if mid_full & ~af & ~dg == 0}
         )
 
-    def tensor(x: Tensor, top, bottom) -> set[tuple[int, int]]:
+    def tensor(x: Tensor, top, bottom) -> list[tuple[int, int]]:
+        # the gates of the two factors are disjoint bit ranges, so a pair of
+        # the product is below another iff it is in each factor: the product
+        # of two antichains is one
         si, so = len(x.top.dom), len(x.top.cod)
-        return _antichain(
-            {(a1 | (a2 << si), d1 | (d2 << so)) for a1, d1 in top for a2, d2 in bottom}
-        )
+        return [(a1 | (a2 << si), d1 | (d2 << so)) for a1, d1 in top for a2, d2 in bottom]
 
     return fold(e, leaf, comp, tensor)
 
@@ -234,9 +247,11 @@ def derivable_splits(e: MorphExpr) -> frozenset[tuple[frozenset[int], frozenset[
 def claim_derivable(
     maxes: frozenset[tuple[frozenset[int], frozenset[int]]], claim: Split
 ) -> bool:
-    return any(
-        claim.unguarded_in <= a and claim.guarded_out <= d for a, d in maxes
-    )
+    ui, go = claim.unguarded_in, claim.guarded_out
+    for a, d in maxes:
+        if ui <= a and go <= d:
+            return True
+    return False
 
 
 def split_derivable(e: MorphExpr, claim: Split) -> bool:

@@ -112,8 +112,9 @@ class MetricModel:
 
         def fn(xs: Blocks) -> Blocks:
             a_blocks, b_blocks = xs[:n_a], xs[n_a:]
-            u, _ = _iterate(m, a_blocks, b_blocks, n_a, k, n_c + n_d, c_loop, tol)
-            ys = m.fn(a_blocks + u + b_blocks)
+            u, _, ys = _iterate(m, a_blocks, b_blocks, n_a, k, n_c + n_d, c_loop, tol)
+            if ys is None:
+                ys = m.fn(a_blocks + u + b_blocks)
             return ys[: n_c + n_d]
 
         lip = _traced_lip(m.lip, n_a, k, n_c + n_d, c_loop)
@@ -178,6 +179,13 @@ def _traced_lip(lip, n_a: int, k: int, n_cd: int, c_loop: float) -> np.ndarray:
 
 
 def _iterate(m, a_blocks, b_blocks, n_a, k, n_cd, c_loop, tol):
+    """Iterate the loop map from zero until it settles within ``tol``.
+
+    Returns the loop blocks, the iteration count and the body's full
+    output at those blocks, or None for that output when the first step
+    settled: its output was taken at the zero start, which equals the
+    blocks only when there are none.
+    """
     n_points = a_blocks[0].shape[0] if a_blocks else (
         b_blocks[0].shape[0] if b_blocks else 1
     )
@@ -185,31 +193,32 @@ def _iterate(m, a_blocks, b_blocks, n_a, k, n_cd, c_loop, tol):
     u = [np.zeros((n_points, dim)) for dim in loop_dims]
 
     def step(cur):
-        ys = m.fn(list(a_blocks) + list(cur) + list(b_blocks))
-        return ys[n_cd : n_cd + k]
+        return m.fn(list(a_blocks) + list(cur) + list(b_blocks))
 
     def dist(xs, ys):
         return max(
             (float(np.max(np.abs(x - y))) for x, y in zip(xs, ys)), default=0.0
         )
 
-    u1 = step(u)
+    ys = step(u)
+    u1 = ys[n_cd : n_cd + k]
     d0 = dist(u1, u)
     goal = tol * (1.0 - c_loop)
     if d0 <= goal:
-        return u1, 1
+        return u1, 1, None if k else ys
     budget = math.ceil(math.log(goal / d0) / math.log(c_loop)) + 1 if c_loop > 0 else 2
-    cur, nxt = u1, step(u1)
+    cur, ys = u1, step(u1)
     count = 1
-    while dist(cur, nxt) > goal:
-        cur, nxt = nxt, step(nxt)
+    while dist(cur, ys[n_cd : n_cd + k]) > goal:
+        cur = ys[n_cd : n_cd + k]
+        ys = step(cur)
         count += 1
         if count > budget + 1:
             raise EvalError(
                 "contraction iteration exceeded its a-priori bound; a declared "
                 "factor is wrong"
             )
-    return cur, count
+    return cur, count, ys
 
 
 def banach_rec(f: MetricMorphism, x: Sequence, tol: float):
@@ -229,7 +238,7 @@ def banach_rec(f: MetricMorphism, x: Sequence, tol: float):
     if c >= 1.0:
         raise EvalError(f"declared factors give contraction {c} >= 1")
     a_blocks = [np.atleast_2d(np.asarray(v, dtype=float)) for v in x]
-    u, count = _iterate(f, a_blocks, [], n_a, k, 0, c, tol)
+    u, count, _ = _iterate(f, a_blocks, [], n_a, k, 0, c, tol)
     return [b[0] if b.shape[0] == 1 else b for b in u], count
 
 
@@ -252,8 +261,9 @@ def metric_trace(
         raise EvalError(f"declared bounds give loop contraction {c_loop} >= 1")
     a_blocks = [np.atleast_2d(np.asarray(v, dtype=float)) for v in a]
     b_blocks = [np.atleast_2d(np.asarray(v, dtype=float)) for v in b]
-    u, _ = _iterate(m, a_blocks, b_blocks, n_a, n_u, n_cd, c_loop, tol)
-    ys = m.fn(a_blocks + u + b_blocks)
+    u, _, ys = _iterate(m, a_blocks, b_blocks, n_a, n_u, n_cd, c_loop, tol)
+    if ys is None:
+        ys = m.fn(a_blocks + u + b_blocks)
     outs = [y[0] for y in ys[:n_cd]]
     return outs[:n_c], outs[n_c:]
 

@@ -10,7 +10,8 @@ never changes a split's meaning.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 _ATOM_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -22,16 +23,49 @@ class SignatureError(ValueError):
     """Malformed object text, split data, or signature declaration."""
 
 
-@dataclass(frozen=True)
+# one shared instance per word, validated when it is first built; a word
+# nothing refers to any more leaves the table.  Two threads that build a new
+# word at once may each keep a copy; the copies still compare equal.
+_WORDS: weakref.WeakValueDictionary[tuple[str, ...], ObjectExpr] = (
+    weakref.WeakValueDictionary()
+)
+
+
+@dataclass(frozen=True, init=False)
 class ObjectExpr:
-    """A tensor word: an ordered tuple of atom names (empty = unit I)."""
+    """A tensor word: an ordered tuple of atom names (empty = unit I).
 
-    factors: tuple[str, ...] = ()
+    Equal words are one shared object, so a corpus pays for each word once.
+    """
 
-    def __post_init__(self) -> None:
-        for a in self.factors:
-            if not _ATOM_RE.fullmatch(a) or a == "I":
+    __slots__ = ("factors", "__weakref__")
+    factors: tuple[str, ...]
+
+    def __new__(cls, factors: tuple[str, ...] = ()) -> ObjectExpr:
+        try:
+            word = _WORDS.get(factors)
+        except TypeError:  # unhashable, so not a word
+            word = None
+        if word is not None:
+            return word
+        try:
+            factors = tuple(factors)
+        except TypeError:
+            raise SignatureError(f"bad object word {factors!r}") from None
+        for a in factors:
+            if not isinstance(a, str) or not _ATOM_RE.fullmatch(a) or a == "I":
                 raise SignatureError(f"bad atom name {a!r}")
+        word = object.__new__(cls)
+        object.__setattr__(word, "factors", factors)
+        return _WORDS.setdefault(factors, word)
+
+    # copy and pickle rebuild a word from its factors, which finds the
+    # shared instance, and write no state into it
+    def __getnewargs__(self) -> tuple[tuple[str, ...]]:
+        return (self.factors,)
+
+    def __getstate__(self) -> None:
+        return None
 
     def __mul__(self, other: "ObjectExpr") -> "ObjectExpr":
         return ObjectExpr(self.factors + other.factors)
@@ -69,6 +103,8 @@ def parse_object(text: str) -> ObjectExpr:
     >>> len(parse_object("I"))
     0
     """
+    if not isinstance(text, str):
+        raise SignatureError(f"object {text!r} is not a string")
     s = text.strip()
     if s == "I":
         return UNIT
@@ -87,56 +123,97 @@ def parse_object(text: str) -> ObjectExpr:
     return ObjectExpr(tuple(out))
 
 
-# one shared instance per gate set, up to a bound: a corpus holds many splits
-# over the same few small gate sets, and each frozenset costs over 200 bytes
-_GATE_SETS: dict[frozenset[int], frozenset[int]] = {}
+# One shared instance per gate set, keyed by its mask (bit g set for gate g),
+# up to a bound: a corpus holds many splits over the same few small gate
+# sets, and each frozenset costs over 200 bytes.  _GATE_MASKS maps each
+# shared set back to its mask.
+_GATE_TABLE_SIZE = 4096
+_GATE_SETS: dict[int, frozenset[int]] = {}
+_GATE_MASKS: dict[frozenset[int], int] = {}
 
 
-def _as_frozen(gates: Iterable[int]) -> frozenset[int]:
-    fs = frozenset(gates)
-    for g in fs:
+def _gate_mask(gates: Iterable[int], n: int) -> int | None:
+    """The mask of some gate indices; None if one of them is ``n`` or more."""
+    m, over = 0, False
+    for g in gates:
         if not isinstance(g, int) or g < 0:
             raise SignatureError(f"bad gate index {g!r}")
-    if len(_GATE_SETS) < 4096:
-        return _GATE_SETS.setdefault(fs, fs)
-    return _GATE_SETS.get(fs, fs)
+        if g < n:
+            m |= 1 << g
+        else:
+            over = True
+    return None if over else m
 
 
-@dataclass(frozen=True)
+def _share(fs: frozenset[int], mask: int) -> frozenset[int]:
+    if len(_GATE_SETS) < _GATE_TABLE_SIZE:
+        fs = _GATE_SETS.setdefault(mask, fs)
+        _GATE_MASKS[fs] = mask
+    return fs
+
+
+def _gate_set(mask: int) -> frozenset[int]:
+    """The (shared) set of the gates in ``mask``."""
+    fs = _GATE_SETS.get(mask)
+    if fs is None:
+        fs = _share(frozenset(g for g in range(mask.bit_length()) if mask >> g & 1), mask)
+    return fs
+
+
+def _split_side(fs: frozenset[int], n: int) -> tuple[frozenset[int], int | None]:
+    """A split's gate set, shared, with its mask (None if a gate is ``n``
+    or more); a shared set is not walked again."""
+    m = _GATE_MASKS.get(fs)
+    if m is not None and _GATE_SETS.get(m) is fs:
+        return fs, m
+    m = _gate_mask(fs, n)
+    return (fs, None) if m is None else (_share(fs, m), m)
+
+
+_SIDES = ("unguarded_in", "guarded_in", "unguarded_out", "guarded_out")
+
+
+@dataclass(frozen=True, slots=True)
 class Split:
     """Partition of input and output gates into unguarded/guarded.
 
     Unguarded inputs and guarded outputs are the load-bearing half: a
     claim (A, D) promises that gates in D deliver guarded data even when
-    gates in A are fed arbitrary data.
+    gates in A are fed arbitrary data.  Their masks (bit g for gate g)
+    and the gate counts are computed once, on construction.
     """
 
     unguarded_in: frozenset[int]
     guarded_in: frozenset[int]
     unguarded_out: frozenset[int]
     guarded_out: frozenset[int]
+    n_in: int = field(init=False, compare=False, repr=False)
+    n_out: int = field(init=False, compare=False, repr=False)
+    unguarded_in_mask: int = field(init=False, compare=False, repr=False)
+    guarded_out_mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("unguarded_in", "guarded_in", "unguarded_out", "guarded_out"):
-            object.__setattr__(self, name, _as_frozen(getattr(self, name)))
-        if self.unguarded_in & self.guarded_in:
+        given = (self.unguarded_in, self.guarded_in, self.unguarded_out, self.guarded_out)
+        ui, gi, uo, go = map(frozenset, given)  # a frozenset maps to itself
+        n_in, n_out = len(ui) + len(gi), len(uo) + len(go)
+        (ui, m_ui), (gi, m_gi) = _split_side(ui, n_in), _split_side(gi, n_in)
+        (uo, m_uo), (go, m_go) = _split_side(uo, n_out), _split_side(go, n_out)
+        # a mask is None when a gate lies past its side's width
+        if (ui & gi) if m_ui is None or m_gi is None else (m_ui & m_gi):
             raise SignatureError("input gate marked both unguarded and guarded")
-        if self.unguarded_out & self.guarded_out:
+        if (uo & go) if m_uo is None or m_go is None else (m_uo & m_go):
             raise SignatureError("output gate marked both unguarded and guarded")
-        ins = self.unguarded_in | self.guarded_in
-        outs = self.unguarded_out | self.guarded_out
-        if ins != frozenset(range(len(ins))):
-            raise SignatureError(f"input gates {sorted(ins)} do not cover a range")
-        if outs != frozenset(range(len(outs))):
-            raise SignatureError(f"output gates {sorted(outs)} do not cover a range")
-
-    @property
-    def n_in(self) -> int:
-        return len(self.unguarded_in) + len(self.guarded_in)
-
-    @property
-    def n_out(self) -> int:
-        return len(self.unguarded_out) + len(self.guarded_out)
+        if m_ui is None or m_gi is None or m_ui | m_gi != (1 << n_in) - 1:
+            raise SignatureError(f"input gates {sorted(ui | gi)} do not cover a range")
+        if m_uo is None or m_go is None or m_uo | m_go != (1 << n_out) - 1:
+            raise SignatureError(f"output gates {sorted(uo | go)} do not cover a range")
+        for name, old, shared in zip(_SIDES, given, (ui, gi, uo, go)):
+            if shared is not old:
+                object.__setattr__(self, name, shared)
+        object.__setattr__(self, "n_in", n_in)
+        object.__setattr__(self, "n_out", n_out)
+        object.__setattr__(self, "unguarded_in_mask", m_ui)
+        object.__setattr__(self, "guarded_out_mask", m_go)
 
     def passage_guarded(self, i: int, j: int) -> bool:
         """A box passage input ``i`` -> output ``j`` introduces guardedness
@@ -153,6 +230,15 @@ class Split:
         )
 
 
+def _range_mask(gates: Iterable[int], n: int, what: str) -> int:
+    if not isinstance(gates, (set, frozenset, range, list, tuple)):
+        gates = tuple(gates)
+    m = _gate_mask(gates, n)
+    if m is None:
+        raise SignatureError(f"{what} {sorted(set(gates))} exceed range({n})")
+    return m
+
+
 def mk_split(
     n_in: int,
     n_out: int,
@@ -160,17 +246,15 @@ def mk_split(
     guarded_out: Iterable[int] = (),
 ) -> Split:
     """Build a split over gate ranges from the two defining sets."""
-    ui = frozenset(unguarded_in)
-    go = frozenset(guarded_out)
-    if not ui <= frozenset(range(n_in)):
-        raise SignatureError(f"unguarded inputs {sorted(ui)} exceed range({n_in})")
-    if not go <= frozenset(range(n_out)):
-        raise SignatureError(f"guarded outputs {sorted(go)} exceed range({n_out})")
+    if n_in < 0 or n_out < 0:
+        raise SignatureError(f"negative gate count in {n_in} -> {n_out}")
+    ui = _range_mask(unguarded_in, n_in, "unguarded inputs")
+    go = _range_mask(guarded_out, n_out, "guarded outputs")
     return Split(
-        unguarded_in=ui,
-        guarded_in=frozenset(range(n_in)) - ui,
-        unguarded_out=frozenset(range(n_out)) - go,
-        guarded_out=go,
+        unguarded_in=_gate_set(ui),
+        guarded_in=_gate_set(((1 << n_in) - 1) & ~ui),
+        unguarded_out=_gate_set(((1 << n_out) - 1) & ~go),
+        guarded_out=_gate_set(go),
     )
 
 

@@ -17,7 +17,7 @@ from .diagrams import Diagram, Port
 from .expressions import Comp, Id, MorphExpr, Sym, Tensor
 from .expressions import Box as BoxNode
 from .expressions import trace as mk_trace
-from .guardedness import GeometricWitness, _mask, geometric_witness
+from .guardedness import GeometricWitness, geometric_witness
 from .signatures import ObjectExpr, Split, mk_split
 
 
@@ -50,7 +50,7 @@ def compute_uv(d: Diagram, claim: Split) -> tuple[frozenset[int], frozenset[int]
     claimed-guarded output.  V: boxes whose outputs lie on an unguarded
     path from a claimed-unguarded input."""
     ix = d.index
-    guarded = _mask(claim.guarded_out)
+    guarded = claim.guarded_out_mask
     u_set = frozenset(
         b
         for b, sig in enumerate(d.boxes)

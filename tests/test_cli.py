@@ -342,3 +342,26 @@ def test_eval_malformed_inputs_exit_2(tmp_path, capsys, model, point, message):
     assert main(argv) == 2
     assert message in _error_line(capsys)
 
+
+
+@pytest.mark.parametrize(
+    "sig, message",
+    [
+        ({"name": "f", "inputs": 5, "outputs": "A"}, "object 5 is not a string"),
+        ({"name": "f", "inputs": "A", "outputs": "A", "unguarded_in": ["x"]}, "bad gate index 'x'"),
+        ({"name": "f", "inputs": "A", "outputs": "A", "guarded_out": [1.5]}, "bad gate index 1.5"),
+        ({"name": "f", "inputs": "A", "outputs": "A", "unguarded_in": [3]}, "exceed range(1)"),
+    ],
+)
+def test_synthesize_malformed_box_data_exit_2(tmp_path, capsys, sig, message):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"boxes": [{"id": 0, "sig": sig}], "wires": [], "in": [], "out": []}))
+    assert main(["synthesize", str(path)]) == 2
+    assert message in _error_line(capsys)
+
+
+def test_check_deep_nesting_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.gtc"
+    path.write_text("box f : A | I -> I | A\nlet main = " + "(" * 1200 + "f" + ")" * 1200 + "\n")
+    assert main(["check", str(path), "--name", "main", "--claim", "A|I -> I|A"]) == 2
+    assert _error_line(capsys) == "error: line 2: expression nested too deeply for the parser"

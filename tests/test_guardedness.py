@@ -8,6 +8,7 @@ from gtc.diagrams import diagram_iso, elaborate
 from gtc.expressions import parse_expr, print_expr
 from gtc.generators import rand_accepted_traced, rand_trace_free_expr
 from gtc.guardedness import (
+    _antichain,
     check_annotated,
     claim_derivable,
     derivable_splits,
@@ -16,7 +17,8 @@ from gtc.guardedness import (
     split_derivable,
     unguarded_reach,
 )
-from gtc.signatures import mk_split, parse_box_decl
+from gtc.expressions import Box, Id, Sym, Trace, fold
+from gtc.signatures import mk_split, obj, parse_box_decl
 
 SIGS = {
     s.name: s
@@ -188,3 +190,89 @@ def test_inference_annotates_nested_traces_per_node():
     got = infer_trace_annotations(e, claim)
     assert print_expr(got) == "tr[V: I|I -> I|Y]{ tr[U: I|I -> Y|I]{ k } (*) m }"
     assert check_annotated(got, claim).ok
+
+
+# --- the all-pairs reference for the structural search ----------------------
+
+
+def _antichain_all_pairs(pairs):
+    # distinct pairs with a <= a2 and d <= d2 are strictly dominated
+    return {
+        (a, d)
+        for a, d in pairs
+        if not any((a, d) != (a2, d2) and a & ~a2 == 0 and d & ~d2 == 0 for a2, d2 in pairs)
+    }
+
+
+def _mask(gates) -> int:
+    return sum(1 << g for g in gates)
+
+
+def _wire_candidates(x):
+    n_in, full_out = len(x.dom), (1 << len(x.cod)) - 1
+    k, r = (len(x.left), len(x.right)) if isinstance(x, Sym) else (0, 0)
+    perm = [i + r if i < k else i - k for i in range(n_in)]
+    return {(s, full_out & ~sum(1 << perm[i] for i in range(n_in) if s >> i & 1)) for s in range(1 << n_in)}
+
+
+def _derivable_splits_reference(e):
+    """derivable_splits as it was first written: every node's candidates
+    reduced by the all-pairs antichain."""
+
+    def leaf(x):
+        assert not isinstance(x, Trace)
+        if isinstance(x, Box):
+            s = x.sig.split
+            n_in, n_out = len(x.dom), len(x.cod)
+            return _antichain_all_pairs(
+                {(_mask(s.unguarded_in), _mask(s.guarded_out)), ((1 << n_in) - 1, 0), (0, (1 << n_out) - 1)}
+            )
+        return _antichain_all_pairs(_wire_candidates(x))
+
+    def comp(x, left, right):
+        mid_full = (1 << len(x.first.cod)) - 1
+        return _antichain_all_pairs(
+            {(ag, df) for ag, dg in left for af, df in right if mid_full & ~af & ~dg == 0}
+        )
+
+    def tensor(x, top, bottom):
+        si, so = len(x.top.dom), len(x.top.cod)
+        return _antichain_all_pairs(
+            {(a1 | (a2 << si), d1 | (d2 << so)) for a1, d1 in top for a2, d2 in bottom}
+        )
+
+    def unmask(m, n):
+        return frozenset(i for i in range(n) if m >> i & 1)
+
+    masks = fold(e, leaf, comp, tensor)
+    return frozenset((unmask(a, len(e.dom)), unmask(d, len(e.cod))) for a, d in masks)
+
+
+def test_derivable_splits_match_all_pairs_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        e = rand_trace_free_expr(rng, max_boxes=8)
+        assert derivable_splits(e) == _derivable_splits_reference(e)
+
+
+def test_antichain_matches_all_pairs_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n_a, n_d = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        pairs = [
+            (int(rng.integers(1 << n_a)), int(rng.integers(1 << n_d)))
+            for _ in range(int(rng.integers(0, 40)))
+        ]
+        got = _antichain(pairs + pairs[:3])  # repeats are dropped too
+        assert len(got) == len(set(got)) and set(got) == _antichain_all_pairs(set(pairs))
+
+
+def test_wire_candidates_are_an_antichain():
+    # identity and symmetry leaves skip the reduction; every width below 8
+    for n in range(8):
+        for k in range(n + 1):
+            atoms = [f"W{i}" for i in range(n)]
+            for x in (Sym(obj(*atoms[:k]), obj(*atoms[k:])), Id(obj(*atoms))):
+                cands = _wire_candidates(x)
+                assert _antichain_all_pairs(cands) == cands
+                assert derivable_splits(x) == _derivable_splits_reference(x)

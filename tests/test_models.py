@@ -26,9 +26,9 @@ from gtc.models import (
     rec_to_grec,
 )
 from gtc.models.hilbert import kron_perm, rotate_witness, trace_witness
-from gtc.models.metric import affine, named_function
+from gtc.models.metric import MetricModel, _iterate, affine, named_function
 from gtc.models.trees import StageObject, ToTMorphism, ToposOfTreesModel, tot_fixpoint
-from gtc.signatures import parse_box_decl
+from gtc.signatures import UNIT, obj, parse_box_decl
 
 # --- finset -------------------------------------------------------------------
 
@@ -191,6 +191,35 @@ def test_metric_trace_solves_loop():
     f = affine([1, 1], [1, 1], w, np.zeros(2))
     c_out, _ = metric_trace(f, 1, 1, 1, [np.array([4.0])], [], 1e-12)
     assert abs(float(c_out[0][0]) - 4.0) < 1e-9
+
+
+def test_metric_trace_evaluates_the_body_once_per_iterate():
+    # (A, U) -> (C, U'): C copies the loop value, U' = (a + u)/2 + 1
+    f = affine([1, 1], [1, 1], np.array([[0.0, 1.0], [0.5, 0.5]]), np.array([0.0, 1.0]))
+    calls = []
+
+    def counted(xs):
+        calls.append(None)
+        return f.fn(xs)
+
+    body = MetricMorphism(f.in_dims, f.out_dims, counted, f.lip)
+    xs = [np.array([[4.0], [-2.0]])]
+    u, count, _ = _iterate(f, xs, [], 1, 1, 1, 0.5, 1e-12)
+    at_fixpoint = f.fn(xs + u)[0]  # the output at the settled loop blocks
+    assert count > 1
+
+    traced = MetricModel({"A": 1, "U": 1}).trace(body, obj("U"), (obj("A"), UNIT, obj("A"), UNIT))
+    ys = traced.apply(xs)
+    assert len(calls) == count + 1 and np.array_equal(ys[0], at_fixpoint)
+
+    calls.clear()
+    c_out, d_out = metric_trace(body, 1, 1, 1, [np.array([4.0])], [], 1e-12)
+    assert len(calls) == count + 1 and c_out[0][0] == at_fixpoint[0][0] and d_out == []
+
+    calls.clear()  # no loop blocks: the one evaluation is the answer
+    no_loop = MetricMorphism(f.in_dims, f.out_dims, counted, f.lip)
+    c_out, _ = metric_trace(no_loop, 2, 0, 1, [np.array([1.5]), np.array([-2.0])], [], 1e-12)
+    assert len(calls) == 1 and c_out[0][0] == f.fn([np.array([[1.5]]), np.array([[-2.0]])])[0][0, 0]
 
 
 # --- trees --------------------------------------------------------------------

@@ -1,12 +1,27 @@
+import copy
+import dataclasses
+import gc
+import os
+import pickle
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gtc.generators import rand_split
 from gtc.signatures import (
+    _GATE_MASKS,
+    _GATE_SETS,
+    _WORDS,
     UNIT,
     BoxSig,
+    ObjectExpr,
     SignatureError,
+    Split,
     dual_split,
     mk_split,
     obj,
@@ -165,3 +180,174 @@ def test_claim_parsing():
 def test_box_sig_validates_split_width():
     with pytest.raises(SignatureError):
         BoxSig("f", parse_object("A"), parse_object("B"), mk_split(2, 1))
+
+
+# --- construction checks, masks, shared words ---------------------------------
+
+
+def _mask(gates) -> int:
+    return sum(1 << g for g in gates)
+
+
+@pytest.mark.parametrize(
+    "sides, message",
+    [
+        (({"x"}, set(), set(), set()), "bad gate index 'x'"),
+        (({0}, {1.0}, set(), set()), "bad gate index 1.0"),
+        ((set(), set(), {-1}, set()), "bad gate index -1"),
+        (({0}, {0}, set(), set()), "input gate marked both unguarded and guarded"),
+        (({5}, {5}, set(), set()), "input gate marked both unguarded and guarded"),
+        ((set(), set(), {0, 1}, {1}), "output gate marked both unguarded and guarded"),
+        (({0}, {2}, set(), set()), "input gates [0, 2] do not cover a range"),
+        (({10**12}, set(), set(), set()), "input gates [1000000000000] do not cover a range"),
+        (({0}, set(), {1}, set()), "output gates [1] do not cover a range"),
+        (({0}, set(), {1}, {0, 1}), "output gate marked both unguarded and guarded"),
+    ],
+)
+def test_split_rejects_malformed_gates(sides, message):
+    with pytest.raises(SignatureError) as info:
+        Split(*sides)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n_in, ui, message",
+    [
+        (2, ["x"], "bad gate index 'x'"),
+        (2, [0, -1], "bad gate index -1"),
+        (2, [3, "x"], "bad gate index 'x'"),
+        (2, [0, 2], "unguarded inputs [0, 2] exceed range(2)"),
+        (1, iter([10**12]), "unguarded inputs [1000000000000] exceed range(1)"),
+    ],
+)
+def test_mk_split_rejects_malformed_gates(n_in, ui, message):
+    with pytest.raises(SignatureError) as info:
+        mk_split(n_in, 1, ui)
+    assert str(info.value) == message
+
+
+def test_mk_split_checks_guarded_outputs_and_widths():
+    with pytest.raises(SignatureError, match=r"^bad gate index 'x'$"):
+        mk_split(1, 2, (), ["x"])
+    with pytest.raises(SignatureError, match=r"^guarded outputs \[2\] exceed range\(2\)$"):
+        mk_split(1, 2, (), [2])
+    with pytest.raises(SignatureError, match="negative gate count"):
+        mk_split(-1, 0)
+
+
+def test_split_masks_agree_with_sets():
+    for n_in in range(5):
+        for n_out in range(5):
+            for ui in range(1 << n_in):
+                for go in range(1 << n_out):
+                    s = mk_split(n_in, n_out, _gates(ui), iter(_gates(go)))
+                    # the same split from plain, unshared sets
+                    t = Split(
+                        set(s.unguarded_in), list(s.guarded_in), tuple(s.unguarded_out), set(s.guarded_out)
+                    )
+                    for x in (s, t, dual_split(dual_split(s)), weaken(s)):
+                        assert x == s and hash(x) == hash(s) and repr(x) == repr(s)
+                        assert (x.n_in, x.n_out) == (n_in, n_out)
+                        assert x.unguarded_in_mask == _mask(x.unguarded_in) == ui
+                        assert x.guarded_out_mask == _mask(x.guarded_out) == go
+                        assert x.guarded_in == frozenset(range(n_in)) - x.unguarded_in
+                        assert x.unguarded_out == frozenset(range(n_out)) - x.guarded_out
+    assert "mask" not in repr(mk_split(1, 1, {0}))
+
+
+def _gates(mask: int) -> list[int]:
+    return [g for g in range(mask.bit_length()) if mask >> g & 1]
+
+
+def test_split_pickle_and_copy_round_trip():
+    s = mk_split(3, 2, {0, 2}, {1})
+    for back in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert back == s and hash(back) == hash(s) and str(back) == str(s)
+        assert (back.n_in, back.n_out) == (3, 2)
+        assert (back.unguarded_in_mask, back.guarded_out_mask) == (0b101, 0b10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.guarded_out_mask = 0
+
+
+def test_words_are_shared_and_copies_leave_unit_empty():
+    ab = obj("A", "B")
+    assert ObjectExpr(("A", "B")) is ab and parse_object("A*B") is ab
+    assert obj("A") * obj("B") is ab and ab[0:2] is ab
+    for back in (copy.copy(ab), copy.deepcopy(ab), pickle.loads(pickle.dumps(ab))):
+        assert back is ab
+    for back in (copy.copy(UNIT), copy.deepcopy(UNIT), pickle.loads(pickle.dumps(UNIT))):
+        assert back is UNIT
+    assert UNIT.factors == () and ObjectExpr() is UNIT and ab.factors == ("A", "B")
+    assert repr(ab) == "ObjectExpr(factors=('A', 'B'))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ab.factors = ()
+
+
+def test_unreferenced_word_leaves_the_table():
+    key = ("Zq", "Zr", "Zs")
+    word = ObjectExpr(key)
+    assert _WORDS[key] is word
+    probe = weakref.ref(word)
+    del word
+    gc.collect()
+    assert probe() is None and key not in _WORDS
+
+
+def test_object_words_reject_non_strings():
+    for bad in ((5,), ("A", None), (["A"],), 5):
+        with pytest.raises(SignatureError):
+            ObjectExpr(bad)
+    for bad in (5, None, ["A"]):
+        with pytest.raises(SignatureError, match="not a string"):
+            parse_object(bad)
+    assert ObjectExpr(["A", "B"]) is obj("A", "B")  # any iterable of atoms
+
+
+def test_words_and_splits_built_from_many_threads():
+    # more threads than cores, switching often, all building the same words
+    # and splits; every result must be right and equal ones must stay equal
+    n_threads = 4 * (os.cpu_count() or 1)
+    keys = [tuple(f"T{i}" for i in range(k)) + ("T",) * (k % 3) for k in range(40)]
+    deadline = time.monotonic() + 1.0
+    errors: list[BaseException] = []
+    built: list[list] = []
+
+    def work(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        mine = []
+        try:
+            while time.monotonic() < deadline:
+                key = keys[int(rng.integers(len(keys)))]
+                w = ObjectExpr(key)
+                assert w.factors == key and len(w) == len(key)
+                assert w * UNIT == w and UNIT.factors == ()
+                n = len(key) % 6
+                ui = {g for g in range(n) if rng.random() < 0.5}
+                s = mk_split(n, n, ui, ui)
+                assert s.unguarded_in == ui and s.unguarded_in_mask == _mask(ui)
+                assert s.guarded_in == set(range(n)) - ui
+                mine.append((key, w))
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+        built.append(mine)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert len(built) == n_threads and sum(map(len, built)) > n_threads
+    for mine in built:
+        for key, w in mine:
+            assert w == ObjectExpr(key) and hash(w) == hash(ObjectExpr(key))
+    assert all(ObjectExpr(k) is ObjectExpr(k) for k in keys)
+    # the gate-set tables still map each shared set and its mask both ways
+    for m, fs in list(_GATE_SETS.items()):
+        assert _mask(fs) == m and _GATE_MASKS[fs] == m
