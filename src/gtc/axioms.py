@@ -32,9 +32,9 @@ from .models import (
     eval_expr,
     flat,
 )
-from .models.hilbert import kron_perm
+from .models.hilbert import corner_perms
 from .models.metric import affine
-from .signatures import BoxSig, ObjectExpr, Split, mk_split
+from .signatures import UNIT, BoxSig, ObjectExpr, Split, corner_split
 from .synthesis import perm_to_expr
 
 AXIOMS = (
@@ -94,42 +94,26 @@ class _Names:
         return ObjectExpr(tuple(out))
 
 
+def _claim(a, b, c, d) -> Split:
+    """The canonical split ``A|B -> C|D`` of four corner words, for a
+    claim or a box's own split."""
+    return corner_split(len(a * b), len(c * d), len(a), len(c))
+
+
 def _guard_box(name: str, a, u_in, b, c, d, u_out) -> BoxSig:
     """Box with profile a*u_in*b -> c*d*u_out promising exactly the trace
     shape: a and u_in unguarded, d and u_out guarded."""
-    dom = a * u_in * b
-    cod = c * d * u_out
-    split = mk_split(
-        len(dom),
-        len(cod),
-        unguarded_in=range(len(a) + len(u_in)),
-        guarded_out=range(len(c), len(cod)),
-    )
-    return BoxSig(name, dom, cod, split)
+    return BoxSig(name, a * u_in * b, c * d * u_out, _claim(a * u_in, b, c, d * u_out))
 
 
 def _plain_box(name: str, dom, cod) -> BoxSig:
     """White box: nothing promised."""
-    return BoxSig(name, dom, cod, mk_split(len(dom), len(cod)))
+    return BoxSig(name, dom, cod, _claim(UNIT, dom, cod, UNIT))
 
 
 def _promise_box(name: str, dom, cod) -> BoxSig:
     """Black box: everything promised."""
-    return BoxSig(
-        name,
-        dom,
-        cod,
-        mk_split(len(dom), len(cod), range(len(dom)), range(len(cod))),
-    )
-
-
-def _claim(dom, cod, n_unguarded: int, n_guarded: int) -> Split:
-    return mk_split(
-        len(dom),
-        len(cod),
-        unguarded_in=range(n_unguarded),
-        guarded_out=range(len(cod) - n_guarded, len(cod)),
-    )
+    return BoxSig(name, dom, cod, _claim(dom, UNIT, UNIT, cod))
 
 
 def _route(src_labels: list, dst_labels: list) -> list[int]:
@@ -164,7 +148,7 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
         body = Box(f)
         lhs = mk_trace(ObjectExpr(), body, len(a), len(c))
         rhs = body
-        claim = _claim(f.inputs, f.outputs, len(a), len(d))
+        claim = _claim(a, b, c, d)
         return AxiomInstance(axiom, index, {"f": f}, lhs, rhs, claim)
 
     if axiom == "vanishing2":
@@ -175,7 +159,7 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
         lhs = mk_trace(u1 * u2, Box(f), len(a), len(c))
         inner = mk_trace(u2, Box(f), len(a) + 1, len(c))
         rhs = mk_trace(u1, inner, len(a), len(c))
-        claim = _claim(a * b, c * d, len(a), len(d))
+        claim = _claim(a, b, c, d)
         return AxiomInstance(axiom, index, {"f": f}, lhs, rhs, claim)
 
     if axiom in ("sliding1", "sliding2", "sliding3"):
@@ -204,7 +188,7 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
         post += [Box(g)]
         rhs_body = Comp(Box(f), reduce(Tensor, post))
         rhs = mk_trace(u, rhs_body, len(a), len(c))
-        claim = _claim(a * b, c * d, len(a), len(d))
+        claim = _claim(a, b, c, d)
         return AxiomInstance(axiom, index, {"f": f, "g": g}, lhs, rhs, claim)
 
     if axiom == "superposing":
@@ -214,17 +198,7 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
         a2, b2 = w(rng, 0, 1, "p"), w(rng, 0, 1, "q")
         c2, d2 = w(rng, 1, 1, "r"), w(rng, 0, 1, "s")
         f = _guard_box("f", a, u, b, c, d, u)
-        g = BoxSig(
-            "g",
-            a2 * b2,
-            c2 * d2,
-            mk_split(
-                len(a2 * b2),
-                len(c2 * d2),
-                unguarded_in=range(len(a2)),
-                guarded_out=range(len(c2), len(c2 * d2)),
-            ),
-        )
+        g = BoxSig("g", a2 * b2, c2 * d2, _claim(a2, b2, c2, d2))
         atoms = {}
         for word, tag in [
             (a, "a"), (b, "b"), (c, "c"), (d, "d"), (u, "u"),
@@ -244,7 +218,7 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
         perm4 = _perm(atoms, lc + ld + lc2 + ld2, lc + lc2 + ld + ld2)
         traced_f = mk_trace(u, Box(f), len(a), len(c))
         rhs = Comp(Comp(perm3, Tensor(traced_f, Box(g))), perm4)
-        claim = _claim(a * a2 * b * b2, c * c2 * d * d2, len(a * a2), len(d * d2))
+        claim = _claim(a * a2, b * b2, c * c2, d * d2)
         return AxiomInstance(axiom, index, {"f": f, "g": g}, lhs, rhs, claim)
 
     if axiom == "tightening":
@@ -267,7 +241,7 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
             Comp(Tensor(Box(u1), Box(u2)), mk_trace(u, Box(f), len(a), len(c))),
             Tensor(Box(v1), Box(v2)),
         )
-        claim = _claim(a2 * b2, c2 * d2, len(a2), len(d2))
+        claim = _claim(a2, b2, c2, d2)
         sigs = {"f": f, "u1": u1, "u2": u2, "v1": v1, "v2": v2}
         return AxiomInstance(axiom, index, sigs, lhs, rhs, claim)
 
@@ -275,19 +249,14 @@ def _gen_one(axiom: str, rng, index: int) -> AxiomInstance:
         a = w(rng, 1, 2, "a")
         wd = w(rng, 1, 1, "w")
         u = w(rng, 1, 1, "u")
-        g = BoxSig(
-            "g",
-            a,
-            wd * u,
-            mk_split(len(a), len(wd) + 1, range(len(a)), {len(wd)}),
-        )
+        g = BoxSig("g", a, wd * u, _claim(a, UNIT, wd, u))
         body = Comp(
             Tensor(Box(g), Id(u)),
             reduce(Tensor, [Id(wd), Sym(u, u)]),
         )
         lhs = mk_trace(u, body, len(a), len(wd) + 1)
         rhs = Box(g)
-        claim = _claim(a, wd * u, len(a), 0)
+        claim = _claim(a, UNIT, wd * u, UNIT)
         return AxiomInstance(axiom, index, {"g": g}, lhs, rhs, claim)
 
     raise AssertionError(axiom)
@@ -473,20 +442,11 @@ def hilbert_bindings(instance: AxiomInstance, rng, max_dim: int = 2):
         out_dims = model.ob(sig.outputs)
         split = sig.split
         if split.unguarded_in and split.guarded_out:
-            a_gates = sorted(split.unguarded_in)
-            b_gates = sorted(split.guarded_in)
-            c_gates = sorted(split.unguarded_out)
-            d_gates = sorted(split.guarded_out)
-            da = math.prod(in_dims[g] for g in a_gates)
-            db = math.prod(in_dims[g] for g in b_gates)
-            dc = math.prod(out_dims[g] for g in c_gates)
-            dd = math.prod(out_dims[g] for g in d_gates)
+            p_in, p_out, (da, db, dc, dd) = corner_perms(in_dims, out_dims, split)
             e_dim = int(rng.integers(1, 3))
             g = rng.normal(size=(e_dim * dd, db)) / np.sqrt(max(db, 1))
             h = rng.normal(size=(dc, da * e_dim)) / np.sqrt(max(da * e_dim, 1))
             grouped = np.kron(h, np.eye(dd)) @ np.kron(np.eye(da), g)
-            p_in = kron_perm(in_dims, a_gates + b_gates)
-            p_out = kron_perm(out_dims, c_gates + d_gates)
             mat = p_out.T @ grouped @ p_in
             boxes[name] = HilbertMorphism(
                 in_dims, out_dims, mat, {"e_dim": e_dim, "g": g, "h": h}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .expressions import Box, Comp, Id, MorphExpr, Trace, fold
-from .signatures import BoxSig, ObjectExpr, Split, mk_split, parse_object
+from .signatures import BoxSig, ObjectExpr, Split, corner_split, mk_split, parse_object
 
 Port = tuple
 
@@ -326,7 +326,7 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
 
     n_in, n_out = len(top_ins), len(top_outs)
     if claim is None:
-        claim = mk_split(n_in, n_out, unguarded_in=range(n_in))
+        claim = corner_split(n_in, n_out, n_in, n_out)
     bi = tuple((e.dom[i], i not in claim.unguarded_in) for i in range(n_in))
     bo = tuple((e.cod[j], j in claim.guarded_out) for j in range(n_out))
     return Diagram(tuple(sig for sig, _, _ in fr.boxes), frozenset(wires), bi, bo)

@@ -30,7 +30,7 @@ from .signatures import (
     ObjectExpr,
     SignatureError,
     Split,
-    mk_split,
+    corner_split,
     parse_box_decl,
     parse_object,
 )
@@ -151,13 +151,8 @@ class Trace(MorphExpr):
         return c * d
 
     def conclusion_split(self) -> Split:
-        a, _, c, d = self.corners
-        return mk_split(
-            len(self.dom),
-            len(self.cod),
-            unguarded_in=range(len(a)),
-            guarded_out=range(len(c), len(c) + len(d)),
-        )
+        a, _, c, _ = self.corners
+        return corner_split(len(self.dom), len(self.cod), len(a), len(c))
 
 
 def _check_trace_shape(loop: ObjectExpr, body: MorphExpr, ann: Split):
@@ -166,12 +161,12 @@ def _check_trace_shape(loop: ObjectExpr, body: MorphExpr, ann: Split):
     dom, cod = body.dom, body.cod
     if ann.n_in != len(dom) or ann.n_out != len(cod):
         raise TypingError("trace annotation does not cover the body profile")
-    n_ung_in = len(ann.unguarded_in)
-    n_grd_out = len(ann.guarded_out)
-    if ann.unguarded_in != frozenset(range(n_ung_in)):
+    n_ung_in, c_len = ann.corner_lengths()
+    if n_ung_in is None:
         raise TypingError("trace annotation: unguarded inputs must be a gate prefix")
-    if ann.guarded_out != frozenset(range(len(cod) - n_grd_out, len(cod))):
+    if c_len is None:
         raise TypingError("trace annotation: guarded outputs must be a gate suffix")
+    n_grd_out = len(cod) - c_len
     if n_ung_in < k or n_grd_out < k:
         raise TypingError("trace annotation must cover the loop gates")
     a_len = n_ung_in - k
@@ -182,21 +177,12 @@ def _check_trace_shape(loop: ObjectExpr, body: MorphExpr, ann: Split):
         )
     if cod.factors[len(cod) - k :] != loop.factors:
         raise TypingError(f"body codomain {cod} does not end with loop word {loop}")
-    a = dom[:a_len]
-    b = dom[a_len + k :]
-    c = cod[: len(cod) - n_grd_out]
-    d = cod[len(cod) - n_grd_out : len(cod) - k]
-    return a, b, c, d
+    return dom[:a_len], dom[a_len + k :], cod[:c_len], cod[c_len : len(cod) - k]
 
 
 def trace(loop: ObjectExpr, body: MorphExpr, a_len: int, c_len: int) -> Trace:
     """Build a trace node from corner lengths instead of a full split."""
-    ann = mk_split(
-        len(body.dom),
-        len(body.cod),
-        unguarded_in=range(a_len + len(loop)),
-        guarded_out=range(c_len, len(body.cod)),
-    )
+    ann = corner_split(len(body.dom), len(body.cod), a_len + len(loop), c_len)
     return Trace(loop, body, ann)
 
 

@@ -16,8 +16,8 @@ from functools import reduce
 from .diagrams import Diagram
 from .expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, trace as mk_trace
 from .guardedness import derivable_splits
-from .signatures import BoxSig, ObjectExpr, Split, mk_split
-from .synthesis import perm_to_expr
+from .signatures import BoxSig, ObjectExpr, Split, corner_split, mk_split
+from .synthesis import loop_perms
 
 ATOMS = ("A", "B", "C", "D")
 
@@ -101,30 +101,15 @@ def wrap_in_trace(rng, base: MorphExpr, claim_a, claim_d) -> tuple[MorphExpr, Sp
     if not pairs:
         return None
     i, j = pairs[int(rng.integers(0, len(pairs)))]
-    atom = dom[i]
-    a_gates = sorted(set(claim_a) - {i})
-    b_gates = sorted(set(range(len(dom))) - set(claim_a) - {i})
-    c_gates = sorted(set(range(len(cod))) - set(claim_d) - {j})
-    d_gates = sorted(set(claim_d) - {j})
-
-    dom_atoms = list(dom)
-    cod_atoms = list(cod)
-    canon_in = [dom_atoms[g] for g in a_gates] + [atom] + [dom_atoms[g] for g in b_gates]
-    src = {g: pos for pos, g in enumerate(a_gates)}
-    src.update({g: len(a_gates) + 1 + pos for pos, g in enumerate(b_gates)})
-    pre_dest = [src[g] if g != i else len(a_gates) for g in range(len(dom))]
-    perm_pre = perm_to_expr(canon_in, pre_dest)
-    post_dest = c_gates + d_gates + [j]
-    perm_post = perm_to_expr(cod_atoms, post_dest)
+    split = mk_split(len(dom), len(cod), claim_a, claim_d)
+    a_gates, b_gates, c_gates, d_gates = split.corner_gates()
+    # the loop gates leave the promised corners
+    corners = [g for g in a_gates if g != i], b_gates, c_gates, [g for g in d_gates if g != j]
+    perm_pre, perm_post = loop_perms(list(dom), list(cod), i, j, corners)
     body = Comp(Comp(perm_pre, base), perm_post)
-    traced = mk_trace(ObjectExpr((atom,)), body, len(a_gates), len(c_gates))
-    claim = mk_split(
-        len(traced.dom),
-        len(traced.cod),
-        unguarded_in=range(len(a_gates)),
-        guarded_out=range(len(c_gates), len(traced.cod)),
-    )
-    return traced, claim
+    a_len, c_len = len(corners[0]), len(c_gates)
+    traced = mk_trace(ObjectExpr((dom[i],)), body, a_len, c_len)
+    return traced, corner_split(len(traced.dom), len(traced.cod), a_len, c_len)
 
 
 def rand_accepted_traced(rng, max_boxes: int = 6) -> tuple[MorphExpr, Split] | None:
@@ -167,9 +152,9 @@ def rand_guarded_diagram(
         dom = rand_word(rng, atoms, 1, 2)
         cod = rand_word(rng, atoms, 1, 2)
         if rng.random() < p_black:
-            split = mk_split(len(dom), len(cod), range(len(dom)), range(len(cod)))
+            split = corner_split(len(dom), len(cod), len(dom), 0)
         else:
-            split = mk_split(len(dom), len(cod))
+            split = corner_split(len(dom), len(cod), 0, len(cod))
         boxes.append(BoxSig(f"n{k}", dom, cod, split))
 
     sinks: dict[str, list] = {a: [] for a in atoms}

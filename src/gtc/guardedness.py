@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .diagrams import Diagram, DiagramIndex, Port, elaborate
 from .expressions import Box, Comp, MorphExpr, Sym, Tensor, Trace, fold
-from .signatures import BoxSig, Split
+from .signatures import BoxSig, SignatureError, Split, _gate_set
 
 
 @dataclass(frozen=True)
@@ -184,10 +184,27 @@ def _antichain(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return maxima
 
 
+# widest subterm, in domain plus codomain gates, that derivable_splits
+# takes: a wires-only leaf lists 2**n_in candidates, and composing two
+# subterms compares every pair of their maximal claims, which takes about
+# a second at this width
+MAX_SPLIT_WIDTH = 20
+
+
+def _check_width(x: MorphExpr) -> None:
+    width = len(x.dom) + len(x.cod)
+    if width > MAX_SPLIT_WIDTH:
+        raise SignatureError(
+            f"subterm {x.dom} -> {x.cod} is {width} gates wide; derivable_splits "
+            f"takes at most {MAX_SPLIT_WIDTH}"
+        )
+
+
 def _derivable_masks(e: MorphExpr) -> list[tuple[int, int]]:
     def leaf(x: MorphExpr) -> list[tuple[int, int]]:
         if isinstance(x, Trace):
             raise TraceNotAllowed("expression contains a trace node")
+        _check_width(x)
         n_in, n_out = len(x.dom), len(x.cod)
         full_out = (1 << n_out) - 1
         if isinstance(x, Box):
@@ -217,6 +234,7 @@ def _derivable_masks(e: MorphExpr) -> list[tuple[int, int]]:
     def comp(x: Comp, left, right) -> list[tuple[int, int]]:
         # need a middle partition E|F with F <= dg and (mid - F) <= af,
         # i.e. every middle gate is covered by dg or af
+        _check_width(x)
         mid_full = (1 << len(x.first.cod)) - 1
         return _antichain(
             {(ag, df) for ag, dg in left for af, df in right if mid_full & ~af & ~dg == 0}
@@ -226,6 +244,7 @@ def _derivable_masks(e: MorphExpr) -> list[tuple[int, int]]:
         # the gates of the two factors are disjoint bit ranges, so a pair of
         # the product is below another iff it is in each factor: the product
         # of two antichains is one
+        _check_width(x)
         si, so = len(x.top.dom), len(x.top.cod)
         return [(a1 | (a2 << si), d1 | (d2 << so)) for a1, d1 in top for a2, d2 in bottom]
 
@@ -234,14 +253,12 @@ def _derivable_masks(e: MorphExpr) -> list[tuple[int, int]]:
 
 def derivable_splits(e: MorphExpr) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
     """All derivable claims of a trace-free expression, given by their
-    maximal elements (claims are downward closed under weakening)."""
-    masks = _derivable_masks(e)
-    n_in, n_out = len(e.dom), len(e.cod)
+    maximal elements (claims are downward closed under weakening).
 
-    def unmask(m: int, n: int) -> frozenset[int]:
-        return frozenset(i for i in range(n) if m >> i & 1)
-
-    return frozenset((unmask(a, n_in), unmask(d, n_out)) for a, d in masks)
+    Raises SignatureError if a subterm is wider than ``MAX_SPLIT_WIDTH``
+    (20) domain plus codomain gates: the search is exponential in width.
+    """
+    return frozenset((_gate_set(a), _gate_set(d)) for a, d in _derivable_masks(e))
 
 
 def claim_derivable(

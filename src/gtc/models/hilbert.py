@@ -109,19 +109,32 @@ class HilbertModel:
         return dev <= tol, dev
 
 
-def split_permuted(m: HilbertMorphism, split) -> tuple[np.ndarray, tuple, tuple]:
-    """Conjugate the matrix so unguarded inputs come first and guarded
-    outputs last; returns (matrix, grouped in dims, grouped out dims)."""
-    a_gates = sorted(split.unguarded_in)
-    b_gates = sorted(split.guarded_in)
-    c_gates = sorted(split.unguarded_out)
-    d_gates = sorted(split.guarded_out)
-    p_in = kron_perm(m.in_dims, a_gates + b_gates)
-    p_out = kron_perm(m.out_dims, c_gates + d_gates)
-    grouped = p_out @ m.mat @ p_in.T
-    in_dims = tuple(m.in_dims[g] for g in a_gates + b_gates)
-    out_dims = tuple(m.out_dims[g] for g in c_gates + d_gates)
-    return grouped, in_dims, out_dims
+def corner_perms(
+    in_dims: tuple[int, ...], out_dims: tuple[int, ...], split
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int, int]]:
+    """The permutation matrices that group a profile's inputs A|B and its
+    outputs C|D by the split's corners, and the corner dimensions
+    (da, db, dc, dd)."""
+    a_gates, b_gates, c_gates, d_gates = split.corner_gates()
+    dims = (
+        math.prod(in_dims[g] for g in a_gates),
+        math.prod(in_dims[g] for g in b_gates),
+        math.prod(out_dims[g] for g in c_gates),
+        math.prod(out_dims[g] for g in d_gates),
+    )
+    p_in = kron_perm(in_dims, a_gates + b_gates)
+    p_out = kron_perm(out_dims, c_gates + d_gates)
+    return p_in, p_out, dims
+
+
+def split_permuted(
+    mat: np.ndarray, in_dims: tuple[int, ...], out_dims: tuple[int, ...], split
+) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """Conjugate a matrix of profile ``in_dims -> out_dims`` so its inputs
+    are grouped A|B and its outputs C|D; returns the grouped matrix and the
+    corner dimensions (da, db, dc, dd)."""
+    p_in, p_out, dims = corner_perms(in_dims, out_dims, split)
+    return p_out @ mat @ p_in.T, dims
 
 
 def check_witness(m: HilbertMorphism, split) -> None:
@@ -129,13 +142,7 @@ def check_witness(m: HilbertMorphism, split) -> None:
     inputs grouped A|B and outputs C|D, the morphism must equal
     (h x id_D) . (id_A x g) for g: B -> E x D and h: A x E -> C."""
     w = m.witness
-    grouped, in_dims, out_dims = split_permuted(m, split)
-    na = len(split.unguarded_in)
-    nc = len(split.unguarded_out)
-    da = math.prod(in_dims[:na])
-    db = math.prod(in_dims[na:])
-    dc = math.prod(out_dims[:nc])
-    dd = math.prod(out_dims[nc:])
+    grouped, (da, db, dc, dd) = split_permuted(m.mat, m.in_dims, m.out_dims, split)
     e_dim = int(w["e_dim"])
     g = np.asarray(w["g"], dtype=float)
     h = np.asarray(w["h"], dtype=float)

@@ -35,7 +35,7 @@ from ..signatures import BoxSig
 from .base import EvalError
 from .finset import FinSetModel, FinSetMorphism
 from .flatposet import FlatPosetModel, PosetMorphism, flat
-from .hilbert import HilbertModel, HilbertMorphism
+from .hilbert import HilbertModel, HilbertMorphism, split_permuted
 from .metric import MetricModel, affine, named_function
 from .trees import StageObject, ToposOfTreesModel, ToTMorphism
 
@@ -154,8 +154,6 @@ def derive_witness(model: HilbertModel, sig: BoxSig, mat: np.ndarray) -> dict:
     """Canonical factorization for a declared split: in finite dimension
     the rearranged matrix always factors through a large enough middle
     space (take it to be the whole guarded-input/guarded-output corner)."""
-    from .hilbert import kron_perm
-
     in_dims = model.ob(sig.inputs)
     out_dims = model.ob(sig.outputs)
     mat = np.asarray(mat, dtype=float)
@@ -164,17 +162,7 @@ def derive_witness(model: HilbertModel, sig: BoxSig, mat: np.ndarray) -> dict:
         raise EvalError(
             f"matrix for {sig.name!r} has shape {mat.shape}, profile needs {want}"
         )
-    a_gates = sorted(sig.split.unguarded_in)
-    b_gates = sorted(sig.split.guarded_in)
-    c_gates = sorted(sig.split.unguarded_out)
-    d_gates = sorted(sig.split.guarded_out)
-    da = math.prod(in_dims[g] for g in a_gates)
-    db = math.prod(in_dims[g] for g in b_gates)
-    dc = math.prod(out_dims[g] for g in c_gates)
-    dd = math.prod(out_dims[g] for g in d_gates)
-    p_in = kron_perm(in_dims, a_gates + b_gates)
-    p_out = kron_perm(out_dims, c_gates + d_gates)
-    grouped = p_out @ np.asarray(mat, dtype=float) @ p_in.T
+    grouped, (da, db, dc, dd) = split_permuted(mat, in_dims, out_dims, sig.split)
     # grouped[(c,d),(a,b)] = sum_e h[c,(a,e)] g[(e,d),b] with E = B x D
     e_dim = db * dd
     four = grouped.reshape(dc, dd, da, db)

@@ -80,10 +80,6 @@ class ObjectExpr:
         got = self.factors[idx]
         return ObjectExpr(got) if isinstance(idx, slice) else got
 
-    def select(self, gates: Iterable[int]) -> "ObjectExpr":
-        """Sub-word at the given gate indices, in increasing order."""
-        return ObjectExpr(tuple(self.factors[i] for i in sorted(gates)))
-
     def __str__(self) -> str:
         return "*".join(self.factors) if self.factors else "I"
 
@@ -220,6 +216,29 @@ class Split:
         exactly when it enters unguarded and exits guarded."""
         return i in self.unguarded_in and j in self.guarded_out
 
+    def corner_gates(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The gates of the corners of ``A|B -> C|D``, each in increasing
+        order: A unguarded and B guarded inputs, C unguarded and D guarded
+        outputs."""
+        return (
+            sorted(self.unguarded_in),
+            sorted(self.guarded_in),
+            sorted(self.unguarded_out),
+            sorted(self.guarded_out),
+        )
+
+    def corner_lengths(self) -> tuple[int | None, int | None]:
+        """``(len A, len C)`` of the canonical layout ``A|B -> C|D``, where
+        the unguarded inputs are a gate prefix and the guarded outputs a
+        gate suffix; each is None where its side is not laid out so."""
+        ui = self.unguarded_in_mask
+        uo = ((1 << self.n_out) - 1) & ~self.guarded_out_mask
+        # a mask is a prefix exactly when adding one carries through all its bits
+        return (
+            ui.bit_length() if ui & (ui + 1) == 0 else None,
+            uo.bit_length() if uo & (uo + 1) == 0 else None,
+        )
+
     def __str__(self) -> str:
         def fmt(s):
             return "{" + ",".join(map(str, sorted(s))) + "}"
@@ -256,6 +275,12 @@ def mk_split(
         unguarded_out=_gate_set(((1 << n_out) - 1) & ~go),
         guarded_out=_gate_set(go),
     )
+
+
+def corner_split(n_in: int, n_out: int, a_len: int, c_len: int) -> Split:
+    """The canonical split of ``A|B -> C|D`` with ``len(A) == a_len`` and
+    ``len(C) == c_len``: unguarded inputs a prefix, guarded outputs a suffix."""
+    return mk_split(n_in, n_out, range(a_len), range(c_len, n_out))
 
 
 def weaken(s: Split, demote_in: Iterable[int] = (), demote_out: Iterable[int] = ()) -> Split:
@@ -332,16 +357,13 @@ class BoxSig:
         return split_kind(self.split)
 
     def __str__(self) -> str:
-        s, n_out = self.split, len(self.outputs)
-        k, j = len(s.unguarded_in), n_out - len(s.guarded_out)
-        if s.unguarded_in == frozenset(range(k)) and s.guarded_out == frozenset(
-            range(j, n_out)
-        ):
+        k, j = self.split.corner_lengths()
+        if k is not None and j is not None:
             ins, outs = self.inputs, self.outputs
             return f"box {self.name} : {ins[:k]} | {ins[k:]} -> {outs[:j]} | {outs[j:]}"
         # a declaration puts unguarded inputs first and guarded outputs last;
         # any other split is spelled out, which parse_box_decl rejects
-        return f"box {self.name} : {self.inputs} -> {self.outputs} split {s}"
+        return f"box {self.name} : {self.inputs} -> {self.outputs} split {self.split}"
 
 
 _BOX_RE = re.compile(
@@ -364,12 +386,7 @@ def parse_box_decl(line: str) -> BoxSig:
     gi = parse_object(m.group("gi"))
     uo = parse_object(m.group("uo"))
     go = parse_object(m.group("go"))
-    split = mk_split(
-        len(ui) + len(gi),
-        len(uo) + len(go),
-        unguarded_in=range(len(ui)),
-        guarded_out=range(len(uo), len(uo) + len(go)),
-    )
+    split = corner_split(len(ui) + len(gi), len(uo) + len(go), len(ui), len(uo))
     return BoxSig(m.group("name"), ui * gi, uo * go, split)
 
 
@@ -391,9 +408,4 @@ def parse_claim(text: str, dom: ObjectExpr, cod: ObjectExpr) -> Split:
         raise SignatureError(f"claim inputs {a}|{b} do not match domain {dom}")
     if (c * d).factors != cod.factors:
         raise SignatureError(f"claim outputs {c}|{d} do not match codomain {cod}")
-    return mk_split(
-        len(dom),
-        len(cod),
-        unguarded_in=range(len(a)),
-        guarded_out=range(len(c), len(cod)),
-    )
+    return corner_split(len(dom), len(cod), len(a), len(c))

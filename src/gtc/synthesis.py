@@ -152,6 +152,30 @@ def perm_to_expr(atoms: list[str], dest: list[int]) -> MorphExpr:
     return reduce(Comp, slices)
 
 
+def loop_perms(
+    dom_atoms: list[str],
+    cod_atoms: list[str],
+    i: int,
+    j: int,
+    corners: tuple[list[int], list[int], list[int], list[int]],
+) -> tuple[MorphExpr, MorphExpr]:
+    """The permutations around a body with loop input ``i`` and loop output
+    ``j`` that bring it to trace shape ``A*U*B -> C*D*U``.
+
+    ``corners`` holds the body's other gates as the A, B, C and D gate
+    lists; the pre-permutation maps ``A*U*B`` onto the body's domain, the
+    post-permutation its codomain onto ``C*D*U``.
+    """
+    a_gates, b_gates, c_gates, d_gates = corners
+    canon_in = [dom_atoms[g] for g in a_gates] + [dom_atoms[i]] + [dom_atoms[g] for g in b_gates]
+    src = {g: pos for pos, g in enumerate(a_gates)}
+    src[i] = len(a_gates)
+    src.update((g, len(a_gates) + 1 + pos) for pos, g in enumerate(b_gates))
+    perm_pre = perm_to_expr(canon_in, [src[g] for g in range(len(dom_atoms))])
+    perm_post = perm_to_expr(cod_atoms, c_gates + d_gates + [j])
+    return perm_pre, perm_post
+
+
 def _compose_opt(parts: list[MorphExpr]) -> MorphExpr:
     """``parts`` composed in order, identities dropped."""
     useful = [p for p in parts if not isinstance(p, Id)]
@@ -231,28 +255,19 @@ def _synthesize(d: Diagram, claim: Split) -> MorphExpr:
     inner = _synthesize(d2, claim2)
 
     atom = d.port_atom(wire[0])
-    loop = ObjectExpr((atom,))
-    a_gates = sorted(claim.unguarded_in)
-    b_gates = sorted(claim.guarded_in)
-    c_gates = sorted(claim.unguarded_out)
-    d_gates = sorted(claim.guarded_out)
+    corners = claim.corner_gates()
+    a_gates, b_gates, c_gates, d_gates = corners
     dom_atoms = [a for a, _ in d.boundary_in]
     cod_atoms = [a for a, _ in d.boundary_out]
-    n_in, n_out = len(dom_atoms), len(cod_atoms)
+    n_out = len(cod_atoms)
 
-    # canonical body domain: A then loop then B; inner's domain appends the
-    # fresh loop input after the original boundary
-    canon_in = [dom_atoms[g] for g in a_gates] + [atom] + [dom_atoms[g] for g in b_gates]
-    src_of_gate = {g: pos for pos, g in enumerate(a_gates)}
-    src_of_gate.update((g, len(a_gates) + 1 + pos) for pos, g in enumerate(b_gates))
-    pre_dest = [src_of_gate[g] for g in range(n_in)] + [len(a_gates)]
-    perm_pre = perm_to_expr(canon_in, pre_dest)
-
-    # canonical body codomain: C then D then loop
-    perm_post = perm_to_expr(cod_atoms + [atom], c_gates + d_gates + [n_out])
-
+    # inner's boundary appends the fresh loop input and output to the
+    # original one
+    perm_pre, perm_post = loop_perms(
+        dom_atoms + [atom], cod_atoms + [atom], len(dom_atoms), n_out, corners
+    )
     body = _compose_opt([perm_pre, inner, perm_post])
-    traced = mk_trace(loop, body, len(a_gates), len(c_gates))
+    traced = mk_trace(ObjectExpr((atom,)), body, len(a_gates), len(c_gates))
 
     outer_pre = perm_to_expr(dom_atoms, a_gates + b_gates)
     out_pos = {g: pos for pos, g in enumerate(c_gates + d_gates)}

@@ -6,13 +6,15 @@ from gtc.expressions import (
     Id,
     ParseError,
     Tensor,
+    Trace,
+    TypingError,
     fold,
     parse_expr,
     parse_source,
     print_expr,
 )
 from gtc.generators import rand_accepted_traced, rand_trace_free_expr
-from gtc.signatures import UNIT, parse_box_decl
+from gtc.signatures import UNIT, mk_split, obj, parse_box_decl
 
 SIGS = {
     s.name: s
@@ -52,6 +54,16 @@ def test_malformed_trace_annotation_rejected():
     # body lacks the loop factor at the annotated spot
     with pytest.raises(ParseError):
         parse_expr("tr[B: A|I -> I|C]{ f ; g }", SIGS)
+
+
+def test_trace_annotation_must_have_corner_layout():
+    body = Id(obj("A", "B"))
+    for ann, message in (
+        (mk_split(2, 2, {1}, {1}), "unguarded inputs must be a gate prefix"),
+        (mk_split(2, 2, {0, 1}, {0}), "guarded outputs must be a gate suffix"),
+    ):
+        with pytest.raises(TypingError, match=f"^trace annotation: {message}$"):
+            Trace(obj("B"), body, ann)
 
 
 def test_trace_shape_accepted():

@@ -17,8 +17,8 @@ from gtc.guardedness import (
     split_derivable,
     unguarded_reach,
 )
-from gtc.expressions import Box, Id, Sym, Trace, fold
-from gtc.signatures import mk_split, obj, parse_box_decl
+from gtc.expressions import Box, Id, Sym, Tensor, Trace, fold
+from gtc.signatures import SignatureError, mk_split, obj, parse_box_decl
 
 SIGS = {
     s.name: s
@@ -276,3 +276,17 @@ def test_wire_candidates_are_an_antichain():
                 cands = _wire_candidates(x)
                 assert _antichain_all_pairs(cands) == cands
                 assert derivable_splits(x) == _derivable_splits_reference(x)
+
+
+def test_derivable_splits_enforces_width_limit():
+    from gtc.guardedness import MAX_SPLIT_WIDTH
+
+    # every node is checked, not only the leaves that enumerate candidates
+    assert MAX_SPLIT_WIDTH == 20
+    at_limit = derivable_splits(Id(obj(*["A"] * 10)))
+    assert len(at_limit) == 1 << 10
+    wide_leaf = Id(obj(*["A"] * 11))
+    wide_node = Tensor(Id(obj(*["A"] * 5)), Id(obj(*["A"] * 6)))  # leaves 10 and 12 wide
+    for e, width in ((wide_leaf, 22), (wide_node, 22)):
+        with pytest.raises(SignatureError, match=f"is {width} gates wide; .* at most 20"):
+            derivable_splits(e)

@@ -22,6 +22,7 @@ from gtc.signatures import (
     ObjectExpr,
     SignatureError,
     Split,
+    corner_split,
     dual_split,
     mk_split,
     obj,
@@ -253,6 +254,23 @@ def test_split_masks_agree_with_sets():
                         assert x.guarded_in == frozenset(range(n_in)) - x.unguarded_in
                         assert x.unguarded_out == frozenset(range(n_out)) - x.guarded_out
     assert "mask" not in repr(mk_split(1, 1, {0}))
+
+
+def test_corner_layout_of_every_small_split():
+    for n_in in range(4):
+        for n_out in range(4):
+            for ui in range(1 << n_in):
+                for go in range(1 << n_out):
+                    s = mk_split(n_in, n_out, _gates(ui), _gates(go))
+                    a, b, c, d = s.corner_gates()
+                    assert sorted(a + b) == list(range(n_in)) and a == _gates(ui)
+                    assert sorted(c + d) == list(range(n_out)) and d == _gates(go)
+                    a_len, c_len = s.corner_lengths()
+                    assert (a_len is not None) == (a == list(range(len(a))))
+                    assert (c_len is not None) == (d == list(range(len(c), n_out)))
+                    if a_len is not None and c_len is not None:
+                        assert (a_len, c_len) == (len(a), len(c))
+                        assert corner_split(n_in, n_out, a_len, c_len) == s
 
 
 def _gates(mask: int) -> list[int]:
