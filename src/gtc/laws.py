@@ -231,29 +231,52 @@ def law_implication_report(suite: dict[str, dict]) -> dict:
 # --- trees --------------------------------------------------------------------
 
 
+_NO_PICK = object()
+
+
+def _depth_first(depth: int, choices):
+    """Every sequence of ``depth`` picks in depth-first order, where
+    ``choices(picks)`` gives the candidates for the pick after ``picks``
+    (it may read ``picks`` lazily: the first k picks stay fixed while the
+    candidates for pick k+1 are drawn).  An explicit stack, so no closure
+    refers to itself and nothing outlives the enumeration."""
+    if depth == 0:
+        yield ()
+        return
+    picks: list = []
+    stack = [iter(choices(picks))]
+    while stack:
+        del picks[len(stack) - 1 :]
+        pick = next(stack[-1], _NO_PICK)
+        if pick is _NO_PICK:
+            stack.pop()
+        elif len(picks) + 1 == depth:
+            yield (*picks, pick)
+        else:
+            picks.append(pick)
+            stack.append(iter(choices(picks)))
+
+
 def _enumerate_natural(dom_gates, cod: StageObject):
-    """All stagewise-natural maps from a product of stage objects."""
+    """All stagewise-natural maps from a product of stage objects, stage by
+    stage, each stage's choices fixed by the stage below."""
     depth = len(cod.stages)
     keys = [list(iproduct(*(g.stages[n] for g in dom_gates))) for n in range(depth)]
 
-    def extend(tables: list[dict], n: int):
-        if n == depth:
-            yield tuple(dict(t) for t in tables)
-            return
+    def choices(tables: list[dict]):
+        n = len(tables)
         options = []
         for x in keys[n]:
             if n == 0:
-                options.append(list(cod.stages[0]))
+                options.append(cod.stages[0])
             else:
                 lo = tuple(dom_gates[g].restr[n - 1][v] for g, v in enumerate(x))
                 want = tables[n - 1][lo]
                 options.append([e for e, v in cod.restr[n - 1].items() if v == want])
-        for combo in iproduct(*options):
-            tables.append(dict(zip(keys[n], combo)))
-            yield from extend(tables, n + 1)
-            tables.pop()
+        return (dict(zip(keys[n], combo)) for combo in iproduct(*options))
 
-    yield from extend([], 0)
+    for tables in _depth_first(depth, choices):
+        yield tuple(map(dict, tables))
 
 
 def _later(x: StageObject) -> StageObject:
@@ -734,14 +757,27 @@ def _monotone_tables_between(b: Poset, src: Poset, dst: Poset):
 
 
 def _monotone_two_arg(b: Poset, a: Poset):
-    """Monotone tables B x A x A -> A (enumerate and filter)."""
+    """Monotone tables B x A x A -> A, in the order of the product of
+    their values.  Backtracking: a value is tried for one key only if it
+    is above the values of the earlier keys below that key and below the
+    values of the earlier keys above it."""
     keys = [(bv, a1, a2) for bv in b.elements for a1 in a.elements for a2 in a.elements]
-    for combo in iproduct(a.elements, repeat=len(keys)):
-        t = dict(zip(keys, combo))
-        if all(
-            t[(bv, a3, a4)] in a.up[t[(bv, a1, a2)]]
-            for bv, a1, a2 in keys
-            for a3 in a.up[a1]
-            for a4 in a.up[a2]
-        ):
-            yield t
+
+    def le(k, m):
+        return k[0] == m[0] and a.le(k[1], m[1]) and a.le(k[2], m[2])
+
+    below = [[j for j in range(i) if le(keys[j], k)] for i, k in enumerate(keys)]
+    above = [[j for j in range(i) if le(k, keys[j])] for i, k in enumerate(keys)]
+    up = a.up
+
+    def fits(vals: list[str]):
+        i = len(vals)
+        return (
+            v
+            for v in a.elements
+            if all(v in up[vals[j]] for j in below[i])
+            and all(vals[j] in up[v] for j in above[i])
+        )
+
+    for vals in _depth_first(len(keys), fits):
+        yield dict(zip(keys, vals))

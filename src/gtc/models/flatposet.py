@@ -10,50 +10,76 @@ transport one operator into the other and are mutually inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import dataclass
 from itertools import product
 
 from ..signatures import BoxSig, ObjectExpr
 from .base import EvalError
 
 
-@dataclass(frozen=True)
+# one shared instance per (elements, order), validated when it is first
+# built, with everything derived from it (up-sets, bottom, flatness, lift)
+# stored on it; a poset nothing refers to any more leaves the table.
+_POSETS: weakref.WeakValueDictionary[tuple, Poset] = weakref.WeakValueDictionary()
+_POSETS_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Poset:
+    """A finite poset.  Equal data gives one shared object, so ``==`` is
+    identity and a carrier is checked once however often it is built."""
+
+    __slots__ = ("elements", "leq", "up", "is_flat", "_bottom", "_lift", "__weakref__")
     elements: tuple[str, ...]
     leq: frozenset  # all pairs (a, b) with a <= b, reflexivity included
-    # up[a]: the elements above a, from which the order is checked
-    up: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        up = {a: set() for a in self.elements}
-        if len(up) != len(self.elements):
+    def __new__(cls, elements: tuple[str, ...], leq: frozenset) -> Poset:
+        key = (tuple(elements), frozenset(leq))
+        shared = _POSETS.get(key)
+        if shared is not None:
+            return shared
+        elements, leq = key
+        # up[a]: the elements above a, from which the order is checked
+        up = {a: set() for a in elements}
+        if len(up) != len(elements):
             raise EvalError("duplicate poset elements")
-        for a, b in self.leq:
+        for a, b in leq:
             if a not in up or b not in up:
                 raise EvalError(f"order pair ({a}, {b}) uses unknown elements")
             up[a].add(b)
-        for a in self.elements:
+        for a in elements:
             if a not in up[a]:
                 raise EvalError(f"order not reflexive at {a}")
-        for a, b in self.leq:
+        for a, b in leq:
             if not up[b] <= up[a]:
                 raise EvalError("order not transitive")
             if a != b and a in up[b]:
                 raise EvalError("order not antisymmetric")
-        object.__setattr__(self, "up", {a: frozenset(s) for a, s in up.items()})
+        p = object.__new__(cls)
+        for name, value in (
+            ("elements", elements),
+            ("leq", leq),
+            ("up", {a: frozenset(s) for a, s in up.items()}),
+            ("is_flat", all(a == b for a, b in leq)),
+            ("_bottom", next((a for a in elements if len(up[a]) == len(elements)), None)),
+            ("_lift", None),
+        ):
+            object.__setattr__(p, name, value)
+        with _POSETS_LOCK:
+            return _POSETS.setdefault(key, p)
+
+    # copy and pickle rebuild a poset from its data, which finds the shared
+    # instance, and write no state into it
+    def __reduce__(self):
+        return Poset, (self.elements, self.leq)
 
     def le(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
 
-    @property
-    def is_flat(self) -> bool:
-        return all(a == b for a, b in self.leq)
-
     def bottom(self) -> str | None:
-        for a in self.elements:
-            if len(self.up[a]) == len(self.elements):
-                return a
-        return None
+        return self._bottom
 
 
 def flat(elements) -> Poset:
@@ -62,12 +88,15 @@ def flat(elements) -> Poset:
 
 
 def lift(p: Poset) -> tuple[Poset, str]:
-    """Adjoin a fresh bottom; returns (lifted poset, bottom's name)."""
-    bot = "_BOT"
-    while bot in p.elements:
-        bot += "_"
-    leq = set(p.leq) | {(bot, e) for e in p.elements} | {(bot, bot)}
-    return Poset((bot,) + p.elements, frozenset(leq)), bot
+    """Adjoin a fresh bottom; returns (lifted poset, bottom's name).
+    Built once per poset and kept on it."""
+    if p._lift is None:
+        bot = "_BOT"
+        while bot in p.up:
+            bot += "_"
+        leq = p.leq | {(bot, e) for e in p.elements} | {(bot, bot)}
+        object.__setattr__(p, "_lift", (Poset((bot,) + p.elements, leq), bot))
+    return p._lift
 
 
 def product_elements(posets: tuple[Poset, ...]) -> list[tuple]:

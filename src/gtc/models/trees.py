@@ -13,50 +13,107 @@ restriction to stage n.  Feedback is then solved stage by stage.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 
 from ..signatures import BoxSig, ObjectExpr
 from .base import EvalError
 
 
-@dataclass(frozen=True, eq=False)
+# one shared instance per (stages, restrictions), validated when it is first
+# built; a stage object nothing refers to any more leaves the table, and the
+# word tables it owns go with it.
+_STAGE_OBJECTS: weakref.WeakValueDictionary[tuple, StageObject] = (
+    weakref.WeakValueDictionary()
+)
+_STAGE_OBJECTS_LOCK = threading.Lock()
+_SERIALS = count()
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class StageObject:
+    """Stage sets with surjective restrictions.  Equal data gives one shared
+    object, so ``==`` is identity and a carrier is checked once however
+    often it is built."""
+
+    __slots__ = ("stages", "restr", "section", "_serial", "_words", "__weakref__")
     stages: tuple[tuple[str, ...], ...]
     restr: tuple[dict, ...]  # restr[n]: stage n+2 -> stage n+1
 
-    def __post_init__(self) -> None:
-        if len(self.restr) != len(self.stages) - 1:
+    def __new__(cls, stages, restr) -> StageObject:
+        stages = tuple(map(tuple, stages))
+        restr = tuple(map(dict, restr))
+        key = (stages, tuple(frozenset(r.items()) for r in restr))
+        shared = _STAGE_OBJECTS.get(key)
+        if shared is not None:
+            return shared
+        if len(restr) != len(stages) - 1:
             raise EvalError("need exactly one restriction per adjacent stage pair")
-        for n, r in enumerate(self.restr):
-            hi, lo = self.stages[n + 1], self.stages[n]
+        for n, r in enumerate(restr):
+            hi, lo = stages[n + 1], stages[n]
             if set(r) != set(hi):
                 raise EvalError(f"restriction {n} does not cover stage {n + 2}")
             if not set(r.values()) <= set(lo):
                 raise EvalError(f"restriction {n} leaves stage {n + 1}")
             if set(r.values()) != set(lo):
                 raise EvalError(f"restriction {n} is not surjective")
-        if any(len(s) == 0 for s in self.stages):
+        if any(len(s) == 0 for s in stages):
             raise EvalError("empty stage sets are not supported")
+        x = object.__new__(cls)
+        # section[n]: each stage-(n+1) element to its first preimage at
+        # stage n+2, in stage order
+        section = []
+        for n, r in enumerate(restr):
+            first: dict = {}
+            for e in stages[n + 1]:
+                first.setdefault(r[e], e)
+            section.append(first)
+        for name, value in (
+            ("stages", stages),
+            ("restr", restr),
+            ("section", tuple(section)),
+            ("_serial", next(_SERIALS)),
+            # tables of the words this object starts, keyed by the serials
+            # of the rest of the word; serials, not objects, so no word
+            # keeps a carrier alive or forms a cycle through it
+            ("_words", {}),
+        ):
+            object.__setattr__(x, name, value)
+        with _STAGE_OBJECTS_LOCK:
+            return _STAGE_OBJECTS.setdefault(key, x)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, StageObject)
-            and self.stages == other.stages
-            and self.restr == other.restr
-        )
-
-    def __hash__(self):
-        return hash((self.stages, tuple(tuple(sorted(r.items())) for r in self.restr)))
+    # copy and pickle rebuild an object from its data, which finds the
+    # shared instance, and write no state into it
+    def __reduce__(self):
+        return StageObject, (self.stages, self.restr)
 
 
-def _stage_tuples(gates: tuple[StageObject, ...], n: int):
-    return product(*(g.stages[n] for g in gates))
-
-
-def _restrict(gates: tuple[StageObject, ...], n: int, values: tuple) -> tuple:
-    """Restrict a stage-(n+1) tuple down to stage n (both 1-based)."""
-    return tuple(g.restr[n - 1][v] for g, v in zip(gates, values))
+def _word(gates: tuple[StageObject, ...], depth: int) -> tuple[dict, ...]:
+    """The tables of a word of stage objects: ``word[n]`` maps each
+    stage-(n+1) tuple, in product order, to its restriction to stage n (to
+    None at stage 1).  Built on first use and kept by the word's first gate;
+    the unit word has no owner, and ``depth`` sizes it and nothing else."""
+    if gates:
+        owner = gates[0]._words
+        key = tuple(g._serial for g in gates[1:])
+        word = owner.get(key)
+        if word is not None:
+            return word
+        depths = {len(g.stages) for g in gates}
+        if len(depths) > 1:
+            raise EvalError("all carriers must use the same stage count")
+        depth = depths.pop()
+    word = [dict.fromkeys(product(*(g.stages[0] for g in gates)))][:depth]
+    for n in range(1, depth):
+        # restricting gate by gate lists the restricted tuples in the same
+        # product order as the tuples themselves
+        points = product(*(g.stages[n] for g in gates))
+        down = product(*([g.restr[n - 1][v] for v in g.stages[n]] for g in gates))
+        word.append(dict(zip(points, down)))
+    word = tuple(word)
+    return owner.setdefault(key, word) if gates else word
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,18 +124,22 @@ class ToTMorphism:
 
     def __post_init__(self) -> None:
         depth = len(self.maps)
+        dom, cod = _word(self.dom, depth), _word(self.cod, depth)
+        if not len(dom) == len(cod) == depth:
+            raise EvalError("need one stage map per carrier stage")
         for n in range(depth):
-            want = set(_stage_tuples(self.dom, n))
-            if set(self.maps[n]) != want:
+            if self.maps[n].keys() != dom[n].keys():
                 raise EvalError(f"stage {n + 1} map does not cover its domain")
-        for n in range(depth - 1):
-            for x in _stage_tuples(self.dom, n + 1):
-                lhs = _restrict(self.cod, n + 1, self.maps[n + 1][x])
-                rhs = self.maps[n][_restrict(self.dom, n + 1, x)]
-                if lhs != rhs:
-                    raise EvalError(
-                        f"naturality fails between stages {n + 2} and {n + 1} at {x}"
-                    )
+        for n in range(depth):
+            if not set(self.maps[n].values()) <= cod[n].keys():
+                raise EvalError(f"stage {n + 1} map leaves the codomain")
+        for n in range(1, depth):
+            hi, lo, down = self.maps[n], self.maps[n - 1], dom[n]
+            # restrict each point's image, and map each point's restriction
+            lhs = list(map(cod[n].__getitem__, map(hi.__getitem__, down)))
+            if lhs != list(map(lo.__getitem__, down.values())):
+                x = next(x for x, y in zip(down, lhs) if y != lo[down[x]])
+                raise EvalError(f"naturality fails between stages {n + 1} and {n} at {x}")
 
     def __eq__(self, other):
         return (
@@ -107,19 +168,14 @@ class ToposOfTreesModel:
 
     def identity(self, word: ObjectExpr) -> ToTMorphism:
         dom = self.ob(word)
-        maps = tuple(
-            {x: x for x in _stage_tuples(dom, n)} for n in range(self.depth)
-        )
+        maps = tuple({x: x for x in xs} for xs in _word(dom, self.depth))
         return ToTMorphism(dom, dom, maps)
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> ToTMorphism:
         dom = self.ob(left * right)
         cod = self.ob(right * left)
         k = len(left)
-        maps = tuple(
-            {x: x[k:] + x[:k] for x in _stage_tuples(dom, n)}
-            for n in range(self.depth)
-        )
+        maps = tuple({x: x[k:] + x[:k] for x in xs} for xs in _word(dom, self.depth))
         return ToTMorphism(dom, cod, maps)
 
     def compose(self, f: ToTMorphism, g: ToTMorphism) -> ToTMorphism:
@@ -133,13 +189,12 @@ class ToposOfTreesModel:
 
     def tensor(self, f: ToTMorphism, g: ToTMorphism) -> ToTMorphism:
         ni = len(f.dom)
-        maps = []
-        for n in range(len(f.maps)):
-            table = {}
-            for x in _stage_tuples(f.dom + g.dom, n):
-                table[x] = f.maps[n][x[:ni]] + g.maps[n][x[ni:]]
-            maps.append(table)
-        return ToTMorphism(f.dom + g.dom, f.cod + g.cod, tuple(maps))
+        dom = f.dom + g.dom
+        maps = tuple(
+            {x: fm[x[:ni]] + gm[x[ni:]] for x in xs}
+            for fm, gm, xs in zip(f.maps, g.maps, _word(dom, len(f.maps)))
+        )
+        return ToTMorphism(dom, f.cod + g.cod, maps)
 
     def trace(self, m: ToTMorphism, loop, corners, tol=None) -> ToTMorphism:
         a, b, c, d = corners
@@ -148,42 +203,38 @@ class ToposOfTreesModel:
         cod = m.cod[:n_cd]
         loops = m.dom[n_a : n_a + k]
 
-        def value(n: int, x: tuple) -> tuple:
-            # restriction chain of the outer input down to stage 1
-            chain = [x]
-            for s in range(n, 0, -1):
-                chain.append(_restrict(dom, s, chain[-1]))
-            chain.reverse()  # chain[s] lives at stage s+1
-            u: tuple | None = None
-            for s in range(n + 1):
-                if s == 0:
+        # stage by stage: the loop value u at a point is the body's loop
+        # output when fed the first preimage of u at the point's restriction
+        # (any element at stage 1); the body is delayed on the loop, so the
+        # choice of preimage does not matter and u must settle
+        maps = []
+        u_below: dict = {}
+        for n, (body, down) in enumerate(zip(m.maps, _word(dom, len(m.maps)))):
+            table, u_here = {}, {}
+            for x in down:
+                if n == 0:
                     z = tuple(g.stages[0][0] for g in loops)
                 else:
-                    z = tuple(
-                        next(e for e, lo in g.restr[s - 1].items() if lo == uv)
-                        for g, uv in zip(loops, u)
+                    u = u_below[down[x]]
+                    z = tuple(g.section[n - 1][uv] for g, uv in zip(loops, u))
+                xa, xb = x[:n_a], x[n_a:]
+                u = body[xa + z + xb][n_cd:]
+                y = body[xa + u + xb]
+                if y[n_cd:] != u:
+                    raise EvalError(
+                        "feedback does not settle stagewise: a binding is not "
+                        "actually delayed on its promised gates"
                     )
-                xa, xb = chain[s][:n_a], chain[s][n_a:]
-                y = m.maps[s][xa + z + xb]
-                u = y[n_cd:]
-            xa, xb = x[:n_a], x[n_a:]
-            y = m.maps[n][xa + u + xb]
-            if y[n_cd:] != u:
-                raise EvalError(
-                    "feedback does not settle stagewise: a binding is not "
-                    "actually delayed on its promised gates"
-                )
-            return y[:n_cd]
-
-        maps = tuple(
-            {x: value(n, x) for x in _stage_tuples(dom, n)}
-            for n in range(len(m.maps))
-        )
-        return ToTMorphism(dom, cod, maps)
+                table[x], u_here[x] = y[:n_cd], u
+            maps.append(table)
+            u_below = u_here
+        return ToTMorphism(dom, cod, tuple(maps))
 
     def validate_box(self, sig: BoxSig, m: ToTMorphism) -> None:
         if m.dom != self.ob(sig.inputs) or m.cod != self.ob(sig.outputs):
             raise EvalError(f"binding for {sig.name!r} has the wrong carriers")
+        if len(m.maps) != self.depth:
+            raise EvalError(f"binding for {sig.name!r} needs {self.depth} stage maps")
         ug_in = sorted(sig.split.unguarded_in)
         g_out = sorted(sig.split.guarded_out)
         if not g_out or not ug_in:

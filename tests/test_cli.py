@@ -231,22 +231,28 @@ def test_suite_determinism_across_runs(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
-# sha256 of the `gtc suite --seeds 0 --per-axiom 10` report, one JSON line
-# per line, with the numeric models' (metric, hilbert) max_dev left out:
-# every verdict, the exact models' instance lines, the law and oracle
-# blocks and the summary, all independent of floating-point rounding.
-SUITE_SEED0_DIGEST = "93fae86a7e3e921838bf44f607be7fa3d349a20baab93d0f0002a57b55d1bf2d"
+# sha256 of the `gtc suite --seeds N --per-axiom 10` report for seeds 0, 1
+# and 7, one JSON line per line, with the numeric models' (metric, hilbert)
+# max_dev left out: every verdict, the exact models' instance lines, the law
+# and oracle blocks and the summary, all independent of floating-point
+# rounding.
+SUITE_DIGESTS = {
+    0: "93fae86a7e3e921838bf44f607be7fa3d349a20baab93d0f0002a57b55d1bf2d",
+    1: "5e724552eac29f7a52a8285632aea391573a0febf7fac156028177eacb1b3516",
+    7: "21896e0fe5450e5f7283440457e9141e43653c27d95948ef6e46da744b45c411",
+}
 
 
 def test_suite_report_matches_golden_digest(capsys):
-    assert main(["suite", "--seeds", "0", "--per-axiom", "10"]) == 0
-    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    for line in lines:
-        if line.get("model") in ("metric", "hilbert"):
-            del line["max_dev"]
-    text = "\n".join(json.dumps(line) for line in lines)
-    assert len(lines) == 408
-    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SEED0_DIGEST
+    for seed, digest in SUITE_DIGESTS.items():
+        assert main(["suite", "--seeds", str(seed), "--per-axiom", "10"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        for line in lines:
+            if line.get("model") in ("metric", "hilbert"):
+                del line["max_dev"]
+        text = "\n".join(json.dumps(line) for line in lines)
+        assert len(lines) == 408
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
 
 
 def _error_line(capsys) -> str:
@@ -342,6 +348,35 @@ def test_eval_malformed_inputs_exit_2(tmp_path, capsys, model, point, message):
     assert main(argv) == 2
     assert message in _error_line(capsys)
 
+
+
+_THREE_STAGES = {
+    "stages": [["x0"], ["x0", "x1"], ["x0", "x1"]],
+    "restrictions": [{"x0": "x0", "x1": "x0"}, {"x0": "x0", "x1": "x1"}],
+}
+
+
+@pytest.mark.parametrize(
+    "decl, carrier, maps, message",
+    [
+        ("A -> A", {"stages": [["a0", "a1"]]}, [{"a0": "zz", "a1": "a0"}],
+         "stage 1 map leaves the codomain"),
+        ("A -> A", _THREE_STAGES, [{"x0": "x0"}], "need one stage map per carrier stage"),
+        ("I -> I", _THREE_STAGES, [{"": ""}], "binding for 'p' needs 3 stage maps"),
+    ],
+    ids=["value-outside-codomain", "too-few-maps", "unit-box-too-few-maps"],
+)
+def test_eval_tot_bad_stage_maps_exit_2(tmp_path, capsys, decl, carrier, maps, message):
+    src = tmp_path / "f.gtc"
+    dom, cod = decl.split(" -> ")
+    src.write_text(f"box p : I | {dom} -> {cod} | I\nlet main = p ; p\n")
+    bind = tmp_path / "b.json"
+    bind.write_text(
+        json.dumps({"model": "tot", "objects": {"A": carrier}, "boxes": {"p": {"stages": maps}}})
+    )
+    argv = ["eval", str(src), "--name", "main", "--model", "tot", "--bindings", str(bind)]
+    assert main(argv) == 2
+    assert _error_line(capsys) == f"error: {message}"
 
 
 @pytest.mark.parametrize(

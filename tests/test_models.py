@@ -1,4 +1,13 @@
+import copy
+import dataclasses
+import gc
 import math
+import os
+import pickle
+import sys
+import threading
+import time
+import weakref
 from itertools import product
 
 import numpy as np
@@ -539,3 +548,186 @@ def test_eval_respects_interchange_everywhere():
         v2 = eval_expr(rhs, model, boxes, tol=1e-12)
         ok, dev = model.equal(v1, v2, tol=1e-9, rng=rng)
         assert ok, (model_name, dev)
+
+
+# --- carriers built once --------------------------------------------------------
+
+
+def _carrier_data(tag: str):
+    """Fresh (not shared) data for one poset and one stage object."""
+    elems = (f"{tag}0", f"{tag}1", f"{tag}2")
+    leq = frozenset({(a, a) for a in elems} | {(elems[0], elems[1])})
+    stages = ((f"{tag}0",), (f"{tag}0", f"{tag}1"))
+    restr = ({f"{tag}0": f"{tag}0", f"{tag}1": f"{tag}0"},)
+    return (list(elems), set(leq)), (stages, restr)
+
+
+def test_equal_carrier_data_gives_the_shared_object():
+    (elems, leq), (stages, restr) = _carrier_data("sh")
+    p = Poset(tuple(elems), frozenset(leq))
+    assert Poset(elems, leq) is p and Poset(tuple(elems), frozenset(leq)) is p
+    assert flat(["a", "b"]) is flat(("a", "b"))
+    assert p.is_flat is False and p.bottom() is None and p.le("sh0", "sh1")
+    tp, bot = lift(p)
+    assert lift(p) == (tp, bot) and lift(p)[0] is tp and tp.bottom() == bot == "_BOT"
+    assert lift(flat(["_BOT"]))[1] == "_BOT_"
+    x = StageObject(stages, restr)
+    # same restriction, other key order: still the same carrier
+    assert StageObject(list(stages), [dict(reversed(list(restr[0].items())))]) is x
+    assert x.restr == restr and x.restr[0] is not restr[0]  # a private copy
+    restr[0]["sh1"] = "zz"  # so the caller's dict cannot change the carrier
+    assert x.restr[0]["sh1"] == "sh0"
+    assert StageObject(stages, ({"sh0": "sh0", "sh1": "sh0"},)) is x
+    assert hash(x) == hash(StageObject(stages, ({"sh0": "sh0", "sh1": "sh0"},)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.stages = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.elements = ()
+
+
+def test_carrier_copies_and_pickles_are_the_shared_object():
+    (elems, leq), (stages, restr) = _carrier_data("cp")
+    p, x = Poset(elems, leq), StageObject(stages, restr)
+    tp, _ = lift(p)
+    for obj in (p, tp, x):
+        for back in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert back is obj
+    m = ToTMorphism((x,), (x,), ({("cp0",): ("cp0",)}, {("cp0",): ("cp1",), ("cp1",): ("cp0",)}))
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and back.dom[0] is x and lift(pickle.loads(pickle.dumps(p)))[0] is tp
+    assert repr(p) == f"Poset(elements={p.elements!r}, leq={p.leq!r})"
+
+
+def test_unreferenced_carriers_leave_their_tables():
+    from gtc.laws import _enumerate_natural
+    from gtc.models import flatposet, trees
+
+    (elems, leq), (stages, restr) = _carrier_data("gc")
+    was = gc.isenabled()
+    gc.disable()  # reference counting alone must free them: no cycles
+    try:
+        p = Poset(elems, leq)
+        lift(lift(p)[0])
+        x = StageObject(stages, restr)
+        trees._word((x, x, x), 2)
+        m = ToTMorphism((x,), (x,), ({("gc0",): ("gc0",)}, {("gc0",): ("gc1",), ("gc1",): ("gc0",)}))
+        started = _enumerate_natural((x,), x)  # a law enumeration left half done
+        next(started)
+        n_posets, n_stage_objects = len(flatposet._POSETS), len(trees._STAGE_OBJECTS)
+        probes = [weakref.ref(o) for o in (p, lift(p)[0], x)]
+        del p, x, m, started
+        assert [probe() for probe in probes] == [None] * 3
+        assert len(flatposet._POSETS) <= n_posets - 3  # p, its lift and the lift's lift
+        assert len(trees._STAGE_OBJECTS) == n_stage_objects - 1
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_invalid_carriers_fail_the_same_way_every_time():
+    bad_posets = [
+        ((("a", "a"), frozenset({("a", "a")})), "duplicate poset elements"),
+        ((("a", "b"), frozenset({("a", "a")})), "order not reflexive at b"),
+        ((("a",), frozenset({("a", "a"), ("a", "z")})), r"order pair \(a, z\) uses unknown elements"),
+    ]
+    bad_stage_objects = [
+        (((("a",), ("b",)), ()), "need exactly one restriction"),
+        (((("a",), ("b", "c")), ({"b": "a"},)), "restriction 0 does not cover stage 2"),
+        (((("a", "d"), ("b",)), ({"b": "a"},)), "restriction 0 is not surjective"),
+        (((("a",), ("b",)), ({"b": "z"},)), "restriction 0 leaves stage 1"),
+        ((((),), ()), "empty stage sets"),
+    ]
+    for _ in range(3):  # a failure is never cached
+        for args, message in bad_posets:
+            with pytest.raises(EvalError, match=message):
+                Poset(*args)
+        for args, message in bad_stage_objects:
+            with pytest.raises(EvalError, match=message):
+                StageObject(*args)
+
+
+def test_tot_morphism_rejects_values_outside_its_codomain():
+    one = StageObject((("a0", "a1"),), ())
+    with pytest.raises(EvalError, match="^stage 1 map leaves the codomain$"):
+        ToTMorphism((one,), (one,), ({("a0",): ("zz",), ("a1",): ("a0",)},))
+    with pytest.raises(EvalError, match="^stage 1 map leaves the codomain$"):
+        ToTMorphism((one,), (one,), ({("a0",): ("a0", "a1"), ("a1",): ("a0",)},))
+    with pytest.raises(EvalError, match="^stage 1 map leaves the codomain$"):
+        ToTMorphism((one,), (one, one), ({("a0",): ("a0",), ("a1",): ("a0", "a1")},))
+    two = StageObject((("a0",), ("a0", "a1")), ({"a0": "a0", "a1": "a0"},))
+    with pytest.raises(EvalError, match="^stage 2 map leaves the codomain$"):
+        ToTMorphism((two,), (two,), ({("a0",): ("a0",)}, {("a0",): ("zz",), ("a1",): ("a0",)}))
+    ok = ToTMorphism((two,), (two,), ({("a0",): ("a0",)}, {("a0",): ("a1",), ("a1",): ("a0",)}))
+    assert ok.maps[1][("a0",)] == ("a1",)
+    for n_maps in (0, 2):
+        with pytest.raises(EvalError, match="^need one stage map per carrier stage$"):
+            ToTMorphism((one,), (one,), ({("a0",): ("a0",), ("a1",): ("a1",)},) * n_maps)
+    with pytest.raises(EvalError, match="^need one stage map per carrier stage$"):
+        ToTMorphism((two,), (), ({("a0",): ()},))
+    with pytest.raises(EvalError, match="same stage count"):
+        ToTMorphism((one, two), (), ({("a0", "a0"): (), ("a1", "a0"): ()},))
+
+
+def test_tot_word_tables_are_built_once_per_word():
+    from gtc.models.trees import _word
+
+    x, y = _simple_objects()
+    w = _word((x, y, x), 3)
+    assert _word((x, y, x), 3) is w and _word((x, y), 3) is not w
+    assert list(w[1]) == list(product(x.stages[1], y.stages[1], x.stages[1]))
+    assert w[0] == {("x0", "y0", "x0"): None}
+    assert w[2][("x1", "y0", "x1")] == ("x1", "y0", "x1")
+    assert w[1][("x1", "y1", "x0")] == ("x0", "y0", "x0")
+    assert _word((), 2) == ({(): None}, {(): ()}) and _word((), 0) == ()
+    assert x.section == ({"x0": "x0"}, {"x0": "x0", "x1": "x1"})
+
+
+def test_carriers_built_from_many_threads():
+    # more threads than cores, switching often, all building the same
+    # carriers, their lifts and word tables; every result must be right and
+    # equal data must give one object
+    n_threads = 4 * (os.cpu_count() or 1)
+    sizes = range(1, 6)
+    deadline = time.monotonic() + 1.0
+    errors: list[BaseException] = []
+    built: list[list] = []
+
+    def work(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        mine = []
+        try:
+            while time.monotonic() < deadline:
+                k = int(rng.choice(sizes))
+                elems = tuple(f"th{i}" for i in range(k))
+                p = flat(elems)
+                tp, bot = lift(p)
+                assert tp.bottom() == bot and len(tp.elements) == k + 1 and p.is_flat
+                stages = (elems[:1], elems)
+                x = StageObject(stages, ({e: elems[0] for e in elems},))
+                tbl = trees._word((x, x), 2)
+                assert len(tbl[1]) == k * k and tbl[1][(elems[-1],) * 2] == (elems[0],) * 2
+                mine.append((k, p, tp, x))
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+        built.append(mine)
+
+    from gtc.models import trees
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert len(built) == n_threads and sum(map(len, built)) > n_threads
+    first: dict = {}
+    for mine in built:
+        for k, p, tp, x in mine:
+            assert first.setdefault(k, (p, tp, x)) == (p, tp, x)
+            assert first[k][0] is p and first[k][1] is tp and first[k][2] is x
