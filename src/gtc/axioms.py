@@ -14,26 +14,34 @@ models here.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import product as iproduct
 
 import numpy as np
 
 from .expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, trace as mk_trace
 from .guardedness import check_annotated
 from .models import (
+    MODEL_NAMES,
     EvalError,
     FinSetModel,
+    FinSetMorphism,
     FlatPosetModel,
     HilbertModel,
+    HilbertMorphism,
     MetricModel,
+    PosetMorphism,
     StageObject,
     ToposOfTreesModel,
     eval_expr,
     flat,
 )
+from .models.flatposet import product_elements
 from .models.hilbert import corner_perms
 from .models.metric import affine
+from .models.trees import stagewise
 from .signatures import UNIT, BoxSig, ObjectExpr, Split, corner_split
 from .synthesis import perm_to_expr
 
@@ -307,14 +315,8 @@ def finset_bindings(instance: AxiomInstance, rng, max_size: int = 3):
             for e in dom[g]:
                 pick = live_out[int(rng.integers(0, len(live_out)))]
                 table[(g, e)] = pick
-        boxes[name] = _mk_finset(model, sig, table)
+        boxes[name] = FinSetMorphism(dom, model.ob(sig.outputs), table)
     return model, boxes
-
-
-def _mk_finset(model, sig, table):
-    from .models.finset import FinSetMorphism
-
-    return FinSetMorphism(model.ob(sig.inputs), model.ob(sig.outputs), table)
 
 
 def metric_bindings(instance: AxiomInstance, rng, max_dim: int = 2):
@@ -362,8 +364,6 @@ def _stage_object(rng, depth: int, max_size: int) -> StageObject:
 def _natural_component(rng, dom_gates, cod_gate, delayed_gates):
     """One output gate's stagewise tables, natural and (if requested)
     delayed on the given input gates."""
-    from itertools import product as iproduct
-
     depth = len(cod_gate.stages)
 
     def key(n: int, x: tuple):
@@ -394,12 +394,7 @@ def _natural_component(rng, dom_gates, cod_gate, delayed_gates):
                     lo_x = tuple(
                         dom_gates[g].restr[n - 1][v] for g, v in enumerate(x)
                     )
-                    lo_val = tables[n - 1][lo_x]
-                    fiber = [
-                        e
-                        for e, v in cod_gate.restr[n - 1].items()
-                        if v == lo_val
-                    ]
+                    fiber = cod_gate.fibers[n - 1][tables[n - 1][lo_x]]
                     chosen[k] = fiber[int(rng.integers(0, len(fiber)))]
             table[x] = chosen[k]
         tables.append(table)
@@ -407,8 +402,6 @@ def _natural_component(rng, dom_gates, cod_gate, delayed_gates):
 
 
 def tot_bindings(instance: AxiomInstance, rng, depth: int = 3, max_size: int = 2):
-    from .models.trees import ToTMorphism
-
     objects = {atom: _stage_object(rng, depth, max_size) for atom in instance.atoms}
     model = ToposOfTreesModel(objects)
     boxes = {}
@@ -419,21 +412,13 @@ def tot_bindings(instance: AxiomInstance, rng, depth: int = 3, max_size: int = 2
         for j in range(len(cod)):
             delayed = sig.split.unguarded_in if j in sig.split.guarded_out else frozenset()
             per_gate.append(_natural_component(rng, dom, cod[j], delayed))
-        from itertools import product as iproduct
-
-        maps = []
-        for n in range(depth):
-            combined = {}
-            for x in iproduct(*(g.stages[n] for g in dom)):
-                combined[x] = tuple(per_gate[j][n][x] for j in range(len(cod)))
-            maps.append(combined)
-        boxes[name] = ToTMorphism(dom, cod, tuple(maps))
+        boxes[name] = stagewise(
+            dom, cod, lambda n, x: tuple(t[n][x] for t in per_gate), depth
+        )
     return model, boxes
 
 
 def hilbert_bindings(instance: AxiomInstance, rng, max_dim: int = 2):
-    from .models.hilbert import HilbertMorphism
-
     dims = {atom: int(rng.integers(1, max_dim + 1)) for atom in instance.atoms}
     model = HilbertModel(dims)
     boxes = {}
@@ -458,8 +443,6 @@ def hilbert_bindings(instance: AxiomInstance, rng, max_dim: int = 2):
 
 
 def flat_bindings(instance: AxiomInstance, rng, max_size: int = 3):
-    from .models.flatposet import PosetMorphism, product_elements
-
     objects = {
         atom: flat(
             tuple(f"{atom}_p{i}" for i in range(int(rng.integers(1, max_size + 1))))
@@ -502,8 +485,6 @@ BINDING_GENERATORS = {
     "flat": flat_bindings,
 }
 
-EXACT_MODELS = ("finset", "tot", "flat")
-
 
 def check_axiom(
     instance: AxiomInstance,
@@ -513,7 +494,7 @@ def check_axiom(
 ) -> dict:
     """Instantiate one instance in one model and compare both sides."""
     rng = np.random.default_rng(
-        [seed, instance.index, AXIOMS.index(instance.axiom), _model_id(model_name)]
+        [seed, instance.index, AXIOMS.index(instance.axiom), MODEL_NAMES.index(model_name)]
     )
     gen = BINDING_GENERATORS[model_name]
     report = {
@@ -529,8 +510,7 @@ def check_axiom(
         eval_tol = min(tol, 1e-9) * 1e-3
         lhs = eval_expr(instance.lhs, model, boxes, tol=eval_tol)
         rhs = eval_expr(instance.rhs, model, boxes, tol=eval_tol)
-        use_tol = None if model_name in EXACT_MODELS else tol
-        ok, dev = model.equal(lhs, rhs, tol=use_tol, rng=rng)
+        ok, dev = model.equal(lhs, rhs, tol=tol, rng=rng)
         report["verdict"] = "pass" if ok else "fail"
         report["max_dev"] = dev
     except EvalError as exc:
@@ -540,14 +520,8 @@ def check_axiom(
     return report
 
 
-def _model_id(name: str) -> int:
-    from .models import MODEL_NAMES
-
-    return MODEL_NAMES.index(name)
-
-
 def run_axiom_suite(
-    models=("finset", "metric", "tot", "hilbert", "flat"),
+    models=MODEL_NAMES,
     seeds=(0,),
     per_axiom: int = 50,
     tol: float = 1e-9,
@@ -577,8 +551,6 @@ def run_axiom_suite(
         return [check_axiom(inst, model_name, seed, tol) for model_name in models]
 
     if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_task = list(pool.map(run, tasks))
     else:

@@ -17,6 +17,9 @@ Three suites:
 * flatposet: the least-fixpoint operator on lifted carriers, its laws,
   and the two transport constructions, which must be mutually inverse
   and preserve the laws in both directions.
+
+Each law is a generator yielding one bool per instance (True where the
+law holds there), and ``_tally`` counts its instances and failures.
 """
 
 from __future__ import annotations
@@ -32,16 +35,32 @@ from .models.flatposet import (
     lift,
     rec_to_grec,
 )
-from .models.trees import StageObject, ToTMorphism, ToposOfTreesModel
-from .signatures import ObjectExpr
+from .models.trees import StageObject, ToTMorphism, ToposOfTreesModel, stagewise
+from .signatures import UNIT, ObjectExpr
 
 # --- finset -------------------------------------------------------------------
 
 _FS = FinSetModel({})
 
 
+def _tally(checks) -> dict:
+    """Count a law's instances (one bool each, True where it holds) and
+    its failures."""
+    n = bad = 0
+    for ok in checks:
+        n += 1
+        bad += not ok
+    return {"instances": n, "failures": bad}
+
+
 def _carrier(tag: str, size: int) -> tuple[str, ...]:
     return tuple(f"{tag}{i}" for i in range(size))
+
+
+def _carriers(sizes, tags: str):
+    """One carrier per tag, over every combination of sizes."""
+    for combo in iproduct(sizes, repeat=len(tags)):
+        yield tuple(map(_carrier, tags, combo))
 
 
 def _fs(dom, cod, table) -> FinSetMorphism:
@@ -61,6 +80,13 @@ def _tables(dom_gates, cod_gates):
         yield dict(zip(keys, combo))
 
 
+def _maps(dom, cod, reach=None):
+    """All morphisms dom -> cod whose values lie in the first ``reach``
+    codomain gates (all of them by default)."""
+    for t in _tables(dom, cod[:reach]):
+        yield _fs(dom, cod, t)
+
+
 def _case(parts, dom_gates, cod) -> FinSetMorphism:
     """[p, q, ...]: gatewise cotupling into a shared codomain."""
     table = {}
@@ -78,120 +104,76 @@ def _renumber(m: FinSetMorphism, cod_gates, gate_map) -> FinSetMorphism:
     return _fs(m.dom, cod_gates, table)
 
 
-def finset_conway_suite(max_size: int = 2) -> dict[str, dict]:
-    sizes = range(max_size + 1)
-    out: dict[str, dict] = {}
-
-    def record(law: str, checked: int, failed: int):
-        out[law] = {"instances": checked, "failures": failed}
-
-    # fixpoint: iterate f = [id, iterate f] . f
-    n = bad = 0
-    for sx, sy in iproduct(sizes, sizes):
-        x, y = _carrier("x", sx), _carrier("y", sy)
-        for t in _tables((x,), (y, x)):
-            f = _fs((x,), (y, x), t)
-            try:
-                fd = finset_iter(f)
-            except Exception:
-                continue  # not guarded
-            case = _case([_identity((y,)), fd], (y, x), (y,))
-            n += 1
-            if _FS.compose(f, case) != fd:
-                bad += 1
-    record("fixpoint", n, bad)
-
-    # naturality: g . iterate f = iterate((g + id) . f)
-    n = bad = 0
-    for sx, sy, sz in iproduct(sizes, sizes, sizes):
-        x, y, z = _carrier("x", sx), _carrier("y", sy), _carrier("z", sz)
-        for tf in _tables((x,), (y,)):
-            f = _fs((x,), (y, x), {k: v for k, v in tf.items()})
-            fd = finset_iter(f)
-            for tg in _tables((y,), (z,)):
-                g = _fs((y,), (z,), tg)
-                gid = _FS.tensor(g, _identity((x,)))
-                n += 1
-                if _FS.compose(fd, g) != finset_iter(_FS.compose(f, gid)):
-                    bad += 1
-    record("naturality", n, bad)
-
-    # dinaturality, both guardedness placements:
-    # ([inl,h].g)^ = [id, ([inl,g].h)^] . g
-    n = bad = 0
-    for sx, sy, sz in iproduct(sizes, sizes, sizes):
-        x, y, z = _carrier("x", sx), _carrier("y", sy), _carrier("z", sz)
-        inl_yx = _renumber(_identity((y,)), (y, x), {0: 0})
-        inl_yz = _renumber(_identity((y,)), (y, z), {0: 0})
-        # placement 1: g guarded, h arbitrary
-        for tg in _tables((x,), (y,)):
-            g = _fs((x,), (y, z), tg)
-            for th in _tables((z,), (y, x)):
-                h = _fs((z,), (y, x), th)
-                n += 1
-                if not _dinat_holds(g, h, x, y, z, inl_yx, inl_yz):
-                    bad += 1
-        # placement 2: g arbitrary, h guarded
-        for tg in _tables((x,), (y, z)):
-            g = _fs((x,), (y, z), tg)
-            for th in _tables((z,), (y,)):
-                h = _fs((z,), (y, x), th)
-                n += 1
-                if not _dinat_holds(g, h, x, y, z, inl_yx, inl_yz):
-                    bad += 1
-    record("dinaturality", n, bad)
-
-    # codiagonal: iterate([id,inr] . f) = iterate(iterate f)
-    n = bad = 0
-    for sx, sy in iproduct(sizes, sizes):
-        x, y = _carrier("x", sx), _carrier("y", sy)
-        for t in _tables((x,), (y,)):
-            f = _fs((x,), ((y, x, x)), {k: v for k, v in t.items()})
-            fold = _renumber(
-                _identity((y, x, x)), (y, x), {0: 0, 1: 1, 2: 1}
-            )
-            lhs = finset_iter(_FS.compose(f, fold))
-            rhs = finset_iter(finset_iter(f))
-            n += 1
-            if lhs != rhs:
-                bad += 1
-    record("codiagonal", n, bad)
-
-    # squaring: iterate f = iterate([inl, f] . f)
-    n = bad = 0
-    for sx, sy in iproduct(sizes, sizes):
-        x, y = _carrier("x", sx), _carrier("y", sy)
-        for t in _tables((x,), (y,)):
-            f = _fs((x,), (y, x), t)
-            square = _case([_renumber(_identity((y,)), (y, x), {0: 0}), f], (y, x), (y, x))
-            n += 1
-            if finset_iter(f) != finset_iter(_FS.compose(f, square)):
-                bad += 1
-    record("squaring", n, bad)
-
-    # uniformity w.r.t. coproduct injections h: Y -> Y + W
-    n = bad = 0
-    for sy, sw, sz in iproduct(sizes, sizes, sizes):
-        y, w, z = _carrier("y", sy), _carrier("w", sw), _carrier("z", sz)
-        inj = _renumber(_identity((y,)), (y, w), {0: 0})
-        for tf in _tables((y, w), (z,)):
-            f = _fs((y, w), (z, y, w), tf)  # guarded: X -> Z + X, X = Y+W
-            for tg in _tables((y,), (z,)):
-                g = _fs((y,), (z, y), tg)
-                # premise: f . inj = (id_Z + inj) . g
-                lhs = _FS.compose(inj, f)
-                rhs = _renumber(g, (z, y, w), {0: 0, 1: 1})
-                if lhs != rhs:
-                    continue
-                n += 1
-                if _FS.compose(inj, finset_iter(f)) != finset_iter(g):
-                    bad += 1
-    record("uniformity_injections", n, bad)
-    return out
-
-
 def _identity(gates) -> FinSetMorphism:
     return _fs(gates, gates, {(g, e): (g, e) for g, c in enumerate(gates) for e in c})
+
+
+def finset_conway_suite(max_size: int = 2) -> dict[str, dict]:
+    sizes = range(max_size + 1)
+
+    def fixpoint():
+        # iterate f = [id, iterate f] . f
+        for x, y in _carriers(sizes, "xy"):
+            for f in _maps((x,), (y, x)):
+                try:
+                    fd = finset_iter(f)
+                except Exception:
+                    continue  # not guarded
+                yield _FS.compose(f, _case([_identity((y,)), fd], (y, x), (y,))) == fd
+
+    def naturality():
+        # g . iterate f = iterate((g + id) . f)
+        for x, y, z in _carriers(sizes, "xyz"):
+            for f in _maps((x,), (y, x), 1):
+                fd = finset_iter(f)
+                for g in _maps((y,), (z,)):
+                    gid = _FS.tensor(g, _identity((x,)))
+                    yield _FS.compose(fd, g) == finset_iter(_FS.compose(f, gid))
+
+    def dinaturality():
+        # ([inl,h].g)^ = [id, ([inl,g].h)^] . g, with g guarded or h guarded
+        for x, y, z in _carriers(sizes, "xyz"):
+            inl_yx = _renumber(_identity((y,)), (y, x), {0: 0})
+            inl_yz = _renumber(_identity((y,)), (y, z), {0: 0})
+            for g_reach, h_reach in ((1, None), (None, 1)):
+                for g in _maps((x,), (y, z), g_reach):
+                    for h in _maps((z,), (y, x), h_reach):
+                        yield _dinat_holds(g, h, x, y, z, inl_yx, inl_yz)
+
+    def codiagonal():
+        # iterate([id,inr] . f) = iterate(iterate f)
+        for x, y in _carriers(sizes, "xy"):
+            fold = _renumber(_identity((y, x, x)), (y, x), {0: 0, 1: 1, 2: 1})
+            for f in _maps((x,), (y, x, x), 1):
+                yield finset_iter(_FS.compose(f, fold)) == finset_iter(finset_iter(f))
+
+    def squaring():
+        # iterate f = iterate([inl, f] . f)
+        for x, y in _carriers(sizes, "xy"):
+            inl = _renumber(_identity((y,)), (y, x), {0: 0})
+            for f in _maps((x,), (y, x), 1):
+                square = _case([inl, f], (y, x), (y, x))
+                yield finset_iter(f) == finset_iter(_FS.compose(f, square))
+
+    def uniformity_injections():
+        # uniformity w.r.t. coproduct injections inj: Y -> Y + W
+        for y, w, z in _carriers(sizes, "ywz"):
+            inj = _renumber(_identity((y,)), (y, w), {0: 0})
+            for f in _maps((y, w), (z, y, w), 1):  # guarded: X -> Z + X, X = Y+W
+                f_inj = _FS.compose(inj, f)
+                for g in _maps((y,), (z, y), 1):
+                    # premise: f . inj = (id_Z + inj) . g
+                    if f_inj == _renumber(g, (z, y, w), {0: 0, 1: 1}):
+                        yield _FS.compose(inj, finset_iter(f)) == finset_iter(g)
+
+    return {
+        "fixpoint": _tally(fixpoint()),
+        "naturality": _tally(naturality()),
+        "dinaturality": _tally(dinaturality()),
+        "codiagonal": _tally(codiagonal()),
+        "squaring": _tally(squaring()),
+        "uniformity_injections": _tally(uniformity_injections()),
+    }
 
 
 def _dinat_holds(g, h, x, y, z, inl_yx, inl_yz) -> bool:
@@ -271,8 +253,7 @@ def _enumerate_natural(dom_gates, cod: StageObject):
                 options.append(cod.stages[0])
             else:
                 lo = tuple(dom_gates[g].restr[n - 1][v] for g, v in enumerate(x))
-                want = tables[n - 1][lo]
-                options.append([e for e, v in cod.restr[n - 1].items() if v == want])
+                options.append(cod.fibers[n - 1][tables[n - 1][lo]])
         return (dict(zip(keys[n], combo)) for combo in iproduct(*options))
 
     for tables in _depth_first(depth, choices):
@@ -313,24 +294,14 @@ def _guarded_from_witness(dom_gates, x: StageObject, witness: tuple[dict, ...], 
 
 
 def _tot_rec(model: ToposOfTreesModel, m: ToTMorphism) -> ToTMorphism:
-    """Recursion through the model's feedback: duplicate the output and
-    trace the copy."""
-    xobj = m.cod[0]
-    depth = len(m.maps)
-    dup = ToTMorphism(
-        (xobj,),
-        (xobj, xobj),
-        tuple({(v,): (v, v) for v in xobj.stages[n]} for n in range(depth)),
-    )
-    body = model.compose(m, dup)
-    n_params = len(m.dom) - 1
-    corners = (
-        ObjectExpr(("q",) * n_params),
-        ObjectExpr(()),
-        ObjectExpr(()),
-        ObjectExpr(("q",)),
-    )
-    return model.trace(body, ObjectExpr(("q",)), corners, None)
+    """Recursion through the model's feedback for m: params x U -> U, the
+    loop block U ending the domain: duplicate the output and trace the
+    copy."""
+    loops = m.cod
+    dup = stagewise(loops, loops + loops, lambda n, x: x + x, len(m.maps))
+    q = ObjectExpr(("q",) * len(loops))
+    corners = (ObjectExpr(("q",) * (len(m.dom) - len(loops))), UNIT, UNIT, q)
+    return model.trace(model.compose(m, dup), q, corners, None)
 
 
 def _small_objects() -> list[StageObject]:
@@ -367,10 +338,14 @@ def all_stage_objects(depth: int = 3, max_size: int = 2) -> list[StageObject]:
     return out
 
 
-def _tot_guarded(params, x):
-    for w in _enumerate_natural(tuple(params) + (_later(x),), x):
-        maps = _guarded_from_witness(tuple(params) + (x,), x, w, {len(params)})
-        yield ToTMorphism(tuple(params) + (x,), (x,), tuple(maps))
+def _tot_guarded(params: tuple, x: StageObject, loop_gates: tuple | None = None):
+    """Every f: params x L -> X delayed on its loop gates L (X itself by
+    default), one per natural witness over the delayed gates."""
+    loops = (x,) if loop_gates is None else loop_gates
+    dom = params + loops
+    for w in _enumerate_natural(params + tuple(map(_later, loops)), x):
+        maps = _guarded_from_witness(dom, x, w, range(len(params), len(dom)))
+        yield ToTMorphism(dom, (x,), tuple(maps))
 
 
 def tot_conway_suite() -> dict[str, dict]:
@@ -380,257 +355,179 @@ def tot_conway_suite() -> dict[str, dict]:
     over a fixed representative family."""
     depth = 3
     shapes = all_stage_objects(depth, 2)
-    out: dict[str, dict] = {}
     model = ToposOfTreesModel({})
 
     def rec(m):
         return _tot_rec(model, m)
 
-    n = bad = 0
-    for xo in shapes:
-        for yo in shapes:
-            for f in _tot_guarded((yo,), xo):
-                fd = rec(f)
-                pair = ToTMorphism(
-                    (yo,),
-                    (yo, xo),
-                    tuple(
-                        {(v,): (v,) + fd.maps[s][(v,)] for v in yo.stages[s]}
-                        for s in range(depth)
-                    ),
-                )
-                n += 1
-                if model.compose(pair, f) != fd:
-                    bad += 1
-    out["fixpoint"] = {"instances": n, "failures": bad}
+    def after_fst(g, f):
+        """g . <fst, f>"""
+        return stagewise(f.dom, g.cod, lambda s, x: g.maps[s][x[:1] + f.maps[s][x]], depth)
 
-    n = bad = 0
-    for xo in shapes:
-        for yo in shapes:
-            for f in _tot_guarded((yo,), xo):
-                fd = rec(f)
-                for u in _enumerate_natural((yo,), yo):
-                    umap = ToTMorphism(
-                        (yo,),
-                        (yo,),
-                        tuple({k: (v,) for k, v in u[s].items()} for s in range(depth)),
-                    )
-                    uid = model.tensor(umap, model_identity(model, xo))
-                    n += 1
-                    if model.compose(umap, fd) != rec(model.compose(uid, f)):
-                        bad += 1
-    out["naturality"] = {"instances": n, "failures": bad}
+    def natural(dom, cod):
+        for w in _enumerate_natural(dom, cod):
+            yield stagewise(dom, (cod,), lambda s, x: (w[s][x],), depth)
+
+    def family():
+        """Every guarded f: Y x X -> X over the pairs of carriers, with rec f."""
+        for xo in shapes:
+            for yo in shapes:
+                for f in _tot_guarded((yo,), xo):
+                    yield yo, xo, f, rec(f)
+
+    identity = {o: stagewise((o,), (o,), lambda s, x: x, depth) for o in shapes}
+    endos = {o: list(natural((o,), o)) for o in shapes}
+
+    def naturality():
+        # u ; rec f = rec((u x id) ; f)
+        for yo, xo, f, fd in family():
+            for u in endos[yo]:
+                uid = model.tensor(u, identity[xo])
+                yield model.compose(u, fd) == rec(model.compose(uid, f))
 
     xo, yo = _small_objects()
 
-    # dinaturality: g: Y x V -> X, h: Y x X -> V, the loop guarded inside g
-    n = bad = 0
-    vo = xo
-    for g in _tot_guarded((yo,), vo):  # g: Y x V -> X, delayed in V
-        for h_w in _enumerate_natural((yo, xo), vo):
-            h = ToTMorphism(
-                (yo, xo),
-                (vo,),
-                tuple({k: (v,) for k, v in t.items()} for t in h_w),
-            )
-            lhs_m = _pair_then(g, h, yo, xo)  # g . <fst, h> : Y x X -> X
-            rhs_inner = rec(_pair_then(h, g, yo, vo))  # (h . <fst, g>)^
-            n += 1
-            if rec(lhs_m) != _apply_with(g, rhs_inner, yo):
-                bad += 1
-    out["dinaturality"] = {"instances": n, "failures": bad}
+    def dinaturality():
+        # g: Y x X -> X delayed in X, h: Y x X -> X
+        for g in _tot_guarded((yo,), xo):
+            for h in natural((yo, xo), xo):
+                yield rec(after_fst(g, h)) == after_fst(g, rec(after_fst(h, g)))
 
-    # diagonal: f: Y x X x X -> X delayed in both copies
-    n = bad = 0
-    for w in _enumerate_natural((yo, _later(xo), _later(xo)), xo):
-        maps = _guarded_from_witness((yo, xo, xo), xo, w, {1, 2})
-        f = ToTMorphism((yo, xo, xo), (xo,), tuple(maps))
-        dup = ToTMorphism(
-            (yo, xo),
-            (yo, xo, xo),
-            tuple({(y, v): (y, v, v) for y in yo.stages[s] for v in xo.stages[s]} for s in range(depth)),
-        )
-        lhs = rec(model.compose(dup, f))
-        rhs = rec(rec(f))
-        n += 1
-        if lhs != rhs:
-            bad += 1
-    out["diagonal"] = {"instances": n, "failures": bad}
+    def diagonal():
+        # f: Y x X x X -> X delayed in both copies
+        dup = stagewise((yo, xo), (yo, xo, xo), lambda s, x: x + x[1:], depth)
+        for f in _tot_guarded((yo,), xo, (xo, xo)):
+            yield rec(model.compose(dup, f)) == rec(rec(f))
 
-    # squaring: rec f = rec(f . <fst, f>)
-    n = bad = 0
-    for xs in shapes:
-        for ys in shapes:
-            for f in _tot_guarded((ys,), xs):
-                sq = ToTMorphism(
-                    (ys, xs),
-                    (ys, xs),
-                    tuple(
-                        {
-                            (y, v): (y,) + f.maps[s][(y, v)]
-                            for y in ys.stages[s]
-                            for v in xs.stages[s]
-                        }
-                        for s in range(depth)
-                    ),
-                )
-                n += 1
-                if rec(f) != rec(model.compose(sq, f)):
-                    bad += 1
-    out["squaring"] = {"instances": n, "failures": bad}
-
-    # uniformity w.r.t. product projections h = fst: X x W -> X
-    n = bad = 0
-    wo = yo
-    proj = ToTMorphism(
-        (xo, wo),
-        (xo,),
-        tuple({(v, w_): (v,) for v in xo.stages[s] for w_ in wo.stages[s]} for s in range(depth)),
-    )
-    for f in _tot_guarded((yo,), xo):
-        for gw in _enumerate_natural((yo, _later(xo), _later(wo)), xo):
-            g_x = _guarded_from_witness((yo, xo, wo), xo, gw, {1, 2})
-            for gw2 in _enumerate_natural((yo, _later(xo), _later(wo)), wo):
-                g_w = _guarded_from_witness((yo, xo, wo), wo, gw2, {1, 2})
-                g = ToTMorphism(
-                    (yo, xo, wo),
-                    (xo, wo),
-                    tuple(
-                        {k: g_x[s][k] + g_w[s][k] for k in g_x[s]}
-                        for s in range(depth)
-                    ),
-                )
+    def uniformity_projections():
+        # uniformity w.r.t. the product projection fst: X x W -> X, W = Y
+        loops = (xo, yo)
+        proj = stagewise(loops, (xo,), lambda s, x: x[:1], depth)
+        idproj = stagewise((yo,) + loops, (yo, xo), lambda s, x: x[:2], depth)
+        gs = [
+            stagewise((yo,) + loops, loops, lambda s, x: gx.maps[s][x] + gw.maps[s][x], depth)
+            for gx in _tot_guarded((yo,), xo, loops)
+            for gw in _tot_guarded((yo,), yo, loops)
+        ]
+        for f in _tot_guarded((yo,), xo):
+            f_proj = model.compose(idproj, f)
+            for g in gs:
                 # premise: proj . g = f . (id_Y x proj)
-                idproj = ToTMorphism(
-                    (yo, xo, wo),
-                    (yo, xo),
-                    tuple(
-                        {(y, v, w_): (y, v) for y in yo.stages[s] for v in xo.stages[s] for w_ in wo.stages[s]}
-                        for s in range(depth)
-                    ),
-                )
-                if model.compose(g, proj) != model.compose(idproj, f):
-                    continue
-                gd = _tot_rec_multi(model, g)
-                n += 1
-                if model.compose(gd, proj) != rec(f):
-                    bad += 1
-    out["uniformity_projections"] = {"instances": n, "failures": bad}
-    return out
+                if model.compose(g, proj) == f_proj:
+                    yield model.compose(rec(g), proj) == rec(f)
 
-
-def model_identity(model: ToposOfTreesModel, obj: StageObject) -> ToTMorphism:
-    depth = len(obj.stages)
-    return ToTMorphism(
-        (obj,), (obj,), tuple({(v,): (v,) for v in obj.stages[n]} for n in range(depth))
-    )
-
-
-def _pair_then(second, first, yo, a):
-    """second . <fst, first> : Y x A -> cod(second)."""
-    depth = len(yo.stages)
-    maps = []
-    for s in range(depth):
-        table = {}
-        for y in yo.stages[s]:
-            for v in a.stages[s]:
-                mid = first.maps[s][(y, v)]
-                table[(y, v)] = second.maps[s][(y,) + mid]
-        maps.append(table)
-    return ToTMorphism((yo, a), second.cod, tuple(maps))
-
-
-def _apply_with(g, inner, yo):
-    """g . <id, inner> : Y -> cod(g) for inner: Y -> V."""
-    depth = len(yo.stages)
-    maps = []
-    for s in range(depth):
-        table = {}
-        for y in yo.stages[s]:
-            table[(y,)] = g.maps[s][(y,) + inner.maps[s][(y,)]]
-        maps.append(table)
-    return ToTMorphism((yo,), g.cod, tuple(maps))
-
-
-def _tot_rec_multi(model, m):
-    """Recursion over a multi-gate loop block sitting at the end of the
-    domain: m: params x U -> U with U the trailing gates."""
-    depth = len(m.maps)
-    u_gates = m.cod
-    dup = ToTMorphism(
-        u_gates,
-        u_gates + u_gates,
-        tuple(
-            {x: x + x for x in iproduct(*(g.stages[s] for g in u_gates))}
-            for s in range(depth)
-        ),
-    )
-    body = model.compose(m, dup)
-    n_params = len(m.dom) - len(u_gates)
-    corners = (
-        ObjectExpr(("q",) * n_params),
-        ObjectExpr(()),
-        ObjectExpr(()),
-        ObjectExpr(("q",) * len(u_gates)),
-    )
-    return model.trace(body, ObjectExpr(("q",) * len(u_gates)), corners, None)
+    return {
+        # rec f = f . <fst, rec f>
+        "fixpoint": _tally(after_fst(f, fd) == fd for _, _, f, fd in family()),
+        "naturality": _tally(naturality()),
+        "dinaturality": _tally(dinaturality()),
+        "diagonal": _tally(diagonal()),
+        # rec f = rec(f . <fst, f>)
+        "squaring": _tally(fd == rec(after_fst(f, f)) for _, _, f, fd in family()),
+        "uniformity_projections": _tally(uniformity_projections()),
+    }
 
 
 # --- flat posets ---------------------------------------------------------------
 
 
-def flat_transfer_suite(max_x: int = 3, max_b: int = 2) -> dict[str, dict]:
-    """Round trips of the two transport constructions and law transfer,
-    exhaustively over lifts of flat carriers of at most ``max_x`` points."""
-    out: dict[str, dict] = {}
-    rec0 = lfp_rec
-    grec = rec_to_grec(rec0)
-    rec1 = grec_to_rec(grec)
-    grec1 = rec_to_grec(rec1)
-
-    # rec -> grec -> rec round trip
-    n = bad = 0
-    for sx in range(1, max_x + 1):
-        for sb in range(1, max_b + 1):
-            x = flat(_carrier("x", sx))
-            b = flat(_carrier("b", sb))
-            tx, _ = lift(x)
-            for f in _monotone_tables_between(b, tx, tx):
-                n += 1
-                if rec0(f, b, tx) != rec1(f, b, tx):
-                    bad += 1
-    out["round_trip_rec"] = {"instances": n, "failures": bad}
-
-    # grec -> rec -> grec round trip (witnesses over flat carriers)
-    n = bad = 0
-    for sx in range(1, max_x + 1):
-        for sb in range(1, max_b + 1):
-            x = flat(_carrier("x", sx))
-            b = flat(_carrier("b", sb))
-            tx, _ = lift(x)
-            for g in _witnesses(b, x, tx):
-                n += 1
-                if grec(g, b, x) != grec1(g, b, x):
-                    bad += 1
-    out["round_trip_grec"] = {"instances": n, "failures": bad}
-
-    # laws for the least-fixpoint operator
-    out.update(_flat_law_suite(rec0, max_x, max_b))
-
-    # law transfer to the guarded side: fixpoint law for grec
-    n = bad = 0
+def _flat_grid(max_x: int, max_b: int):
+    """(B, X, TX) for flat X of 1..max_x points and flat B of 1..max_b."""
     for sx in range(1, max_x + 1):
         x = flat(_carrier("x", sx))
-        b = flat(_carrier("b", 1))
         tx, _ = lift(x)
-        for g in _witnesses(b, x, tx):
-            res = grec(g, b, x)
-            n += 1
-            # f = g . (id x eta); f(y, res(y)) must equal res(y)
-            if any(g[(bv, res[bv])] != res[bv] for bv in b.elements):
-                bad += 1
-    out["transfer_fixpoint"] = {"instances": n, "failures": bad}
-    return out
+        for sb in range(1, max_b + 1):
+            yield flat(_carrier("b", sb)), x, tx
+
+
+def flat_transfer_suite(max_x: int = 3, max_b: int = 2) -> dict[str, dict]:
+    """Round trips of the two transport constructions and law transfer,
+    exhaustively over lifts of flat carriers of at most ``max_x`` points,
+    and the laws of the least-fixpoint operator."""
+    rec = lfp_rec
+    grec = rec_to_grec(rec)
+    rec1 = grec_to_rec(grec)
+    grec1 = rec_to_grec(rec1)
+    ta, _ = lift(flat(_carrier("x", 2)))
+    b1 = flat(_carrier("b", 1))
+
+    def fixpoint():
+        # rec f = f . <id, rec f>
+        for b, _, tx in _flat_grid(max_x, max_b):
+            for f in _monotone_tables_between(b, tx, tx):
+                r = rec(f, b, tx)
+                yield all(f[(bv, r[bv])] == r[bv] for bv in b.elements)
+
+    def naturality():
+        # rec(f . (u x id)) = rec(f) . u
+        b, c = flat(_carrier("b", 2)), flat(_carrier("c", 2))
+        for f in _monotone_tables_between(b, ta, ta):
+            r = rec(f, b, ta)
+            for uvals in iproduct(b.elements, repeat=len(c.elements)):
+                u = dict(zip(c.elements, uvals))
+                fu = {(cv, av): f[(u[cv], av)] for cv in c.elements for av in ta.elements}
+                yield rec(fu, c, ta) == {cv: r[u[cv]] for cv in c.elements}
+
+    def dinaturality():
+        # rec(g . <fst, h>) = g . <id, rec(h . <fst, g>)>
+        tv, _ = lift(flat(_carrier("w", 2)))
+        for g in _monotone_tables_between(b1, tv, ta):
+            for h in _monotone_tables_between(b1, ta, tv):
+                gh = {(bv, av): g[(bv, h[(bv, av)])] for bv in b1.elements for av in ta.elements}
+                hg = {(bv, vv): h[(bv, g[(bv, vv)])] for bv in b1.elements for vv in tv.elements}
+                inner = rec(hg, b1, tv)
+                yield rec(gh, b1, ta) == {bv: g[(bv, inner[bv])] for bv in b1.elements}
+
+    def diagonal():
+        # rec(f . <id, snd>) = rec(rec f) for f: (B x A) x A -> A
+        pairs = flat(tuple(f"{bv}|{a1}" for bv in b1.elements for a1 in ta.elements))
+        for f in _monotone_two_arg(b1, ta):
+            fold = {(bv, av): f[(bv, av, av)] for bv in b1.elements for av in ta.elements}
+            # inner recursion over the last argument, parameterized by (b, a)
+            dec = {
+                (f"{bv}|{a1}", a2): f[(bv, a1, a2)]
+                for bv in b1.elements
+                for a1 in ta.elements
+                for a2 in ta.elements
+            }
+            inner = rec(dec, pairs, ta)
+            outer = {(bv, a1): inner[f"{bv}|{a1}"] for bv in b1.elements for a1 in ta.elements}
+            yield rec(fold, b1, ta) == rec(outer, b1, ta)
+
+    def squaring():
+        # rec f = rec(f . <fst, f>)
+        for sb in range(1, max_b + 1):
+            b = flat(_carrier("b", sb))
+            for f in _monotone_tables_between(b, ta, ta):
+                sq = {(bv, av): f[(bv, f[(bv, av)])] for bv in b.elements for av in ta.elements}
+                yield rec(f, b, ta) == rec(sq, b, ta)
+
+    def transfer_fixpoint():
+        # the fixpoint law for grec: f = g . (id x eta) sends (y, res(y))
+        # to res(y)
+        for b, x, tx in _flat_grid(max_x, 1):
+            for g in _witnesses(b, x, tx):
+                res = grec(g, b, x)
+                yield all(g[(bv, res[bv])] == res[bv] for bv in b.elements)
+
+    return {
+        "round_trip_rec": _tally(
+            rec(f, b, tx) == rec1(f, b, tx)
+            for b, _, tx in _flat_grid(max_x, max_b)
+            for f in _monotone_tables_between(b, tx, tx)
+        ),
+        "round_trip_grec": _tally(
+            grec(g, b, x) == grec1(g, b, x)
+            for b, x, tx in _flat_grid(max_x, max_b)
+            for g in _witnesses(b, x, tx)
+        ),
+        "fixpoint": _tally(fixpoint()),
+        "naturality": _tally(naturality()),
+        "dinaturality": _tally(dinaturality()),
+        "diagonal": _tally(diagonal()),
+        "squaring": _tally(squaring()),
+        "transfer_fixpoint": _tally(transfer_fixpoint()),
+    }
 
 
 def _witnesses(b: Poset, x: Poset, tx: Poset):
@@ -642,99 +539,6 @@ def _witnesses(b: Poset, x: Poset, tx: Poset):
             for i, bv in enumerate(b.elements)
             for z in tx.elements
         }
-
-
-def _flat_law_suite(rec, max_x: int, max_b: int) -> dict[str, dict]:
-    out: dict[str, dict] = {}
-
-    # fixpoint: rec f = f . <id, rec f>
-    n = bad = 0
-    for sx in range(1, max_x + 1):
-        x = flat(_carrier("x", sx))
-        tx, _ = lift(x)
-        for sb in range(1, max_b + 1):
-            b = flat(_carrier("b", sb))
-            for f in _monotone_tables_between(b, tx, tx):
-                r = rec(f, b, tx)
-                n += 1
-                if any(f[(bv, r[bv])] != r[bv] for bv in b.elements):
-                    bad += 1
-    out["fixpoint"] = {"instances": n, "failures": bad}
-
-    # naturality in the parameter: rec(f . (u x id)) = rec(f) . u
-    n = bad = 0
-    x = flat(_carrier("x", 2))
-    tx, _ = lift(x)
-    b = flat(_carrier("b", 2))
-    b2 = flat(_carrier("c", 2))
-    for f in _monotone_tables_between(b, tx, tx):
-        r = rec(f, b, tx)
-        for uvals in iproduct(b.elements, repeat=len(b2.elements)):
-            u = dict(zip(b2.elements, uvals))
-            fu = {(cv, av): f[(u[cv], av)] for cv in b2.elements for av in tx.elements}
-            n += 1
-            if rec(fu, b2, tx) != {cv: r[u[cv]] for cv in b2.elements}:
-                bad += 1
-    out["naturality"] = {"instances": n, "failures": bad}
-
-    # dinaturality: rec(g . <fst, h>) = g . <id, rec(h . <fst, g>)>
-    n = bad = 0
-    x = flat(_carrier("x", 2))
-    w = flat(_carrier("w", 2))
-    ta, _ = lift(x)
-    tv, _ = lift(w)
-    b = flat(_carrier("b", 1))
-    for g in _monotone_tables_between(b, tv, ta):
-        for h in _monotone_tables_between(b, ta, tv):
-            gh = {(bv, av): g[(bv, h[(bv, av)])] for bv in b.elements for av in ta.elements}
-            hg = {(bv, vv): h[(bv, g[(bv, vv)])] for bv in b.elements for vv in tv.elements}
-            inner = rec(hg, b, tv)
-            lhs = rec(gh, b, ta)
-            rhs = {bv: g[(bv, inner[bv])] for bv in b.elements}
-            n += 1
-            if lhs != rhs:
-                bad += 1
-    out["dinaturality"] = {"instances": n, "failures": bad}
-
-    # diagonal: rec(f . <id, snd>) = rec(rec f) for f: (B x A) x A -> A
-    n = bad = 0
-    x = flat(_carrier("x", 2))
-    ta, _ = lift(x)
-    b = flat(_carrier("b", 1))
-    for f in _monotone_two_arg(b, ta):
-        fold = {(bv, av): f[(bv, av, av)] for bv in b.elements for av in ta.elements}
-        lhs = rec(fold, b, ta)
-        # inner recursion over the last argument, parameterized by (b, a)
-        pairs = flat(tuple(f"{bv}|{a1}" for bv in b.elements for a1 in ta.elements))
-        dec = {
-            (f"{bv}|{a1}", a2): f[(bv, a1, a2)]
-            for bv in b.elements
-            for a1 in ta.elements
-            for a2 in ta.elements
-        }
-        inner_rec = rec(dec, pairs, ta)
-        outer_tbl = {
-            (bv, a1): inner_rec[f"{bv}|{a1}"] for bv in b.elements for a1 in ta.elements
-        }
-        rhs = rec(outer_tbl, b, ta)
-        n += 1
-        if lhs != rhs:
-            bad += 1
-    out["diagonal"] = {"instances": n, "failures": bad}
-
-    # squaring: rec f = rec(f . <fst, f>)
-    n = bad = 0
-    x = flat(_carrier("x", 2))
-    ta, _ = lift(x)
-    for sb in range(1, max_b + 1):
-        b = flat(_carrier("b", sb))
-        for f in _monotone_tables_between(b, ta, ta):
-            sq = {(bv, av): f[(bv, f[(bv, av)])] for bv in b.elements for av in ta.elements}
-            n += 1
-            if rec(f, b, ta) != rec(sq, b, ta):
-                bad += 1
-    out["squaring"] = {"instances": n, "failures": bad}
-    return out
 
 
 def _monotone_tables_between(b: Poset, src: Poset, dst: Poset):

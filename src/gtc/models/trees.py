@@ -38,7 +38,9 @@ class StageObject:
     object, so ``==`` is identity and a carrier is checked once however
     often it is built."""
 
-    __slots__ = ("stages", "restr", "section", "_serial", "_words", "__weakref__")
+    __slots__ = (
+        "stages", "restr", "section", "fibers", "_serial", "_words", "__weakref__"
+    )
     stages: tuple[tuple[str, ...], ...]
     restr: tuple[dict, ...]  # restr[n]: stage n+2 -> stage n+1
 
@@ -61,19 +63,28 @@ class StageObject:
                 raise EvalError(f"restriction {n} is not surjective")
         if any(len(s) == 0 for s in stages):
             raise EvalError("empty stage sets are not supported")
+        for n, s in enumerate(stages):
+            if len(set(s)) != len(s):
+                raise EvalError(f"duplicate elements in stage {n + 1}")
         x = object.__new__(cls)
         # section[n]: each stage-(n+1) element to its first preimage at
-        # stage n+2, in stage order
-        section = []
+        # stage n+2, in stage order; fibers[n]: to all its preimages, in
+        # the order of restr[n]
+        section, fibers = [], []
         for n, r in enumerate(restr):
             first: dict = {}
             for e in stages[n + 1]:
                 first.setdefault(r[e], e)
             section.append(first)
+            fiber: dict = {}
+            for e, v in r.items():
+                fiber.setdefault(v, []).append(e)
+            fibers.append({v: tuple(es) for v, es in fiber.items()})
         for name, value in (
             ("stages", stages),
             ("restr", restr),
             ("section", tuple(section)),
+            ("fibers", tuple(fibers)),
             ("_serial", next(_SERIALS)),
             # tables of the words this object starts, keyed by the serials
             # of the rest of the word; serials, not objects, so no word
@@ -114,6 +125,14 @@ def _word(gates: tuple[StageObject, ...], depth: int) -> tuple[dict, ...]:
         word.append(dict(zip(points, down)))
     word = tuple(word)
     return owner.setdefault(key, word) if gates else word
+
+
+def stagewise(dom: tuple, cod: tuple, fn, depth: int) -> ToTMorphism:
+    """The morphism ``dom -> cod`` between words of stage objects whose
+    stage-(n+1) map sends each domain point ``x``, in product order, to
+    ``fn(n, x)``; ``depth`` sizes the unit word, as for ``_word``."""
+    maps = tuple({x: fn(n, x) for x in xs} for n, xs in enumerate(_word(dom, depth)))
+    return ToTMorphism(dom, cod, maps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,15 +187,13 @@ class ToposOfTreesModel:
 
     def identity(self, word: ObjectExpr) -> ToTMorphism:
         dom = self.ob(word)
-        maps = tuple({x: x for x in xs} for xs in _word(dom, self.depth))
-        return ToTMorphism(dom, dom, maps)
+        return stagewise(dom, dom, lambda n, x: x, self.depth)
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> ToTMorphism:
         dom = self.ob(left * right)
         cod = self.ob(right * left)
         k = len(left)
-        maps = tuple({x: x[k:] + x[:k] for x in xs} for xs in _word(dom, self.depth))
-        return ToTMorphism(dom, cod, maps)
+        return stagewise(dom, cod, lambda n, x: x[k:] + x[:k], self.depth)
 
     def compose(self, f: ToTMorphism, g: ToTMorphism) -> ToTMorphism:
         if f.cod != g.dom:

@@ -363,8 +363,10 @@ _THREE_STAGES = {
          "stage 1 map leaves the codomain"),
         ("A -> A", _THREE_STAGES, [{"x0": "x0"}], "need one stage map per carrier stage"),
         ("I -> I", _THREE_STAGES, [{"": ""}], "binding for 'p' needs 3 stage maps"),
+        ("A -> A", {"stages": [["a0", "a0"], ["b"]], "restrictions": [{"b": "a0"}]},
+         [{"a0": "a0"}, {"b": "b"}], "duplicate elements in stage 1"),
     ],
-    ids=["value-outside-codomain", "too-few-maps", "unit-box-too-few-maps"],
+    ids=["value-outside-codomain", "too-few-maps", "unit-box-too-few-maps", "duplicate-stage"],
 )
 def test_eval_tot_bad_stage_maps_exit_2(tmp_path, capsys, decl, carrier, maps, message):
     src = tmp_path / "f.gtc"

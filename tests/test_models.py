@@ -636,6 +636,9 @@ def test_invalid_carriers_fail_the_same_way_every_time():
         (((("a", "d"), ("b",)), ({"b": "a"},)), "restriction 0 is not surjective"),
         (((("a",), ("b",)), ({"b": "z"},)), "restriction 0 leaves stage 1"),
         ((((),), ()), "empty stage sets"),
+        (((("a", "a"), ("b",)), ({"b": "a"},)), "^duplicate elements in stage 1$"),
+        (((("a",), ("b", "b")), ({"b": "a"},)), "^duplicate elements in stage 2$"),
+        (((("a", "a", "d"), ("b",)), ({"b": "a"},)), "restriction 0 is not surjective"),
     ]
     for _ in range(3):  # a failure is never cached
         for args, message in bad_posets:
@@ -680,6 +683,23 @@ def test_tot_word_tables_are_built_once_per_word():
     assert w[1][("x1", "y1", "x0")] == ("x0", "y0", "x0")
     assert _word((), 2) == ({(): None}, {(): ()}) and _word((), 0) == ()
     assert x.section == ({"x0": "x0"}, {"x0": "x0", "x1": "x1"})
+
+
+def test_tot_fibers_follow_restriction_order():
+    from gtc.models.trees import stagewise
+
+    x = StageObject(
+        (("fa", "fb"), ("fc", "fd", "fe")), ({"fe": "fa", "fc": "fb", "fd": "fa"},)
+    )
+    assert x.fibers == ({"fa": ("fe", "fd"), "fb": ("fc",)},)
+    assert x.section == ({"fa": "fd", "fb": "fc"},)
+    dup = stagewise((x,), (x, x), lambda n, p: p + p, 2)
+    assert dup.maps == (
+        {("fa",): ("fa", "fa"), ("fb",): ("fb", "fb")},
+        {("fc",): ("fc", "fc"), ("fd",): ("fd", "fd"), ("fe",): ("fe", "fe")},
+    )
+    with pytest.raises(EvalError, match="stage 1 map leaves the codomain"):
+        stagewise((x,), (x,), lambda n, p: ("zz",), 2)
 
 
 def test_carriers_built_from_many_threads():
