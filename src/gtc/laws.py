@@ -362,7 +362,8 @@ def tot_conway_suite() -> dict[str, dict]:
 
     def after_fst(g, f):
         """g . <fst, f>"""
-        return stagewise(f.dom, g.cod, lambda s, x: g.maps[s][x[:1] + f.maps[s][x]], depth)
+        pair = stagewise(f.dom, f.dom[:1] + f.cod, lambda s, x: x[:1] + f.maps[s][x], depth)
+        return model.compose(pair, g)
 
     def natural(dom, cod):
         for w in _enumerate_natural(dom, cod):

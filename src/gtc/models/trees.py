@@ -187,13 +187,15 @@ class ToposOfTreesModel:
 
     def identity(self, word: ObjectExpr) -> ToTMorphism:
         dom = self.ob(word)
-        return stagewise(dom, dom, lambda n, x: x, self.depth)
+        maps = tuple({x: x for x in xs} for xs in _word(dom, self.depth))
+        return ToTMorphism(dom, dom, maps)
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> ToTMorphism:
         dom = self.ob(left * right)
         cod = self.ob(right * left)
         k = len(left)
-        return stagewise(dom, cod, lambda n, x: x[k:] + x[:k], self.depth)
+        maps = tuple({x: x[k:] + x[:k] for x in xs} for xs in _word(dom, self.depth))
+        return ToTMorphism(dom, cod, maps)
 
     def compose(self, f: ToTMorphism, g: ToTMorphism) -> ToTMorphism:
         if f.cod != g.dom:
