@@ -427,12 +427,12 @@ def hilbert_bindings(instance: AxiomInstance, rng, max_dim: int = 2):
         out_dims = model.ob(sig.outputs)
         split = sig.split
         if split.unguarded_in and split.guarded_out:
-            p_in, p_out, (da, db, dc, dd) = corner_perms(in_dims, out_dims, split)
+            in_idx, out_idx, (da, db, dc, dd) = corner_perms(in_dims, out_dims, split)
             e_dim = int(rng.integers(1, 3))
             g = rng.normal(size=(e_dim * dd, db)) / np.sqrt(max(db, 1))
             h = rng.normal(size=(dc, da * e_dim)) / np.sqrt(max(da * e_dim, 1))
             grouped = np.kron(h, np.eye(dd)) @ np.kron(np.eye(da), g)
-            mat = p_out.T @ grouped @ p_in
+            mat = grouped[np.ix_(np.argsort(out_idx), np.argsort(in_idx))]
             boxes[name] = HilbertMorphism(
                 in_dims, out_dims, mat, {"e_dim": e_dim, "g": g, "h": h}
             )

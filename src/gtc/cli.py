@@ -21,13 +21,14 @@ import sys
 
 import numpy as np
 
-from .diagrams import DiagramError, elaborate, export_dot, export_json, import_json
+from .diagrams import DiagramError, diagram_iso, elaborate, export_dot, export_json, import_json
 from .expressions import ParseError, TypingError, parse_source, print_expr
-from .guardedness import check_annotated
+from .generators import rand_guarded_diagram, rand_trace_free_expr
+from .guardedness import check_annotated, derivable_masks, geometric_reach_table, masks_derivable
 from .models import MODEL_NAMES, EvalError, eval_expr
 from .models.io import load_bindings
 from .signatures import SignatureError, parse_claim
-from .synthesis import SynthesisError, synthesize
+from .synthesis import SynthesisError, synthesis_preconditions, synthesize
 
 PARSE_ERRORS = (ParseError, SignatureError, TypingError, DiagramError)
 
@@ -77,10 +78,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args)
         return cmd_suite(args)
-    except PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EvalError, OSError) as exc:
+    except (*PARSE_ERRORS, EvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -156,7 +154,7 @@ def cmd_eval(args) -> int:
             out = _apply(model.name, value, json.loads(text))
         except KeyError as exc:
             raise EvalError(f"bad input point: no entry {exc}") from None
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        except (AttributeError, IndexError, RecursionError, TypeError, ValueError) as exc:
             raise EvalError(f"bad input point: {exc}") from None
         print(json.dumps(out))
     else:
@@ -220,9 +218,11 @@ def cmd_suite(args) -> int:
         tot_conway_suite,
     )
 
-    seeds = args.seeds
-    if seeds is None:
-        seeds = [int(os.environ.get("GTC_SEED", "0"))]
+    bad = _suite_arg_error(args)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return 2
+    seeds = [int(os.environ.get("GTC_SEED", "0"))] if args.seeds is None else args.seeds
     header, reports = run_axiom_suite(
         models=tuple(args.models),
         seeds=tuple(seeds),
@@ -267,44 +267,42 @@ def cmd_suite(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _suite_arg_error(args) -> str | None:
+    """What is wrong with the ``gtc suite`` arguments, if anything."""
+    unknown = [m for m in args.models if m not in MODEL_NAMES]
+    if unknown:
+        return f"unknown model {unknown[0]!r}; choose from {', '.join(MODEL_NAMES)}"
+    if args.seeds == []:
+        return "--seeds needs at least one seed"
+    if args.per_axiom < 0:
+        return f"--per-axiom must be at least 0, not {args.per_axiom}"
+    if args.jobs < 1:
+        return f"--jobs must be at least 1, not {args.jobs}"
+    if not args.tol > 0:
+        return f"--tol must be positive, not {args.tol}"
+    return None
+
+
 def _oracle_block(seed: int, n_expr: int = 100) -> dict:
-    """Sampled agreement of the structural and geometric deciders."""
-    from itertools import product as iproduct
-
-    from .generators import rand_trace_free_expr
-    from .guardedness import claim_derivable, derivable_splits, geometric_check
-    from .signatures import mk_split
-
+    """Sampled agreement of the structural and geometric deciders, on
+    every claim of each expression as a pair of masks."""
     rng = np.random.default_rng([seed, 91])
     checked = failures = 0
     for _ in range(n_expr):
         e = rand_trace_free_expr(rng, max_boxes=6)
-        d = elaborate(e)
-        maxes = derivable_splits(e)
-        n_in, n_out = len(e.dom), len(e.cod)
-        for a_bits in iproduct([0, 1], repeat=n_in):
-            for d_bits in iproduct([0, 1], repeat=n_out):
-                claim = mk_split(
-                    n_in,
-                    n_out,
-                    {i for i in range(n_in) if a_bits[i]},
-                    {j for j in range(n_out) if d_bits[j]},
-                )
+        maxes, table = derivable_masks(e), geometric_reach_table(elaborate(e))
+        for a in range(1 << len(e.dom)):
+            for g in range(1 << len(e.cod)):
                 checked += 1
-                if claim_derivable(maxes, claim) != geometric_check(d, claim):
+                geometric = table is not None and table[a] & g == 0
+                if masks_derivable(maxes, a, g) != geometric:
                     failures += 1
     return {"claims": {"instances": checked, "failures": failures}}
 
 
 def _synthesis_block(seed: int, n_good: int = 50, n_bad: int = 10) -> dict:
-    from .diagrams import diagram_iso
-    from .generators import rand_guarded_diagram
-    from .guardedness import check_annotated
-
     rng = np.random.default_rng([seed, 92])
     good = bad = good_fail = bad_fail = 0
-    from .synthesis import synthesis_preconditions
-
     while good < n_good or bad < n_bad:
         d, claim = rand_guarded_diagram(rng)
         try:

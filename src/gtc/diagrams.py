@@ -225,6 +225,11 @@ class DiagramIndex:
         with bit ``j`` for ``("dout", j)``."""
         return self.unguarded_reach_masks([1 << p[1] if p[0] == "dout" else 0 for p in self.ports])
 
+    @cached_property
+    def reach_in(self) -> list[int]:
+        """Per boundary input ``i``, the ``reach_out`` mask of ``("din", i)``."""
+        return [m for p, m in zip(self.ports, self.reach_out) if p[0] == "din"]
+
 
 # --- elaboration ------------------------------------------------------------
 
@@ -477,7 +482,7 @@ def import_json(text: str) -> Diagram:
         for atom, _ in bi + bo:
             if not isinstance(atom, str):
                 raise DiagramError(f"boundary atom {atom!r} is not a string")
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise DiagramError(f"bad diagram JSON: {exc}") from None
     return Diagram(boxes, wires, bi, bo)
 

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .diagrams import Diagram, DiagramIndex, Port, elaborate
+from .diagrams import Diagram, DiagramError, DiagramIndex, Port, elaborate
 from .expressions import Box, Comp, MorphExpr, Sym, Tensor, Trace, fold
 from .signatures import BoxSig, SignatureError, Split, _gate_set
 
@@ -129,13 +129,13 @@ class GeometricWitness:
 
 def _holds(d: Diagram, claim: Split) -> bool:
     if claim.n_in != len(d.boundary_in) or claim.n_out != len(d.boundary_out):
-        raise ValueError("claim does not fit the diagram boundary")
+        raise DiagramError("claim does not fit the diagram boundary")
     ix = d.index
     if ix.unguarded_loop:
         return False
-    guarded, reach, pid = claim.guarded_out_mask, ix.reach_out, ix.pid
+    guarded, reach = claim.guarded_out_mask, ix.reach_in
     for i in claim.unguarded_in:
-        if reach[pid[("din", i)]] & guarded:
+        if reach[i] & guarded:
             return False
     return True
 
@@ -156,6 +156,20 @@ def geometric_witness(d: Diagram, claim: Split) -> GeometricWitness | None:
 def geometric_check(d: Diagram, claim: Split) -> bool:
     """Does the claim hold geometrically?  Builds no witness."""
     return _holds(d, claim)
+
+
+def geometric_reach_table(d: Diagram) -> list[int] | None:
+    """``geometric_check`` for every claim at once, on masks: per mask
+    ``a`` of unguarded inputs, the boundary outputs its inputs reach along
+    unguarded paths, so the claim ``(a, g)`` holds iff ``table[a] & g == 0``.
+    None if the diagram has an unguarded loop, where no claim holds."""
+    if d.index.unguarded_loop:
+        return None
+    table = [0]
+    for reach in d.index.reach_in:
+        # the masks with input i's bit: each mask below them plus i's reach
+        table += [t | reach for t in table]
+    return table
 
 
 # --- structural derivation search -------------------------------------------
@@ -200,7 +214,10 @@ def _check_width(x: MorphExpr) -> None:
         )
 
 
-def _derivable_masks(e: MorphExpr) -> list[tuple[int, int]]:
+def derivable_masks(e: MorphExpr) -> list[tuple[int, int]]:
+    """``derivable_splits`` as pairs of masks (unguarded inputs, guarded
+    outputs), with bit ``i`` for gate ``i``."""
+
     def leaf(x: MorphExpr) -> list[tuple[int, int]]:
         if isinstance(x, Trace):
             raise TraceNotAllowed("expression contains a trace node")
@@ -258,7 +275,16 @@ def derivable_splits(e: MorphExpr) -> frozenset[tuple[frozenset[int], frozenset[
     Raises SignatureError if a subterm is wider than ``MAX_SPLIT_WIDTH``
     (20) domain plus codomain gates: the search is exponential in width.
     """
-    return frozenset((_gate_set(a), _gate_set(d)) for a, d in _derivable_masks(e))
+    return frozenset((_gate_set(a), _gate_set(d)) for a, d in derivable_masks(e))
+
+
+def masks_derivable(maxes: list[tuple[int, int]], a: int, g: int) -> bool:
+    """``claim_derivable`` on masks: is the claim with unguarded inputs
+    ``a`` and guarded outputs ``g`` below a pair of ``derivable_masks``?"""
+    for am, gm in maxes:
+        if a & ~am == 0 and g & ~gm == 0:
+            return True
+    return False
 
 
 def claim_derivable(

@@ -23,12 +23,15 @@ from .base import EvalError
 WITNESS_TOL = 1e-12
 
 
+def perm_index(dims: tuple[int, ...], perm: list[int]) -> np.ndarray:
+    """Flat indices reordering tensor factors, output axis t being input
+    axis perm[t]: entry r is the input index that lands at output index r."""
+    return np.arange(math.prod(dims)).reshape(dims).transpose(perm).ravel()
+
+
 def kron_perm(dims: tuple[int, ...], perm: list[int]) -> np.ndarray:
-    """Matrix reordering tensor factors: output axis t is input axis perm[t]."""
-    total = math.prod(dims)
-    arr = np.arange(total).reshape(dims)
-    flat = arr.transpose(perm).ravel()
-    return np.eye(total)[flat]
+    """``perm_index`` as a permutation matrix."""
+    return np.eye(math.prod(dims))[perm_index(dims, perm)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +67,7 @@ class HilbertModel:
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> HilbertMorphism:
         dl, dr = self.ob(left), self.ob(right)
-        k, n = len(dl), len(dl) + len(dr)
-        perm = list(range(k, n)) + list(range(k))
+        perm = [*range(len(dl), len(dl) + len(dr)), *range(len(dl))]
         return HilbertMorphism(dl + dr, dr + dl, kron_perm(dl + dr, perm))
 
     def compose(self, f: HilbertMorphism, g: HilbertMorphism) -> HilbertMorphism:
@@ -112,8 +114,8 @@ class HilbertModel:
 def corner_perms(
     in_dims: tuple[int, ...], out_dims: tuple[int, ...], split
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int, int]]:
-    """The permutation matrices that group a profile's inputs A|B and its
-    outputs C|D by the split's corners, and the corner dimensions
+    """The ``perm_index`` permutations that group a profile's inputs A|B
+    and its outputs C|D by the split's corners, and the corner dimensions
     (da, db, dc, dd)."""
     a_gates, b_gates, c_gates, d_gates = split.corner_gates()
     dims = (
@@ -122,9 +124,7 @@ def corner_perms(
         math.prod(out_dims[g] for g in c_gates),
         math.prod(out_dims[g] for g in d_gates),
     )
-    p_in = kron_perm(in_dims, a_gates + b_gates)
-    p_out = kron_perm(out_dims, c_gates + d_gates)
-    return p_in, p_out, dims
+    return perm_index(in_dims, a_gates + b_gates), perm_index(out_dims, c_gates + d_gates), dims
 
 
 def split_permuted(
@@ -133,8 +133,8 @@ def split_permuted(
     """Conjugate a matrix of profile ``in_dims -> out_dims`` so its inputs
     are grouped A|B and its outputs C|D; returns the grouped matrix and the
     corner dimensions (da, db, dc, dd)."""
-    p_in, p_out, dims = corner_perms(in_dims, out_dims, split)
-    return p_out @ mat @ p_in.T, dims
+    in_idx, out_idx, dims = corner_perms(in_dims, out_dims, split)
+    return mat[np.ix_(out_idx, in_idx)], dims
 
 
 def check_witness(m: HilbertMorphism, split) -> None:

@@ -63,7 +63,7 @@ def load_bindings(payload, sigs: dict[str, BoxSig]):
         raise
     except KeyError as exc:
         raise EvalError(f"bad bindings: missing {exc}") from None
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, RecursionError, TypeError, ValueError) as exc:
         raise EvalError(f"bad bindings: {exc}") from None
 
 

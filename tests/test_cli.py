@@ -402,3 +402,52 @@ def test_check_deep_nesting_exit_2(tmp_path, capsys):
     path.write_text("box f : A | I -> I | A\nlet main = " + "(" * 1200 + "f" + ")" * 1200 + "\n")
     assert main(["check", str(path), "--name", "main", "--claim", "A|I -> I|A"]) == 2
     assert _error_line(capsys) == "error: line 2: expression nested too deeply for the parser"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--models", "bogus"], "unknown model 'bogus'; choose from finset, metric, tot, hilbert, flat"),
+        (["--seeds"], "--seeds needs at least one seed"),
+        (["--per-axiom", "-1"], "--per-axiom must be at least 0, not -1"),
+        (["--jobs", "0"], "--jobs must be at least 1, not 0"),
+        (["--tol", "-1"], "--tol must be positive, not -1.0"),
+    ],
+    ids=["unknown-model", "no-seeds", "negative-per-axiom", "no-jobs", "negative-tol"],
+)
+def test_suite_malformed_arguments_exit_2(capsys, args, message):
+    assert main(["suite", *args]) == 2
+    assert _error_line(capsys) == f"error: {message}"
+
+
+def test_suite_zero_per_axiom_still_runs(capsys):
+    assert main(["suite", "--models", "finset", "--per-axiom", "0", "--seeds", "3"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary == {"kind": "summary", "checks": 0, "failures": 0}
+
+
+def test_oracle_block_counts_a_planted_disagreement(monkeypatch):
+    import gtc.cli as cli
+
+    real = cli.derivable_masks
+    monkeypatch.setattr(cli, "derivable_masks", lambda e: real(e)[1:])
+    assert cli._oracle_block(0, n_expr=10)["claims"]["failures"] > 0
+    monkeypatch.setattr(cli, "derivable_masks", real)
+    monkeypatch.setattr(cli, "geometric_reach_table", lambda d: None)
+    assert cli._oracle_block(0, n_expr=10)["claims"]["failures"] > 0
+
+
+def test_eval_too_deep_bindings_and_inputs_exit_2(tmp_path, capsys):
+    src = tmp_path / "f.gtc"
+    src.write_text("box p : I | A -> A | I\nlet main = id[A]\n")
+    deep = "[" * 100_000 + "]" * 100_000
+    bind = tmp_path / "b.json"
+    bind.write_text(deep)
+    argv = ["eval", str(src), "--name", "main", "--model", "finset", "--bindings", str(bind)]
+    assert main(argv) == 2
+    assert _error_line(capsys).startswith("error: bad bindings: maximum recursion depth")
+    bind.write_text(json.dumps({"model": "finset", "boxes": {}, **_IDENTITY_BINDINGS["finset"]}))
+    inputs = tmp_path / "in.json"
+    inputs.write_text(deep)
+    assert main([*argv, "--inputs", str(inputs)]) == 2
+    assert _error_line(capsys).startswith("error: bad input point: maximum recursion depth")

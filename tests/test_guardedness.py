@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from gtc.counterexamples import equal_morphisms_different_typing
-from gtc.diagrams import diagram_iso, elaborate
+from gtc.diagrams import DiagramError, diagram_iso, elaborate
 from gtc.expressions import parse_expr, print_expr
-from gtc.generators import rand_accepted_traced, rand_trace_free_expr
+from gtc.generators import rand_accepted_traced, rand_guarded_diagram, rand_trace_free_expr
 from gtc.guardedness import (
     _antichain,
     check_annotated,
     claim_derivable,
+    derivable_masks,
     derivable_splits,
     geometric_check,
+    geometric_reach_table,
     infer_trace_annotations,
+    masks_derivable,
     split_derivable,
     unguarded_reach,
 )
+from gtc.synthesis import synthesize
 from gtc.expressions import Box, Id, Sym, Tensor, Trace, fold
 from gtc.signatures import SignatureError, mk_split, obj, parse_box_decl
 
@@ -290,3 +294,66 @@ def test_derivable_splits_enforces_width_limit():
     for e, width in ((wide_leaf, 22), (wide_node, 22)):
         with pytest.raises(SignatureError, match=f"is {width} gates wide; .* at most 20"):
             derivable_splits(e)
+
+
+def _split_verdicts(e):
+    """Both deciders on every claim of a trace-free expression, the way
+    the suite's structural/geometric block first ran them: one validated
+    ``Split`` per claim.  Keyed by the claim's two masks."""
+    d = elaborate(e)
+    maxes = derivable_splits(e)
+    n_in, n_out = len(e.dom), len(e.cod)
+    verdicts = {}
+    for a_bits in product([0, 1], repeat=n_in):
+        for d_bits in product([0, 1], repeat=n_out):
+            claim = mk_split(
+                n_in,
+                n_out,
+                {i for i in range(n_in) if a_bits[i]},
+                {j for j in range(n_out) if d_bits[j]},
+            )
+            key = (claim.unguarded_in_mask, claim.guarded_out_mask)
+            verdicts[key] = (claim_derivable(maxes, claim), geometric_check(d, claim))
+    return verdicts
+
+
+def test_mask_deciders_match_split_deciders():
+    rng = np.random.default_rng(200)
+    widths = set()
+    for _ in range(60):
+        e = rand_trace_free_expr(rng, max_boxes=6)
+        widths.add(len(e.dom) + len(e.cod))
+        maxes, table = derivable_masks(e), geometric_reach_table(elaborate(e))
+        assert table is not None  # a trace-free expression has no loop
+        verdicts = _split_verdicts(e)
+        assert len(verdicts) == 1 << len(e.dom) + len(e.cod)
+        for (a, g), (structural, geometric) in verdicts.items():
+            assert masks_derivable(maxes, a, g) == structural
+            assert (table[a] & g == 0) == geometric
+    assert max(widths) == 10
+
+
+def test_reach_table_matches_geometric_check_with_loops():
+    rng = np.random.default_rng(201)
+    loops = 0
+    for _ in range(80):
+        d, _ = rand_guarded_diagram(rng)
+        table = geometric_reach_table(d)
+        loops += table is None
+        n_in, n_out = len(d.boundary_in), len(d.boundary_out)
+        for a in range(1 << n_in):
+            for g in range(1 << n_out):
+                claim = mk_split(
+                    n_in, n_out, [i for i in range(n_in) if a >> i & 1],
+                    [j for j in range(n_out) if g >> j & 1],
+                )
+                assert (table is not None and table[a] & g == 0) == geometric_check(d, claim)
+    assert 0 < loops < 80
+
+
+def test_claim_that_does_not_fit_the_diagram_is_a_diagram_error():
+    d = elaborate(Id(obj("A")))
+    claim = mk_split(2, 1, {0}, {0})
+    for decide in (geometric_check, synthesize):
+        with pytest.raises(DiagramError, match="^claim does not fit the diagram boundary$"):
+            decide(d, claim)

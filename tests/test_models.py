@@ -34,10 +34,17 @@ from gtc.models import (
     metric_trace,
     rec_to_grec,
 )
-from gtc.models.hilbert import kron_perm, rotate_witness, trace_witness
+from gtc.models.hilbert import (
+    corner_perms,
+    kron_perm,
+    perm_index,
+    rotate_witness,
+    split_permuted,
+    trace_witness,
+)
 from gtc.models.metric import MetricModel, _iterate, affine, named_function
 from gtc.models.trees import StageObject, ToTMorphism, ToposOfTreesModel, tot_fixpoint
-from gtc.signatures import UNIT, obj, parse_box_decl
+from gtc.signatures import UNIT, mk_split, obj, parse_box_decl
 
 # --- finset -------------------------------------------------------------------
 
@@ -751,3 +758,44 @@ def test_carriers_built_from_many_threads():
         for k, p, tp, x in mine:
             assert first.setdefault(k, (p, tp, x)) == (p, tp, x)
             assert first[k][0] is p and first[k][1] is tp and first[k][2] is x
+
+
+def _profiles(max_gates: int):
+    """Every gate-dimension tuple of up to ``max_gates`` gates, each of
+    dimension 1 to 3."""
+    for n in range(max_gates + 1):
+        yield from product(range(1, 4), repeat=n)
+
+
+def test_gathered_permutations_equal_dense_products():
+    from itertools import permutations
+
+    rng = np.random.default_rng(0)
+    for dims in _profiles(3):
+        total = math.prod(dims)
+        m = rng.normal(size=(total, 2))
+        for perm in permutations(range(len(dims))):
+            dense, idx = kron_perm(dims, list(perm)), perm_index(dims, list(perm))
+            assert np.array_equal(m[idx], dense @ m)
+            assert np.array_equal(m[np.argsort(idx)], dense.T @ m)
+    # the corner grouping of split_permuted and its inverse, as
+    # axioms.hilbert_bindings applies it, on every split of every profile
+    # of up to 3 gates
+    for in_dims in _profiles(3):
+        for out_dims in _profiles(3 - len(in_dims)):
+            n_in, n_out = len(in_dims), len(out_dims)
+            mat = rng.normal(size=(math.prod(out_dims), math.prod(in_dims)))
+            for a, g in product(range(1 << n_in), range(1 << n_out)):
+                split = mk_split(
+                    n_in, n_out, [i for i in range(n_in) if a >> i & 1],
+                    [j for j in range(n_out) if g >> j & 1],
+                )
+                a_gates, b_gates, c_gates, d_gates = split.corner_gates()
+                p_in = kron_perm(in_dims, a_gates + b_gates)
+                p_out = kron_perm(out_dims, c_gates + d_gates)
+                grouped, _ = split_permuted(mat, in_dims, out_dims, split)
+                assert np.array_equal(grouped, p_out @ mat @ p_in.T)
+                in_idx, out_idx, _ = corner_perms(in_dims, out_dims, split)
+                back = grouped[np.ix_(np.argsort(out_idx), np.argsort(in_idx))]
+                assert np.array_equal(back, p_out.T @ grouped @ p_in)
+                assert np.array_equal(back, mat)
