@@ -181,3 +181,99 @@ def test_boundary_claim_round_trip():
         len(d.boundary_in), len(d.boundary_out), range(len(d.boundary_in))
     )
     assert d.with_claim(weakest).boundary_claim() == weakest
+
+
+# --- validation -------------------------------------------------------------
+
+LOOP_BOX = SIGS["b"]  # A -> A
+A_IN, A_OUT = (("A", False),), (("A", True),)
+THROUGH = {(("din", 0), ("bin", 0, 0)), (("bout", 0, 0), ("dout", 0))}
+
+
+@pytest.mark.parametrize(
+    "boxes,wires,bi,bo,message",
+    [
+        (
+            (LOOP_BOX,), {(("bin", 0, 0), ("din", 0)), (("bout", 0, 0), ("dout", 0))},
+            A_IN, A_OUT, "wire ('bin', 0, 0) -> ('din', 0) has bad orientation",
+        ),
+        (  # an unknown kind is caught by the orientation check
+            (LOOP_BOX,), {(("din", 0), ("box", 0, 0)), (("bout", 0, 0), ("dout", 0))},
+            A_IN, A_OUT, "wire ('din', 0) -> ('box', 0, 0) has bad orientation",
+        ),
+        (
+            (LOOP_BOX,), {(("din", 0), ("bin", 1, 0)), (("bout", 0, 0), ("dout", 0))},
+            A_IN, A_OUT, "wire end ('bin', 1, 0) is not a port of the diagram",
+        ),
+        (
+            (LOOP_BOX,), {(("din", 0), ("bin", 0, 0)), (("bout", 0, 1), ("dout", 0))},
+            A_IN, A_OUT, "wire end ('bout', 0, 1) is not a port of the diagram",
+        ),
+        (
+            (LOOP_BOX,), {(("din", 0), ("bin", 0, 0.5)), (("bout", 0, 0), ("dout", 0))},
+            A_IN, A_OUT, "wire end ('bin', 0, 0.5) is not a port of the diagram",
+        ),
+        (
+            (LOOP_BOX,), {(("din", 0), ("bin", 0, 0)), (("bout", 0, 0), ("dout", 1))},
+            A_IN, A_OUT, "wire end ('dout', 1) is not a port of the diagram",
+        ),
+        (
+            (LOOP_BOX,), {(("din", 0, 0), ("bin", 0, 0)), (("bout", 0, 0), ("dout", 0))},
+            A_IN, A_OUT, "wire end ('din', 0, 0) is not a port of the diagram",
+        ),
+        (
+            (LOOP_BOX,), {(("din", 0), ("bin", 0, 0)), (("din", 0), ("dout", 0))},
+            A_IN, A_OUT, "port ('din', 0) carries more than one wire",
+        ),
+        (
+            (LOOP_BOX,), {(("din", 0), ("dout", 0)), (("bout", 0, 0), ("dout", 0))},
+            A_IN, A_OUT, "port ('dout', 0) carries more than one wire",
+        ),
+        (
+            (), {(("din", 0), ("dout", 0))},
+            A_IN, (("B", True),), "wire ('din', 0) -> ('dout', 0) joins atoms A and B",
+        ),
+        (
+            (LOOP_BOX,), {(("din", 0), ("dout", 0))},
+            A_IN, A_OUT, "port ('bin', 0, 0) is not wired",
+        ),
+    ],
+)
+def test_diagram_validation_messages(boxes, wires, bi, bo, message):
+    from gtc.diagrams import Diagram
+
+    with pytest.raises(DiagramError) as info:
+        Diagram(boxes, frozenset(wires), bi, bo)
+    assert str(info.value) == message
+
+
+def test_diagram_validation_accepts_numpy_indices():
+    from gtc.diagrams import Diagram
+
+    d = Diagram((LOOP_BOX,), frozenset(THROUGH), A_IN, A_OUT)
+    wires = {
+        (("din", np.int64(0)), ("bin", np.int64(0), np.int8(0))),
+        (("bout", np.int32(0), np.int64(0)), ("dout", np.uint8(0))),
+    }
+    d_np = Diagram((LOOP_BOX,), frozenset(wires), A_IN, A_OUT)
+    assert d_np == d and hash(d_np) == hash(d)
+    claim = d.boundary_claim()
+    assert geometric_check(d_np, claim) == geometric_check(d, claim)
+
+
+def test_diagram_and_its_index_form_no_reference_cycle():
+    import gc
+    import weakref
+
+    from gtc.guardedness import geometric_witness
+
+    d, claim = rand_guarded_diagram(np.random.default_rng(3), max_boxes=6)
+    geometric_witness(d, claim)
+    _ = d.index.reach_in, d.index.full_sccs
+    gc.disable()
+    try:
+        alive = weakref.ref(d)
+        del d
+        assert alive() is None
+    finally:
+        gc.enable()
