@@ -272,8 +272,13 @@ def _suite_arg_error(args) -> str | None:
     unknown = [m for m in args.models if m not in MODEL_NAMES]
     if unknown:
         return f"unknown model {unknown[0]!r}; choose from {', '.join(MODEL_NAMES)}"
+    seed = os.environ.get("GTC_SEED", "0")
+    if args.seeds is None and not seed.strip().isdecimal():
+        return f"GTC_SEED must be an integer of at least 0, not {seed!r}"
     if args.seeds == []:
         return "--seeds needs at least one seed"
+    if min(args.seeds or [0]) < 0:
+        return f"--seeds must be at least 0, not {min(args.seeds)}"
     if args.per_axiom < 0:
         return f"--per-axiom must be at least 0, not {args.per_axiom}"
     if args.jobs < 1:

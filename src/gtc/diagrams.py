@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,32 +35,16 @@ class DiagramError(ValueError):
 
 @dataclass(frozen=True)
 class Diagram:
+    """A validated port graph.  Validating it builds ``index``, its
+    ``DiagramIndex``: an attribute, not a field, so ``==`` ignores it."""
+
     boxes: tuple[BoxSig, ...]
     wires: frozenset[tuple[Port, Port]]
     boundary_in: tuple[tuple[str, bool], ...]  # (atom, guarded flag)
     boundary_out: tuple[tuple[str, bool], ...]
 
     def __post_init__(self) -> None:
-        ports = self.all_ports()
-        known = set(ports)
-        seen: set[Port] = set()
-        for src, dst in self.wires:
-            if src[0] not in ("din", "bout") or dst[0] not in ("dout", "bin"):
-                raise DiagramError(f"wire {src} -> {dst} has bad orientation")
-            for p in (src, dst):
-                if p not in known:
-                    raise DiagramError(f"wire end {p} is not a port of the diagram")
-                if p in seen:
-                    raise DiagramError(f"port {p} carries more than one wire")
-                seen.add(p)
-            if self.port_atom(src) != self.port_atom(dst):
-                raise DiagramError(
-                    f"wire {src} -> {dst} joins atoms "
-                    f"{self.port_atom(src)} and {self.port_atom(dst)}"
-                )
-        for p in ports:
-            if p not in seen:
-                raise DiagramError(f"port {p} is not wired")
+        object.__setattr__(self, "index", DiagramIndex(self))
 
     def port_atom(self, p: Port) -> str:
         if p[0] == "din":
@@ -70,13 +55,7 @@ class Diagram:
         return b.inputs[p[2]] if p[0] == "bin" else b.outputs[p[2]]
 
     def all_ports(self) -> list[Port]:
-        out: list[Port] = []
-        out += [("din", i) for i in range(len(self.boundary_in))]
-        out += [("dout", j) for j in range(len(self.boundary_out))]
-        for b, sig in enumerate(self.boxes):
-            out += [("bin", b, k) for k in range(len(sig.inputs))]
-            out += [("bout", b, k) for k in range(len(sig.outputs))]
-        return out
+        return list(self.index.ports)
 
     @property
     def dom(self) -> ObjectExpr:
@@ -104,22 +83,6 @@ class Diagram:
             (a, j in claim.guarded_out) for j, (a, _) in enumerate(self.boundary_out)
         )
         return Diagram(self.boxes, self.wires, bi, bo)
-
-    @cached_property
-    def index(self) -> "DiagramIndex":
-        return DiagramIndex(self)
-
-    def wire_from(self, src: Port) -> tuple[Port, Port]:
-        try:
-            return self.index.wire_from[src]
-        except KeyError:
-            raise DiagramError(f"no wire out of {src}") from None
-
-    def wire_into(self, dst: Port) -> tuple[Port, Port]:
-        try:
-            return self.index.wire_into[dst]
-        except KeyError:
-            raise DiagramError(f"no wire into {dst}") from None
 
 
 # --- the graph index ----------------------------------------------------------
@@ -163,37 +126,100 @@ def tarjan(adj: list) -> tuple[list[int], list[int]]:
 
 
 class DiagramIndex:
-    """The port graphs of one diagram and the answers read off them,
-    built once per diagram (``Diagram.index``).
+    """The port graphs of one diagram and the answers read off them, built
+    by its validation (``Diagram.index``); it refers to no ``Diagram``.
 
-    Ports get integer ids in ``Diagram.all_ports`` order.  The full graph
-    has an edge for every wire and box passage, the unguarded graph drops
-    the guarded passages.  A port has at most one wire out, and passages
-    leave an input gate in output-gate order, so searches along these
-    successor lists are deterministic.
+    Ports get integer ids in ``Diagram.all_ports`` order, box ``b``'s from
+    ``base[b]`` on; ``src`` and ``dst`` hold the wire ends' ids in ``wires``
+    order.  The full graph has an edge for every wire and box passage, the
+    unguarded graph drops the guarded passages.  A port has one wire out at
+    most and passages keep output-gate order, so searches are deterministic.
     """
 
     def __init__(self, d: Diagram) -> None:
-        self.ports = d.all_ports()
-        self.pid = pid = {p: n for n, p in enumerate(self.ports)}
-        self.full: list = [()] * len(self.ports)  # successor ids per port
-        self.unguarded: list = [()] * len(self.ports)
-        self.wire_from: dict[Port, tuple[Port, Port]] = {}
-        self.wire_into: dict[Port, tuple[Port, Port]] = {}
-        # per box, the wires touching it (a wire from a box to itself once)
-        self.box_wires: list[list] = [[] for _ in d.boxes]
-        for w in d.wires:
-            self.wire_from[w[0]] = self.wire_into[w[1]] = w
-            self.full[pid[w[0]]] = self.unguarded[pid[w[0]]] = (pid[w[1]],)
+        boxes, bi, bo, as_int = d.boxes, d.boundary_in, d.boundary_out, operator.index
+        self.boxes, self.wires, self.n_in, self.n_out = boxes, d.wires, len(bi), len(bo)
+        *self.base, n = itertools.accumulate(
+            (sig.split.n_in + sig.split.n_out for sig in boxes), initial=len(bi) + len(bo)
+        )
+        base, seen, self.n_ports, self.src, self.dst = self.base, bytearray(n), n, [], []
+
+        def number(p: Port, ids: list[int]) -> str:
+            """Give wire end ``p`` its id, once; its atom."""
+            atom = None
+            try:
+                at = as_int(p[1])
+                if p[0] in ("din", "dout"):
+                    side, v = (bi, at) if p[0] == "din" else (bo, len(bi) + at)
+                    atom = side[at][0] if len(p) == 2 and 0 <= at < len(side) else None
+                elif len(p) == 3 and 0 <= at < len(boxes):
+                    k, sig = as_int(p[2]), boxes[at]
+                    gates = (sig.inputs if p[0] == "bin" else sig.outputs).factors
+                    v = base[at] + k + (0 if p[0] == "bin" else sig.split.n_in)
+                    atom = gates[k] if 0 <= k < len(gates) else None
+            except (IndexError, TypeError):
+                pass
+            if atom is None:
+                raise DiagramError(f"wire end {p} is not a port of the diagram")
+            if seen[v]:
+                raise DiagramError(f"port {p} carries more than one wire")
+            seen[v] = 1
+            ids.append(v)
+            return atom
+
+        for s, t in d.wires:
+            if s[0] not in ("din", "bout") or t[0] not in ("dout", "bin"):
+                raise DiagramError(f"wire {s} -> {t} has bad orientation")
+            a, b = number(s, self.src), number(t, self.dst)
+            if a != b:
+                raise DiagramError(f"wire {s} -> {t} joins atoms {a} and {b}")
+        if 2 * len(self.src) < n:  # each wire numbered two ports
+            raise DiagramError(f"port {self.ports[seen.index(0)]} is not wired")
+
+    def gates(self, b: int) -> tuple[range, range]:
+        """The ids of box ``b``'s input gates and of its output gates."""
+        v, split = self.base[b], self.boxes[b].split
+        return range(v, v + split.n_in), range(v + split.n_in, v + split.n_in + split.n_out)
+
+    @cached_property
+    def full(self) -> list:
+        """Successor ids per port: its wire's target, or its box's outputs."""
+        succ: list = [()] * self.n_ports
+        for s, t in zip(self.src, self.dst):
+            succ[s] = (t,)
+        for ins, outs in map(self.gates, range(len(self.boxes))):
+            succ[ins.start : ins.stop] = [outs] * len(ins)
+        return succ
+
+    @cached_property
+    def unguarded(self) -> list:
+        """``full`` less the passages from unguarded inputs to guarded outputs."""
+        succ = list(self.full)
+        for b, sig in enumerate(self.boxes):
+            ins, outs = self.gates(b)
+            ui, go = sig.split.unguarded_in_mask, sig.split.guarded_out_mask
+            free = [t for j, t in enumerate(outs) if not go >> j & 1]
+            succ[ins.start : ins.stop] = [free if ui >> i & 1 else outs for i in range(len(ins))]
+        return succ
+
+    @cached_property
+    def ports(self) -> list[Port]:
+        """Each id's port tuple."""
+        out: list[Port] = [("din", i) for i in range(self.n_in)]
+        out += [("dout", j) for j in range(self.n_out)]
+        for b, sig in enumerate(self.boxes):
+            out += [("bin", b, k) for k in range(sig.split.n_in)]
+            out += [("bout", b, k) for k in range(sig.split.n_out)]
+        return out
+
+    @cached_property
+    def box_wires(self) -> list[list]:
+        """Per box, the wires touching it (a wire from a box to itself once)."""
+        out: list[list] = [[] for _ in self.boxes]
+        for w in self.wires:
             for b in {p[1] for p in w if p[0] in ("bin", "bout")}:
-                self.box_wires[b].append(w)
-        for b, sig in enumerate(d.boxes):
-            outs = [pid[("bout", b, j)] for j in range(len(sig.outputs))]
-            guarded = sig.split.passage_guarded
-            for i in range(len(sig.inputs)):
-                v = pid[("bin", b, i)]
-                self.full[v] = outs
-                self.unguarded[v] = [t for j, t in enumerate(outs) if not guarded(i, j)]
+                out[b].append(w)
+        return out
 
     @cached_property
     def full_sccs(self) -> tuple[list[int], list[int]]:
@@ -206,7 +232,7 @@ class DiagramIndex:
     @cached_property
     def unguarded_loop(self) -> bool:
         # no port leads to itself in one step: a cycle fills a component
-        return len(set(self.unguarded_sccs[0])) < len(self.ports)
+        return len(set(self.unguarded_sccs[0])) < self.n_ports
 
     def unguarded_reach_masks(self, bits: list[int]) -> list[int]:
         """Per port, the union of ``bits`` over the ports it reaches along
@@ -223,12 +249,14 @@ class DiagramIndex:
     def reach_out(self) -> list[int]:
         """Per port, the boundary outputs it reaches along unguarded paths,
         with bit ``j`` for ``("dout", j)``."""
-        return self.unguarded_reach_masks([1 << p[1] if p[0] == "dout" else 0 for p in self.ports])
+        bits = [0] * self.n_ports
+        bits[self.n_in : self.n_in + self.n_out] = [1 << j for j in range(self.n_out)]
+        return self.unguarded_reach_masks(bits)
 
     @cached_property
     def reach_in(self) -> list[int]:
         """Per boundary input ``i``, the ``reach_out`` mask of ``("din", i)``."""
-        return [m for p, m in zip(self.ports, self.reach_out) if p[0] == "din"]
+        return self.reach_out[: self.n_in]
 
 
 # --- elaboration ------------------------------------------------------------
@@ -437,48 +465,55 @@ def _sig_to_json(sig: BoxSig) -> dict:
     }
 
 
+def _typed(v, typ: type, what: str):
+    """``v`` if JSON decoded it as ``typ``: ``true`` and ``0.0`` are no integers."""
+    if type(v) is not typ:
+        raise DiagramError(f"bad {what} {v!r}")
+    return v
+
+
 def _sig_from_json(d: dict) -> BoxSig:
     inputs = parse_object(d["inputs"])
     outputs = parse_object(d["outputs"])
-    split = mk_split(
-        len(inputs), len(outputs), d.get("unguarded_in", []), d.get("guarded_out", [])
+    ui, go = (
+        [_typed(g, int, "gate index") for g in d.get(side, [])]
+        for side in ("unguarded_in", "guarded_out")
     )
-    return BoxSig(d["name"], inputs, outputs, split)
+    return BoxSig(d["name"], inputs, outputs, mk_split(len(inputs), len(outputs), ui, go))
 
 
 def _port_from_json(v: list) -> Port:
     kind = v[0]
     if kind in ("din", "dout"):
-        return (kind, int(v[1]))
+        return (kind, _typed(v[1], int, "port index"))
     if kind in ("bin", "bout"):
-        return (kind, int(v[1]), int(v[2]))
+        return (kind, _typed(v[1], int, "port index"), _typed(v[2], int, "port index"))
     raise DiagramError(f"bad port {v!r}")
 
 
 def export_json(d: Diagram) -> str:
+    """The diagram as one line of JSON (``json.tool`` pretty-prints it)."""
     payload = {
         "boxes": [{"id": b, "sig": _sig_to_json(sig)} for b, sig in enumerate(d.boxes)],
-        "wires": sorted(
-            [[list(s), list(t)] for s, t in d.wires]
-        ),
+        "wires": sorted([[list(s), list(t)] for s, t in d.wires]),
         "in": [{"atom": a, "guarded": g} for a, g in d.boundary_in],
         "out": [{"atom": a, "guarded": g} for a, g in d.boundary_out],
     }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload)
 
 
 def import_json(text: str) -> Diagram:
     try:
         payload = json.loads(text)
-        boxes_raw = sorted(payload["boxes"], key=lambda b: b["id"])
+        boxes_raw = sorted(payload["boxes"], key=lambda b: _typed(b["id"], int, "box id"))
         if [b["id"] for b in boxes_raw] != list(range(len(boxes_raw))):
             raise DiagramError("box ids must be 0..n-1")
         boxes = tuple(_sig_from_json(b["sig"]) for b in boxes_raw)
         wires = frozenset(
             (_port_from_json(s), _port_from_json(t)) for s, t in payload["wires"]
         )
-        bi = tuple((p["atom"], bool(p["guarded"])) for p in payload["in"])
-        bo = tuple((p["atom"], bool(p["guarded"])) for p in payload["out"])
+        bi = tuple((p["atom"], _typed(p["guarded"], bool, "guarded flag")) for p in payload["in"])
+        bo = tuple((p["atom"], _typed(p["guarded"], bool, "guarded flag")) for p in payload["out"])
         for atom, _ in bi + bo:
             if not isinstance(atom, str):
                 raise DiagramError(f"boundary atom {atom!r} is not a string")

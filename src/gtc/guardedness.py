@@ -65,7 +65,7 @@ def unguarded_reach(d: Diagram) -> dict[Port, frozenset[Port]]:
     """For every port, the set of ports reachable along unguarded paths
     of at least one step."""
     ix = d.index
-    zero_or_more = ix.unguarded_reach_masks([1 << v for v in range(len(ix.ports))])
+    zero_or_more = ix.unguarded_reach_masks([1 << v for v in range(ix.n_ports)])
     reach: dict[Port, frozenset[Port]] = {}
     for v, p in enumerate(ix.ports):
         m = 0
@@ -148,8 +148,9 @@ def geometric_witness(d: Diagram, claim: Split) -> GeometricWitness | None:
     ix = d.index
     if ix.unguarded_loop:
         return GeometricWitness("loop", PortPath(tuple(_first_unguarded_loop(ix))))
-    sources = [ix.pid[("din", i)] for i in sorted(claim.unguarded_in)]
-    targets = {ix.pid[("dout", j)] for j in claim.guarded_out}
+    # a boundary input's id is its position, a boundary output's follows them
+    sources = sorted(claim.unguarded_in)
+    targets = {ix.n_in + j for j in claim.guarded_out}
     return GeometricWitness("path", PortPath(tuple(_shortest_path(ix, sources, targets))))
 
 

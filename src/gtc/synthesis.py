@@ -50,20 +50,18 @@ def compute_uv(d: Diagram, claim: Split) -> tuple[frozenset[int], frozenset[int]
     claimed-guarded output.  V: boxes whose outputs lie on an unguarded
     path from a claimed-unguarded input."""
     ix = d.index
-    guarded = claim.guarded_out_mask
+    guarded, reach = claim.guarded_out_mask, ix.reach_out
     u_set = frozenset(
-        b
-        for b, sig in enumerate(d.boxes)
-        if any(ix.reach_out[ix.pid[("bin", b, i)]] & guarded for i in range(len(sig.inputs)))
+        b for b in range(len(d.boxes)) if any(reach[v] & guarded for v in ix.gates(b)[0])
     )
-    seen = {ix.pid[("din", i)] for i in claim.unguarded_in}
+    seen = set(claim.unguarded_in)  # a boundary input's id is its position
     todo = list(seen)
     while todo:
         for q in ix.unguarded[todo.pop()]:
             if q not in seen:
                 seen.add(q)
                 todo.append(q)
-    v_set = frozenset(ix.ports[v][1] for v in seen if ix.ports[v][0] == "bout")
+    v_set = frozenset(b for b in range(len(d.boxes)) if not seen.isdisjoint(ix.gates(b)[1]))
     return u_set, v_set
 
 
@@ -72,7 +70,7 @@ def loop_wires(d: Diagram) -> list[tuple[Port, Port]]:
     whose two ends share a strongly connected component."""
     ix = d.index
     comp = ix.full_sccs[0]
-    return [w for w in d.wires if comp[ix.pid[w[0]]] == comp[ix.pid[w[1]]]]
+    return [w for w, s, t in zip(ix.wires, ix.src, ix.dst) if comp[s] == comp[t]]
 
 
 def find_cut_wire(
@@ -194,43 +192,43 @@ def acyclic_to_expr(d: Diagram) -> MorphExpr:
     # longest-path layering of the boxes: the full graph is acyclic, so its
     # components are single ports, closed sinks first
     ix = d.index
+    ports, pred = ix.ports, dict(zip(ix.dst, ix.src))  # target id -> source id
     layer = [1] * len(d.boxes)
     for v in reversed(ix.full_sccs[1]):
-        p = ix.ports[v]
-        if p[0] == "bin":
-            src = ix.wire_into[p][0]
-            if src[0] == "bout":
-                layer[p[1]] = max(layer[p[1]], layer[src[1]] + 1)
+        if ports[v][0] == "bin" and ports[pred[v]][0] == "bout":
+            b = ports[v][1]
+            layer[b] = max(layer[b], layer[ports[pred[v]][1]] + 1)
     by_level: dict[int, list[int]] = {}
     for b, lv in enumerate(layer):
         by_level.setdefault(lv, []).append(b)
 
-    alive = [d.wire_from(("din", i)) for i in range(len(d.boundary_in))]
+    alive = list(range(len(d.boundary_in)))  # wires, each by its source's id
     parts: list[MorphExpr] = []
 
-    def rearrange(desired: list[tuple[Port, Port]]) -> None:
+    def atoms(wires: list[int]) -> list[str]:
+        return [d.port_atom(ports[w]) for w in wires]
+
+    def rearrange(desired: list[int]) -> None:
         nonlocal alive
         if desired == alive:
             return
         index = {w: i for i, w in enumerate(alive)}
-        dest = [index[w] for w in desired]
-        parts.append(perm_to_expr([d.port_atom(w[0]) for w in alive], dest))
+        parts.append(perm_to_expr(atoms(alive), [index[w] for w in desired]))
         alive = desired
 
     for lv in sorted(by_level):
         boxes = by_level[lv]
-        needed = [d.wire_into(("bin", b, k)) for b in boxes for k in range(len(d.boxes[b].inputs))]
+        needed = [pred[v] for b in boxes for v in ix.gates(b)[0]]
         needed_set = set(needed)
         rest = [w for w in alive if w not in needed_set]
         rearrange(needed + rest)
         pieces: list[MorphExpr] = [BoxNode(d.boxes[b]) for b in boxes]
         if rest:
-            pieces.append(Id(ObjectExpr(tuple(d.port_atom(w[0]) for w in rest))))
+            pieces.append(Id(ObjectExpr(tuple(atoms(rest)))))
         parts.append(reduce(Tensor, pieces))
-        outs = [("bout", b, k) for b in boxes for k in range(len(d.boxes[b].outputs))]
-        alive = [d.wire_from(p) for p in outs] + rest
+        alive = [v for b in boxes for v in ix.gates(b)[1]] + rest
 
-    rearrange([d.wire_into(("dout", j)) for j in range(len(d.boundary_out))])
+    rearrange([pred[ix.n_in + j] for j in range(ix.n_out)])
     if not parts:
         return Id(d.dom)
     return _compose_opt(parts)
