@@ -412,12 +412,30 @@ def test_check_deep_nesting_exit_2(tmp_path, capsys):
         (["--per-axiom", "-1"], "--per-axiom must be at least 0, not -1"),
         (["--jobs", "0"], "--jobs must be at least 1, not 0"),
         (["--tol", "-1"], "--tol must be positive, not -1.0"),
+        (["--seeds", "3", "-1"], "--seeds must be at least 0, not -1"),
     ],
-    ids=["unknown-model", "no-seeds", "negative-per-axiom", "no-jobs", "negative-tol"],
+    ids=["unknown-model", "no-seeds", "negative-per-axiom", "no-jobs", "negative-tol",
+         "negative-seed"],
 )
 def test_suite_malformed_arguments_exit_2(capsys, args, message):
     assert main(["suite", *args]) == 2
     assert _error_line(capsys) == f"error: {message}"
+
+
+@pytest.mark.parametrize("value", ["abc", "-2", "", "1.5"])
+def test_suite_malformed_seed_from_environment_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("GTC_SEED", value)
+    assert main(["suite", "--models", "finset", "--per-axiom", "0"]) == 2
+    assert _error_line(capsys) == f"error: GTC_SEED must be an integer of at least 0, not {value!r}"
+
+
+def test_synthesize_rejects_a_guarded_flag_that_is_not_a_boolean(tmp_path, capsys):
+    payload = json.loads(export_json(_find(np.random.default_rng(2), True)))
+    payload["in"][0]["guarded"] = "false"
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(payload))
+    assert main(["synthesize", str(path)]) == 2
+    assert _error_line(capsys) == "error: bad diagram JSON: bad guarded flag 'false'"
 
 
 def test_suite_zero_per_axiom_still_runs(capsys):

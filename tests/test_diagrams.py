@@ -1,3 +1,4 @@
+import json
 import numpy as np
 import pytest
 
@@ -142,7 +143,10 @@ def test_export_import_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(500):
         d, _ = rand_guarded_diagram(rng)
-        assert diagram_iso(import_json(export_json(d)), d)
+        text = export_json(d)
+        assert "\n" not in text  # one line; import still reads the indented layout
+        assert import_json(text) == d == import_json(json.dumps(json.loads(text), indent=2))
+        assert diagram_iso(import_json(text), d)
 
 
 def test_import_rejects_schema_violation():
@@ -277,3 +281,34 @@ def test_diagram_and_its_index_form_no_reference_cycle():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def _payload_with(path: tuple, value) -> str:
+    """A valid diagram's JSON with the field at ``path`` set to ``value``."""
+    d = elaborate(parse_expr("b ; b", SIGS))
+    payload = json.loads(export_json(d))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("wires", 0, 1, 2), 0.7, "bad port index 0.7"),
+        (("wires", 0, 0, 1), "0", "bad port index '0'"),
+        (("in", 0, "guarded"), "false", "bad guarded flag 'false'"),
+        (("out", 0, "guarded"), 1, "bad guarded flag 1"),
+        (("boxes", 0, "id"), 0.0, "bad box id 0.0"),
+        (("boxes", 1, "id"), True, "bad box id True"),
+        (("boxes", 0, "sig", "unguarded_in"), [True], "bad gate index True"),
+    ],
+    ids=["float-port", "string-port", "string-flag", "integer-flag", "float-id", "boolean-id",
+         "boolean-gate"],
+)
+def test_import_rejects_values_of_the_wrong_json_type(path, value, message):
+    with pytest.raises(DiagramError) as info:
+        import_json(_payload_with(path, value))
+    assert str(info.value) == f"bad diagram JSON: {message}"
