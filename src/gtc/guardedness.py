@@ -1,30 +1,32 @@
-"""Deciding guardedness claims, three ways.
+"""Deciding guardedness claims, geometrically and structurally.
 
 * ``geometric_check`` inspects the port graph: a claim holds when no
   unguarded path joins a claimed-unguarded input to a claimed-guarded
   output and no loop is unguarded.  A path is guarded when it crosses
   some box from an unguarded input gate to a guarded output gate.  The
-  diagram's cached ``DiagramIndex`` answers both questions.
+  diagram's cached ``DiagramIndex`` answers both questions, with one
+  reach mask per boundary input.
 
-* ``derivable_splits`` runs the structural rules bottom-up over a
-  trace-free expression, returning the exact derivable claims as an
-  antichain of maximal elements.  On trace-free expressions the two
-  computations agree; the test suite exercises that equivalence as an
-  oracle.
+* ``structural_reach`` runs the structural rules bottom-up over an
+  expression in one fold, giving the same shape: one mask per input of
+  the outputs no derivation can guard once that input is unguarded.  On
+  trace-free expressions the two deciders agree; the test suite
+  exercises that equivalence as an oracle.  ``derivable_splits`` lists
+  the derivable claims it implies as an antichain of maximal elements.
 
 * ``check_annotated`` verifies a traced expression layer by layer:
-  each trace node is opaqued into a box carrying its conclusion split,
-  and the resulting trace-free layers are checked geometrically.
+  each trace node is read as a box carrying its conclusion split, and
+  each resulting trace-free layer is decided structurally.  Only a
+  failing layer is elaborated, to find its geometric witness.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .diagrams import Diagram, DiagramError, DiagramIndex, Port, elaborate
-from .expressions import Box, Comp, MorphExpr, Sym, Tensor, Trace, fold
+from .expressions import Box, Comp, MorphExpr, Sym, Tensor, Trace, fold, trace as mk_trace
 from .signatures import BoxSig, SignatureError, Split, _gate_set
 
 
@@ -128,8 +130,7 @@ class GeometricWitness:
 
 
 def _holds(d: Diagram, claim: Split) -> bool:
-    if claim.n_in != len(d.boundary_in) or claim.n_out != len(d.boundary_out):
-        raise DiagramError("claim does not fit the diagram boundary")
+    _check_fits(claim, len(d.boundary_in), len(d.boundary_out))
     ix = d.index
     if ix.unguarded_loop:
         return False
@@ -166,18 +167,79 @@ def geometric_reach_table(d: Diagram) -> list[int] | None:
     None if the diagram has an unguarded loop, where no claim holds."""
     if d.index.unguarded_loop:
         return None
-    table = [0]
-    for reach in d.index.reach_in:
-        # the masks with input i's bit: each mask below them plus i's reach
-        table += [t | reach for t in table]
-    return table
+    return reach_table(d.index.reach_in)
 
 
-# --- structural derivation search -------------------------------------------
+# --- structural derivation -------------------------------------------------
 
 
 class TraceNotAllowed(ValueError):
-    """derivable_splits only covers trace-free expressions."""
+    """The structural rules only cover trace-free expressions."""
+
+
+def _union(masks: list[int], a: int) -> int:
+    """The union of ``masks[i]`` over the bits ``i`` of ``a``."""
+    out = 0
+    while a:
+        low = a & -a
+        out |= masks[low.bit_length() - 1]
+        a ^= low
+    return out
+
+
+def structural_reach(e: MorphExpr, traces: list[Trace] | None = None) -> list[int]:
+    """Per input gate ``i``, the mask of outputs that no derivation can
+    guard once ``i`` is claimed unguarded: the claim with unguarded inputs
+    ``a`` and guarded outputs ``g`` is derivable iff ``g`` misses the
+    union of these masks over the bits of ``a``.
+
+    A trace node counts as a box with its conclusion split and is
+    appended to ``traces``; without a list it raises TraceNotAllowed.
+    """
+
+    def leaf(x: MorphExpr) -> list[int]:
+        if isinstance(x, Trace):
+            if traces is None:
+                raise TraceNotAllowed("expression contains a trace node")
+            traces.append(x)
+            s = x.conclusion_split()
+        elif isinstance(x, Box):
+            s = x.sig.split
+        else:  # wires only: input i feeds output perm[i]
+            k, r = (len(x.left), len(x.right)) if isinstance(x, Sym) else (0, 0)
+            return [1 << (i + r if i < k else i - k) for i in range(len(x.dom))]
+        # an unguarded input reaches every output the box does not promise,
+        # a guarded one reaches them all
+        full = (1 << len(x.cod)) - 1
+        ui, rest = s.unguarded_in_mask, full & ~s.guarded_out_mask
+        return [rest if ui >> i & 1 else full for i in range(len(x.dom))]
+
+    def comp(x: Comp, first: list[int], second: list[int]) -> list[int]:
+        return [_union(second, m) for m in first]
+
+    def tensor(x: Tensor, top: list[int], bottom: list[int]) -> list[int]:
+        shift = len(x.top.cod)
+        return top + [m << shift for m in bottom]
+
+    return fold(e, leaf, comp, tensor)
+
+
+def reach_table(reach: list[int]) -> list[int]:
+    """Per mask ``a`` of inputs, the union of ``reach`` over its bits."""
+    table = [0]
+    for r in reach:
+        # the masks with this input's bit: each mask below them plus its reach
+        table += [t | r for t in table]
+    return table
+
+
+def _check_fits(claim: Split, n_in: int, n_out: int) -> None:
+    if claim.n_in != n_in or claim.n_out != n_out:
+        raise DiagramError("claim does not fit the diagram boundary")
+
+
+def _derives(reach: list[int], claim: Split) -> bool:
+    return _union(reach, claim.unguarded_in_mask) & claim.guarded_out_mask == 0
 
 
 def _antichain(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -199,93 +261,30 @@ def _antichain(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return maxima
 
 
-# widest subterm, in domain plus codomain gates, that derivable_splits
-# takes: a wires-only leaf lists 2**n_in candidates, and composing two
-# subterms compares every pair of their maximal claims, which takes about
-# a second at this width
+# widest expression, in domain plus codomain gates, that derivable_splits
+# takes: it lists a claim per set of inputs and reduces them to an
+# antichain, which takes about a second at this width
 MAX_SPLIT_WIDTH = 20
-
-
-def _check_width(x: MorphExpr) -> None:
-    width = len(x.dom) + len(x.cod)
-    if width > MAX_SPLIT_WIDTH:
-        raise SignatureError(
-            f"subterm {x.dom} -> {x.cod} is {width} gates wide; derivable_splits "
-            f"takes at most {MAX_SPLIT_WIDTH}"
-        )
-
-
-def derivable_masks(e: MorphExpr) -> list[tuple[int, int]]:
-    """``derivable_splits`` as pairs of masks (unguarded inputs, guarded
-    outputs), with bit ``i`` for gate ``i``."""
-
-    def leaf(x: MorphExpr) -> list[tuple[int, int]]:
-        if isinstance(x, Trace):
-            raise TraceNotAllowed("expression contains a trace node")
-        _check_width(x)
-        n_in, n_out = len(x.dom), len(x.cod)
-        full_out = (1 << n_out) - 1
-        if isinstance(x, Box):
-            s = x.sig.split
-            return _antichain(
-                {
-                    (s.unguarded_in_mask, s.guarded_out_mask),
-                    ((1 << n_in) - 1, 0),
-                    (0, full_out),
-                }
-            )
-        # wires only: a claim holds iff no claimed-unguarded input is wired
-        # straight to a claimed-guarded output; input i feeds output perm[i].
-        # The candidates form an antichain already: a larger input set has a
-        # larger image under the injective perm, so a smaller output set.
-        k, r = (len(x.left), len(x.right)) if isinstance(x, Sym) else (0, 0)
-        perm = [i + r if i < k else i - k for i in range(n_in)]
-        cands = []
-        for s_mask in range(1 << n_in):
-            img = 0
-            for i in range(n_in):
-                if s_mask >> i & 1:
-                    img |= 1 << perm[i]
-            cands.append((s_mask, full_out & ~img))
-        return cands
-
-    def comp(x: Comp, left, right) -> list[tuple[int, int]]:
-        # need a middle partition E|F with F <= dg and (mid - F) <= af,
-        # i.e. every middle gate is covered by dg or af
-        _check_width(x)
-        mid_full = (1 << len(x.first.cod)) - 1
-        return _antichain(
-            {(ag, df) for ag, dg in left for af, df in right if mid_full & ~af & ~dg == 0}
-        )
-
-    def tensor(x: Tensor, top, bottom) -> list[tuple[int, int]]:
-        # the gates of the two factors are disjoint bit ranges, so a pair of
-        # the product is below another iff it is in each factor: the product
-        # of two antichains is one
-        _check_width(x)
-        si, so = len(x.top.dom), len(x.top.cod)
-        return [(a1 | (a2 << si), d1 | (d2 << so)) for a1, d1 in top for a2, d2 in bottom]
-
-    return fold(e, leaf, comp, tensor)
 
 
 def derivable_splits(e: MorphExpr) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
     """All derivable claims of a trace-free expression, given by their
     maximal elements (claims are downward closed under weakening).
 
-    Raises SignatureError if a subterm is wider than ``MAX_SPLIT_WIDTH``
-    (20) domain plus codomain gates: the search is exponential in width.
+    Raises SignatureError if the expression is wider than
+    ``MAX_SPLIT_WIDTH`` (20) domain plus codomain gates: the listing is
+    exponential in width.
     """
-    return frozenset((_gate_set(a), _gate_set(d)) for a, d in derivable_masks(e))
-
-
-def masks_derivable(maxes: list[tuple[int, int]], a: int, g: int) -> bool:
-    """``claim_derivable`` on masks: is the claim with unguarded inputs
-    ``a`` and guarded outputs ``g`` below a pair of ``derivable_masks``?"""
-    for am, gm in maxes:
-        if a & ~am == 0 and g & ~gm == 0:
-            return True
-    return False
+    width = len(e.dom) + len(e.cod)
+    if width > MAX_SPLIT_WIDTH:
+        raise SignatureError(
+            f"subterm {e.dom} -> {e.cod} is {width} gates wide; derivable_splits "
+            f"takes at most {MAX_SPLIT_WIDTH}"
+        )
+    full = (1 << len(e.cod)) - 1
+    table = reach_table(structural_reach(e))
+    maxes = _antichain((a, full & ~t) for a, t in enumerate(table))
+    return frozenset((_gate_set(a), _gate_set(d)) for a, d in maxes)
 
 
 def claim_derivable(
@@ -299,8 +298,9 @@ def claim_derivable(
 
 
 def split_derivable(e: MorphExpr, claim: Split) -> bool:
-    """Convenience: is the claim derivable for this trace-free expression?"""
-    return claim_derivable(derivable_splits(e), claim)
+    """Is the claim derivable for this trace-free expression?"""
+    _check_fits(claim, len(e.dom), len(e.cod))
+    return _derives(structural_reach(e), claim)
 
 
 # --- syntax-directed checking of annotated traced expressions ---------------
@@ -319,16 +319,14 @@ class CheckResult:
         return out
 
 
-def _opaque(e: MorphExpr, queue: list, counter) -> MorphExpr:
+def _opaque(e: MorphExpr) -> MorphExpr:
     """Replace maximal trace subterms by boxes decorated with their
-    conclusion splits, queueing the nodes for their own layer checks."""
+    conclusion splits."""
 
     def leaf(x: MorphExpr) -> MorphExpr:
         if not isinstance(x, Trace):
             return x
-        idx = next(counter)
-        queue.append((idx, x))
-        return Box(BoxSig(f"tr_{idx}", x.dom, x.cod, x.conclusion_split()))
+        return Box(BoxSig("opaque", x.dom, x.cod, x.conclusion_split()))
 
     return fold(e, leaf, _rebuild_comp, _rebuild_tensor)
 
@@ -344,79 +342,52 @@ def _rebuild_tensor(x: Tensor, top: MorphExpr, bottom: MorphExpr) -> MorphExpr:
 def check_annotated(e: MorphExpr, claim: Split) -> CheckResult:
     """Verify every trace annotation and the top-level claim.
 
-    Each layer (the expression with its immediate trace subterms turned
-    opaque) is elaborated and checked geometrically; a trace node's body
-    is checked against its annotation.  Returns per-node certificates
-    and, on failure, the first offending path or loop.
+    Each layer (the expression with its immediate trace subterms read as
+    boxes carrying their conclusion splits) is decided structurally; a
+    trace node's body is checked against its annotation.  Trace nodes are
+    numbered ``tr_0, tr_1, ...`` breadth first.  Returns per-node
+    certificates and, on failure, the first failing layer's shortest
+    offending path in its elaborated diagram.
     """
-    counter = itertools.count()
-    queue: list[tuple[int, Trace]] = []
+    _check_fits(claim, len(e.dom), len(e.cod))
     result = CheckResult(ok=True)
-
-    top_layer = _opaque(e, queue, counter)
-    layers: list[tuple[str, MorphExpr, Split, dict]] = [
-        ("top", top_layer, claim, {"node": "top", "claim": str(claim)})
-    ]
-    while queue:
-        idx, tr = queue.pop(0)
-        body_layer = _opaque(tr.body, queue, counter)
-        a, b, c, d = tr.corners
-        entry = {
-            "node": f"tr_{idx}",
-            "loop": str(tr.loop),
-            "corners": f"{a}|{b} -> {c}|{d}",
-        }
-        layers.append((f"tr_{idx}", body_layer, tr.annotation, entry))
-
-    for _, layer, layer_claim, entry in layers:
-        diagram = elaborate(layer)
-        bad = geometric_witness(diagram, layer_claim)
-        entry["ok"] = bad is None
+    traces: list[Trace] = []
+    layers = [(e, claim, {"node": "top", "claim": str(claim)})]
+    for layer, layer_claim, entry in layers:  # the list grows while it is read
+        found = len(traces)
+        entry["ok"] = _derives(structural_reach(layer, traces), layer_claim)
         result.certificate.append(entry)
-        if bad is not None and result.ok:
+        if not entry["ok"] and result.ok:
             result.ok = False
+            bad = geometric_witness(elaborate(_opaque(layer)), layer_claim)
             result.witness = {"node": entry["node"], **bad.to_json()}
+        for idx in range(found, len(traces)):
+            tr = traces[idx]
+            a, b, c, d = tr.corners
+            entry = {"node": f"tr_{idx}", "loop": str(tr.loop), "corners": f"{a}|{b} -> {c}|{d}"}
+            layers.append((tr.body, tr.annotation, entry))
     return result
 
 
-def infer_trace_annotations(
-    e: MorphExpr, claim: Split, max_nodes: int = 3
-) -> MorphExpr | None:
-    """Brute-force annotation search for a lightly traced expression.
+def infer_trace_annotations(e: MorphExpr, claim: Split) -> MorphExpr | None:
+    """Annotate every trace node as strongly as its body allows.
 
     The loop word and its position are part of each trace node (they fix
     the feedback wiring), so the only annotation freedom left is how many
-    body outputs are claimed unguarded ahead of the guarded block.  Tries
-    every combination across all trace nodes and returns a re-annotated
-    expression that checks under ``claim``, or None.  Refuses expressions
-    with more than ``max_nodes`` trace nodes.
+    body outputs are claimed unguarded ahead of the guarded block.  Bottom
+    up, each node claims the fewest that its re-annotated body derives.  A
+    stronger inner conclusion never makes an outer body derive less, so if
+    any choice checks, this one does.  Returns the re-annotated expression
+    if it checks under ``claim``, else None.
     """
-    from .expressions import trace as mk_trace
 
-    # trace nodes in preorder, each with its rank in the fold's (postorder) visits
-    rank = itertools.count()
-    nodes: list[tuple[int, Trace]] = fold(
-        e,
-        lambda x: [],
-        lambda x, first, second: first + second,
-        lambda x, top, bottom: top + bottom,
-        lambda x, body: [(next(rank), x), *body],
-    )
-    if len(nodes) > max_nodes:
-        raise ValueError(f"refusing inference with more than {max_nodes} trace nodes")
+    def retrace(x: Trace, body: MorphExpr) -> MorphExpr:
+        reach, a_len = structural_reach(body, []), len(x.corners[0])
+        for c_len in range(len(body.cod) - len(x.loop) + 1):
+            candidate = mk_trace(x.loop, body, a_len, c_len)
+            if _derives(reach, candidate.annotation):
+                return candidate
+        return candidate  # no promise holds: the check below fails
 
-    ranges = [range(len(t.body.cod) - len(t.loop) + 1) for _, t in nodes]
-    for combo in itertools.product(*ranges):
-        choice = {r: c_len for (r, _), c_len in zip(nodes, combo)}
-        rank = itertools.count()
-
-        def retrace(x: Trace, body: MorphExpr) -> MorphExpr:
-            return mk_trace(x.loop, body, len(x.corners[0]), choice[next(rank)])
-
-        try:
-            candidate = fold(e, lambda x: x, _rebuild_comp, _rebuild_tensor, retrace)
-        except Exception:
-            continue
-        if check_annotated(candidate, claim).ok:
-            return candidate
-    return None
+    candidate = fold(e, lambda x: x, _rebuild_comp, _rebuild_tensor, retrace)
+    return candidate if check_annotated(candidate, claim).ok else None

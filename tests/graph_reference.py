@@ -1,15 +1,19 @@
-"""Direct port-graph traversals, kept only as a reference for the tests.
+"""Direct searches, kept only as a reference for the tests.
 
-Each function answers one graph question by walking the diagram from
-scratch, the way ``gtc`` did before it read every answer off the cached
-``DiagramIndex``.  ``test_graph_index`` asserts that both give equal
-results.
+Each graph function answers one graph question by walking the diagram
+from scratch, the way ``gtc`` did before it read every answer off the
+cached ``DiagramIndex``.  ``test_graph_index`` asserts that both give
+equal results.  ``infer_trace_annotations`` is the exhaustive annotation
+search that the one-fold inference replaced.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from gtc.diagrams import Diagram, Port
-from gtc.guardedness import GeometricWitness, PortPath
+from gtc.expressions import Comp, Tensor, fold, trace
+from gtc.guardedness import GeometricWitness, PortPath, check_annotated
 from gtc.signatures import Split
 
 
@@ -158,3 +162,32 @@ def compute_uv(d: Diagram, claim: Split) -> tuple[frozenset[int], frozenset[int]
         if any(("bout", b, k) in from_inputs for k in range(len(sig.outputs))):
             v_set.add(b)
     return frozenset(u_set), frozenset(v_set)
+
+
+def infer_trace_annotations(e, claim: Split):
+    """Try every combination of output promises across the trace nodes,
+    the nodes in preorder and each from its strongest promise, and return
+    the first re-annotated expression that checks under ``claim``."""
+    # trace nodes in preorder, each with its rank in the fold's (postorder) visits
+    rank = itertools.count()
+    nodes = fold(
+        e,
+        lambda x: [],
+        lambda x, first, second: first + second,
+        lambda x, top, bottom: top + bottom,
+        lambda x, body: [(next(rank), x), *body],
+    )
+    ranges = [range(len(t.body.cod) - len(t.loop) + 1) for _, t in nodes]
+    for combo in itertools.product(*ranges):
+        choice = {r: c_len for (r, _), c_len in zip(nodes, combo)}
+        rank = itertools.count()
+
+        def retrace(x, body):
+            return trace(x.loop, body, len(x.corners[0]), choice[next(rank)])
+
+        candidate = fold(
+            e, lambda x: x, lambda x, f, g: Comp(f, g), lambda x, t, b: Tensor(t, b), retrace
+        )
+        if check_annotated(candidate, claim).ok:
+            return candidate
+    return None

@@ -72,6 +72,20 @@ def test_check_writes_dot_and_json(source_file, tmp_path, capsys):
     json.loads(js.read_text())
 
 
+def test_check_reports_a_failing_certificate_that_has_no_diagram(tmp_path, capsys):
+    # the body is a bare wire: the layer check fails, and closing the loop
+    # leaves no port to elaborate, which only an export needs
+    path = tmp_path / "bare.gtc"
+    path.write_text("let main = tr[A: I|I -> I|I]{ id[A] }\n")
+    argv = ["check", str(path), "--name", "main", "--claim", "I|I -> I|I"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [n["ok"] for n in payload["nodes"]] == [True, False]
+    assert payload["witness"] == {"node": "tr_0", "kind": "path", "ports": [["din", 0], ["dout", 0]]}
+    assert main([*argv, "--dot", str(tmp_path / "d.dot")]) == 2
+    assert _error_line(capsys).startswith("error: trace closes a wire through no box")
+
+
 def _find(rng, want_ok: bool):
     while True:
         d, claim = rand_guarded_diagram(rng)
@@ -447,10 +461,10 @@ def test_suite_zero_per_axiom_still_runs(capsys):
 def test_oracle_block_counts_a_planted_disagreement(monkeypatch):
     import gtc.cli as cli
 
-    real = cli.derivable_masks
-    monkeypatch.setattr(cli, "derivable_masks", lambda e: real(e)[1:])
+    real = cli.structural_reach
+    monkeypatch.setattr(cli, "structural_reach", lambda e: [0] + real(e)[1:])
     assert cli._oracle_block(0, n_expr=10)["claims"]["failures"] > 0
-    monkeypatch.setattr(cli, "derivable_masks", real)
+    monkeypatch.setattr(cli, "structural_reach", real)
     monkeypatch.setattr(cli, "geometric_reach_table", lambda d: None)
     assert cli._oracle_block(0, n_expr=10)["claims"]["failures"] > 0
 

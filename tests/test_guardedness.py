@@ -1,27 +1,39 @@
+import hashlib
+import json
 from itertools import product
 
 import numpy as np
 import pytest
 
+import graph_reference
+
 from gtc.counterexamples import equal_morphisms_different_typing
 from gtc.diagrams import DiagramError, diagram_iso, elaborate
 from gtc.expressions import parse_expr, print_expr
-from gtc.generators import rand_accepted_traced, rand_guarded_diagram, rand_trace_free_expr
+from gtc.generators import (
+    rand_accepted_traced,
+    rand_guarded_diagram,
+    rand_split,
+    rand_trace_free_expr,
+    wrap_in_trace,
+)
 from gtc.guardedness import (
     _antichain,
+    _derives,
+    _opaque,
     check_annotated,
     claim_derivable,
-    derivable_masks,
     derivable_splits,
     geometric_check,
     geometric_reach_table,
     infer_trace_annotations,
-    masks_derivable,
+    reach_table,
     split_derivable,
+    structural_reach,
     unguarded_reach,
 )
-from gtc.synthesis import synthesize
-from gtc.expressions import Box, Id, Sym, Tensor, Trace, fold
+from gtc.synthesis import SynthesisError, synthesize
+from gtc.expressions import Box, Comp, Id, Sym, Tensor, Trace, fold, trace
 from gtc.signatures import SignatureError, mk_split, obj, parse_box_decl
 
 SIGS = {
@@ -176,12 +188,6 @@ def test_inference_finds_no_annotation_for_the_gap_fixture():
     assert infer_trace_annotations(traced, claim) is None
 
 
-def test_inference_refuses_many_nodes():
-    sigs, traced, _, claim = equal_morphisms_different_typing()
-    with pytest.raises(ValueError):
-        infer_trace_annotations(traced, claim, max_nodes=0)
-
-
 def test_inference_annotates_nested_traces_per_node():
     # the inner body passes U to Y unguarded, so the inner node must leave Y
     # unpromised; the outer node can still promise Y, which no input reaches
@@ -285,15 +291,26 @@ def test_wire_candidates_are_an_antichain():
 def test_derivable_splits_enforces_width_limit():
     from gtc.guardedness import MAX_SPLIT_WIDTH
 
-    # every node is checked, not only the leaves that enumerate candidates
+    # only the whole expression is listed claim by claim, so only it is limited
     assert MAX_SPLIT_WIDTH == 20
     at_limit = derivable_splits(Id(obj(*["A"] * 10)))
     assert len(at_limit) == 1 << 10
     wide_leaf = Id(obj(*["A"] * 11))
-    wide_node = Tensor(Id(obj(*["A"] * 5)), Id(obj(*["A"] * 6)))  # leaves 10 and 12 wide
+    wide_node = Tensor(Id(obj(*["A"] * 5)), Id(obj(*["A"] * 6)))
     for e, width in ((wide_leaf, 22), (wide_node, 22)):
         with pytest.raises(SignatureError, match=f"is {width} gates wide; .* at most 20"):
             derivable_splits(e)
+    # a 1 -> 1 expression through a 21-gate middle: its first box is 22 wide
+    fan_out = Box(parse_box_decl(f"box fan : A | I -> {'*'.join(['A'] * 21)} | I"))
+    fan_in = Box(parse_box_decl(f"box join : {'*'.join(['A'] * 21)} | I -> A | I"))
+    narrow = fan_out >> fan_in
+    assert len(narrow.first.dom) + len(narrow.first.cod) == 22
+    maxes = {(frozenset({0}), frozenset()), (frozenset(), frozenset({0}))}
+    assert derivable_splits(narrow) == maxes
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _split_verdicts(e):
@@ -323,12 +340,15 @@ def test_mask_deciders_match_split_deciders():
     for _ in range(60):
         e = rand_trace_free_expr(rng, max_boxes=6)
         widths.add(len(e.dom) + len(e.cod))
-        maxes, table = derivable_masks(e), geometric_reach_table(elaborate(e))
+        reach = structural_reach(e)
+        structural_table, table = reach_table(reach), geometric_reach_table(elaborate(e))
         assert table is not None  # a trace-free expression has no loop
         verdicts = _split_verdicts(e)
         assert len(verdicts) == 1 << len(e.dom) + len(e.cod)
         for (a, g), (structural, geometric) in verdicts.items():
-            assert masks_derivable(maxes, a, g) == structural
+            assert (structural_table[a] & g == 0) == structural
+            claim = mk_split(len(e.dom), len(e.cod), _bits(a), _bits(g))
+            assert _derives(reach, claim) == structural
             assert (table[a] & g == 0) == geometric
     assert max(widths) == 10
 
@@ -352,8 +372,113 @@ def test_reach_table_matches_geometric_check_with_loops():
 
 
 def test_claim_that_does_not_fit_the_diagram_is_a_diagram_error():
-    d = elaborate(Id(obj("A")))
-    claim = mk_split(2, 1, {0}, {0})
-    for decide in (geometric_check, synthesize):
-        with pytest.raises(DiagramError, match="^claim does not fit the diagram boundary$"):
-            decide(d, claim)
+    e = Id(obj("A"))
+    d = elaborate(e)
+    deciders = ((geometric_check, d), (synthesize, d), (split_derivable, e), (check_annotated, e))
+    for claim in (mk_split(2, 1, {0}, {0}), mk_split(2, 1, set(), {0}), mk_split(1, 0, {0}, set())):
+        for decide, x in deciders:
+            with pytest.raises(DiagramError, match="^claim does not fit the diagram boundary$"):
+                decide(x, claim)
+
+
+# --- certificates of traced expressions --------------------------------------
+
+
+def _reannotate(rng, e):
+    """``e`` with every trace node given a random output promise."""
+
+    def retrace(x, body):
+        c_len = int(rng.integers(0, len(body.cod) - len(x.loop) + 1))
+        return trace(x.loop, body, len(x.corners[0]), c_len)
+
+    return fold(e, lambda x: x, lambda x, f, g: Comp(f, g), lambda x, t, b: Tensor(t, b), retrace)
+
+
+def _traced_corpus(seed, n_accepted=400, n_diagrams=150):
+    """Traced expressions with claims: accepted ones with their own claim,
+    then re-annotated at random with a random claim, for closed-loop
+    expressions and for synthesized diagrams; about a third fail."""
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < n_accepted:
+        got = rand_accepted_traced(rng)
+        if got is None:
+            continue
+        done += 1
+        e, claim = got
+        yield e, claim
+        yield _reannotate(rng, e), rand_split(rng, len(e.dom), len(e.cod))
+    for _ in range(n_diagrams):
+        d, claim = rand_guarded_diagram(rng)
+        try:
+            e = synthesize(d, claim)
+        except SynthesisError:
+            continue
+        yield e, claim
+        yield _reannotate(rng, e), rand_split(rng, len(e.dom), len(e.cod))
+
+
+def test_certificates_match_golden_digest():
+    digest, failures = hashlib.sha256(), 0
+    for e, claim in _traced_corpus(300):
+        cert = check_annotated(e, claim).to_json()
+        failures += not cert["ok"]
+        digest.update(json.dumps(cert).encode())
+    assert failures == 295
+    assert digest.hexdigest() == "2404d63f6f0771db05c119cf13ff1ee86476aa1f8badeb92ac170e0a43fbe10d"
+
+
+def test_every_traced_layer_decides_alike_structurally_and_geometrically():
+    verdicts = {True: 0, False: 0}
+    for e, claim in _traced_corpus(301, n_accepted=150, n_diagrams=60):
+        layers = [(e, claim)]
+        for layer, layer_claim in layers:  # the list grows while it is read
+            traces = []
+            structural = _derives(structural_reach(layer, traces), layer_claim)
+            assert structural == geometric_check(elaborate(_opaque(layer)), layer_claim)
+            verdicts[structural] += 1
+            layers += [(t.body, t.annotation) for t in traces]
+    assert verdicts[True] > 500 and verdicts[False] > 100, verdicts
+
+
+def _n_traces(e):
+    def add(x, left, right):
+        return left + right
+
+    return fold(e, lambda x: 0, add, add, lambda x, body: 1 + body)
+
+
+def _inference_corpus(seed, n):
+    """Expressions with 1-3 trace nodes, side by side and nested, each
+    with its own claim when it has one and with a random claim."""
+    rng = np.random.default_rng(seed)
+    while n:
+        got = rand_accepted_traced(rng, max_boxes=4)
+        if got is None:
+            continue
+        e, claim = got
+        if rng.random() < 0.4:
+            other = rand_accepted_traced(rng, max_boxes=3)
+            if other is not None:
+                e, claim = Tensor(e, other[0]), None
+        if rng.random() < 0.4:
+            a = [i for i in range(len(e.dom)) if rng.random() < 0.7]
+            d = [j for j in range(len(e.cod)) if rng.random() < 0.7]
+            e, claim = wrap_in_trace(rng, e, a, d) or (e, claim)
+        if not 1 <= _n_traces(e) <= 3:
+            continue
+        n -= 1
+        if claim is not None:
+            yield e, claim
+        yield e, rand_split(rng, len(e.dom), len(e.cod))
+
+
+def test_inference_matches_the_exhaustive_search():
+    found, per_count = 0, {1: 0, 2: 0, 3: 0}
+    for e, claim in _inference_corpus(302, 150):
+        got = infer_trace_annotations(e, claim)
+        assert got == graph_reference.infer_trace_annotations(e, claim)
+        found += got is not None
+        per_count[_n_traces(e)] += 1
+    assert 50 < found < sum(per_count.values()), found
+    assert min(per_count.values()) > 20, per_count
