@@ -472,14 +472,24 @@ def _typed(v, typ: type, what: str):
     return v
 
 
-def _sig_from_json(d: dict) -> BoxSig:
-    inputs = parse_object(d["inputs"])
-    outputs = parse_object(d["outputs"])
+def _word(text, shapes: dict) -> ObjectExpr:
+    if type(text) is not str or text not in shapes:
+        shapes[text] = parse_object(text)  # raises for a non-string
+    return shapes[text]
+
+
+def _sig_from_json(d: dict, shapes: dict) -> BoxSig:
+    """``shapes``, one per import, holds the words and splits built so far."""
+    inputs, outputs = _word(d["inputs"], shapes), _word(d["outputs"], shapes)
     ui, go = (
-        [_typed(g, int, "gate index") for g in d.get(side, [])]
+        tuple(_typed(g, int, "gate index") for g in d.get(side, ()))
         for side in ("unguarded_in", "guarded_out")
     )
-    return BoxSig(d["name"], inputs, outputs, mk_split(len(inputs), len(outputs), ui, go))
+    name, key = d["name"], (len(inputs), len(outputs), ui, go)
+    split = shapes.get(key)
+    if split is None:
+        split = shapes[key] = mk_split(*key)
+    return BoxSig(name, inputs, outputs, split)
 
 
 def _port_from_json(v: list) -> Port:
@@ -508,7 +518,8 @@ def import_json(text: str) -> Diagram:
         boxes_raw = sorted(payload["boxes"], key=lambda b: _typed(b["id"], int, "box id"))
         if [b["id"] for b in boxes_raw] != list(range(len(boxes_raw))):
             raise DiagramError("box ids must be 0..n-1")
-        boxes = tuple(_sig_from_json(b["sig"]) for b in boxes_raw)
+        shapes: dict = {}
+        boxes = tuple(_sig_from_json(b["sig"], shapes) for b in boxes_raw)
         wires = frozenset(
             (_port_from_json(s), _port_from_json(t)) for s, t in payload["wires"]
         )
@@ -517,6 +528,7 @@ def import_json(text: str) -> Diagram:
         for atom, _ in bi + bo:
             if not isinstance(atom, str):
                 raise DiagramError(f"boundary atom {atom!r} is not a string")
+        ObjectExpr(tuple(a for a, _ in bi + bo))  # a bad atom name raises here
     except (IndexError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise DiagramError(f"bad diagram JSON: {exc}") from None
     return Diagram(boxes, wires, bi, bo)

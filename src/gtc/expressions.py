@@ -435,13 +435,14 @@ def parse_source(text: str) -> SourceFile:
     """
     sigs: dict[str, BoxSig] = {}
     exprs: dict[str, MorphExpr] = {}
+    shapes: dict = {}  # box shapes parsed so far, see parse_box_decl
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
             if line.startswith("box"):
-                sig = parse_box_decl(line)
+                sig = parse_box_decl(line, shapes)
                 if sig.name in sigs:
                     raise SignatureError(f"duplicate box {sig.name!r}")
                 sigs[sig.name] = sig

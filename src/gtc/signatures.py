@@ -371,23 +371,26 @@ _BOX_RE = re.compile(
 )
 
 
-def parse_box_decl(line: str) -> BoxSig:
+def parse_box_decl(line: str, shapes: dict | None = None) -> BoxSig:
     """Parse ``box f : A | B -> C | D``.
 
     ``|`` separates unguarded inputs (left) from guarded inputs, and
     unguarded outputs (left) from guarded outputs; the declared gates are
     laid out in that order, so unguarded inputs sit at the gate prefix and
-    guarded outputs at the gate suffix.
+    guarded outputs at the gate suffix.  ``shapes`` (one per source) maps
+    corner texts to their ``(inputs, outputs, split)``, so each is parsed once.
     """
     m = _BOX_RE.fullmatch(line.strip())
     if m is None:
         raise SignatureError(f"bad signature declaration: {line!r}")
-    ui = parse_object(m.group("ui"))
-    gi = parse_object(m.group("gi"))
-    uo = parse_object(m.group("uo"))
-    go = parse_object(m.group("go"))
-    split = corner_split(len(ui) + len(gi), len(uo) + len(go), len(ui), len(uo))
-    return BoxSig(m.group("name"), ui * gi, uo * go, split)
+    corners = m.group("ui", "gi", "uo", "go")
+    shapes = {} if shapes is None else shapes
+    shape = shapes.get(corners)
+    if shape is None:
+        ui, gi, uo, go = map(parse_object, corners)
+        split = corner_split(len(ui) + len(gi), len(uo) + len(go), len(ui), len(uo))
+        shape = shapes[corners] = (ui * gi, uo * go, split)
+    return BoxSig(m.group("name"), *shape)
 
 
 def parse_claim(text: str, dom: ObjectExpr, cod: ObjectExpr) -> Split:

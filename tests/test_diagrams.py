@@ -14,7 +14,7 @@ from gtc.diagrams import (
 from gtc.expressions import Trace, parse_expr
 from gtc.generators import rand_accepted_traced, rand_guarded_diagram, rand_trace_free_expr
 from gtc.guardedness import geometric_check
-from gtc.signatures import dual_split, mk_split, parse_box_decl
+from gtc.signatures import BoxSig, dual_split, mk_split, parse_box_decl, parse_object
 
 SIGS = {
     s.name: s
@@ -159,6 +159,18 @@ def test_import_rejects_schema_violation():
             '{"boxes": [], "wires": [[["din", 0], ["dout", 0]]],'
             ' "in": [{"atom": 5, "guarded": false}], "out": [{"atom": 5, "guarded": false}]}'
         )
+
+
+@pytest.mark.parametrize("atom", ["I", "", "A*B", " A"])
+def test_import_rejects_bad_boundary_atoms(atom):
+    # a bare pass-through wire joins equal atoms, so only the word check sees them
+    with pytest.raises(DiagramError) as info:
+        import_json(
+            json.dumps({"boxes": [], "wires": [[["din", 0], ["dout", 0]]],
+                        "in": [{"atom": atom, "guarded": False}],
+                        "out": [{"atom": atom, "guarded": True}]})
+        )
+    assert str(info.value) == f"bad diagram JSON: bad atom name {atom!r}"
 
 
 def test_dot_empty_diagram():
@@ -312,3 +324,52 @@ def test_import_rejects_values_of_the_wrong_json_type(path, value, message):
     with pytest.raises(DiagramError) as info:
         import_json(_payload_with(path, value))
     assert str(info.value) == f"bad diagram JSON: {message}"
+
+
+# --- box shapes shared within one import_json call ---------------------------
+
+SHAPE_JSON = {"name": "f", "inputs": "A*B", "outputs": "B", "unguarded_in": [1],
+              "guarded_out": [0]}
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ({"unguarded_in": [True]}, "bad gate index True"),
+        ({"unguarded_in": [1.0]}, "bad gate index 1.0"),
+        ({"guarded_out": [False]}, "bad gate index False"),
+        ({"inputs": 5}, "object 5 is not a string"),
+        ({"inputs": ["A", "B"]}, "object ['A', 'B'] is not a string"),
+        ({"name": "let"}, "bad box name 'let'"),
+    ],
+    ids=["boolean-gate", "float-gate", "boolean-output-gate", "integer-word", "list-word",
+         "reserved-name"],
+)
+def test_second_box_of_a_shape_fails_as_the_first_would(second, message):
+    boxes = [{"id": 0, "sig": SHAPE_JSON}, {"id": 1, "sig": {**SHAPE_JSON, "name": "g", **second}}]
+    with pytest.raises(DiagramError) as info:
+        import_json(json.dumps({"boxes": boxes, "wires": [], "in": [], "out": []}))
+    assert str(info.value) == f"bad diagram JSON: {message}"
+
+
+def test_box_shapes_are_shared_within_one_import_only():
+    text = export_json(elaborate(parse_expr("(b ; f) (*) w", SIGS)))
+    first, second = import_json(text).boxes, import_json(text).boxes
+    assert [s.name for s in first] == ["b", "f", "w"]
+    assert first[0].split is first[1].split  # one gate layout over other words
+    assert first[0].split is not first[2].split
+    assert not {id(s.split) for s in first} & {id(s.split) for s in second}
+
+
+def test_shared_box_shapes_equal_those_built_alone():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        d, _ = rand_guarded_diagram(rng)
+        for raw, sig in zip(json.loads(export_json(d))["boxes"], import_json(export_json(d)).boxes):
+            j = raw["sig"]
+            inputs, outputs = parse_object(j["inputs"]), parse_object(j["outputs"])
+            split = mk_split(len(inputs), len(outputs), j["unguarded_in"], j["guarded_out"])
+            alone = BoxSig(j["name"], inputs, outputs, split)
+            assert sig == alone and str(sig) == str(alone)
+            assert sig.split.unguarded_in_mask == split.unguarded_in_mask
+            assert sig.split.guarded_out_mask == split.guarded_out_mask

@@ -2,6 +2,7 @@
 
 import sys
 
+from gtc import diagrams, signatures
 from gtc.diagrams import diagram_iso, elaborate, export_json, import_json
 from gtc.expressions import parse_expr, parse_source, print_expr
 from gtc.guardedness import check_annotated, derivable_splits
@@ -46,3 +47,26 @@ def test_5000_box_chain_under_default_recursion_limit():
     model, boxes = load_bindings(BINDINGS, src.sigs)
     value = eval_expr(e, model, boxes)  # an even number of swaps
     assert value.table == {(0, "x0"): (0, "x0"), (0, "x1"): (0, "x1")}
+
+
+def test_20000_boxes_over_two_shapes_build_each_split_once(monkeypatch):
+    calls = []
+    real = signatures.mk_split
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    n = 20000
+    decls = [f"box s{i} : {'X | I -> I | X' if i % 2 else 'I | X -> X | I'}" for i in range(n)]
+    text = "\n".join(decls) + "\nlet main = " + " ; ".join(f"s{i}" for i in range(n)) + "\n"
+    monkeypatch.setattr(signatures, "mk_split", counted)
+    src = parse_source(text)
+    assert len(src.sigs) == n and len(calls) <= 4
+    d = elaborate(src.exprs["main"])
+    exported = export_json(d)
+    monkeypatch.setattr(diagrams, "mk_split", counted)
+    calls.clear()
+    back = import_json(exported)
+    assert len(back.boxes) == n and len(calls) <= 4
+    assert back == d

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gtc.expressions import ParseError, parse_source
 from gtc.generators import rand_split
 from gtc.signatures import (
     _GATE_MASKS,
@@ -166,6 +167,60 @@ def test_box_decl_rejects_garbage():
         parse_box_decl("box f : A -> B")
     with pytest.raises(SignatureError):
         parse_box_decl("box tr : A | I -> I | B")
+
+
+# --- box shapes shared within one parse_source call ------------------------
+
+SHAPE = "box f : X | I -> I | X\n"
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ("box let : X | I -> I | X", "line 2: bad box name 'let'"),
+        ("box I : X | I -> I | X", "line 2: bad box name 'I'"),
+        ("box f : X | I -> I | X", "line 2: duplicate box 'f'"),
+        (
+            "box g : X | I -> I | X*",
+            "line 2: syntax error in object ' X*' near position 2: expected atom, got ''",
+        ),
+    ],
+    ids=["reserved-name", "unit-name", "duplicate", "bad-word"],
+)
+def test_second_use_of_a_shape_fails_as_the_first_would(second, message):
+    with pytest.raises(ParseError) as info:
+        parse_source(SHAPE + second + "\nbox tr : X | I -> I | X\n")
+    assert str(info.value) == message
+
+
+def test_box_shapes_are_shared_within_one_source_only():
+    text = SHAPE + "box g : X | I -> I | X\nbox h : I | X -> X | I\n"
+    first, second = parse_source(text).sigs, parse_source(text).sigs
+    assert first["f"].split is first["g"].split
+    assert first["f"].split is not first["h"].split
+    assert first["f"].split == second["f"].split
+    assert not {id(s.split) for s in first.values()} & {id(s.split) for s in second.values()}
+
+
+def test_shared_box_shapes_equal_those_parsed_alone():
+    # pipeline-style sources: many names over few shapes, spacing varied
+    rng = np.random.default_rng(12)
+    words = ["X", "Y", "X*Y", "I", " X ", "X * Y"]
+    for _ in range(40):
+        lines = []
+        for i in range(int(rng.integers(1, 60))):
+            a, b = (words[int(k)] for k in rng.integers(0, len(words), 2))
+            if rng.random() < 0.5:
+                lines.append(f"box s{i} : {a} | I -> I | {b}")
+            else:
+                lines.append(f"box s{i}  :I|{a}->{b}|I")
+        sigs = parse_source("\n".join(lines)).sigs
+        assert len(sigs) == len(lines)
+        for line, sig in zip(lines, sigs.values()):
+            alone = parse_box_decl(line)
+            assert sig == alone and str(sig) == str(alone)
+            assert sig.split.unguarded_in_mask == alone.split.unguarded_in_mask
+            assert sig.split.guarded_out_mask == alone.split.guarded_out_mask
 
 
 def test_claim_parsing():
