@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,6 +76,7 @@ class Diagram:
 
     def with_claim(self, claim: Split) -> "Diagram":
         """Same graph, boundary decorations replaced by ``claim``."""
+        check_fits(claim, len(self.boundary_in), len(self.boundary_out))
         bi = tuple(
             (a, i not in claim.unguarded_in) for i, (a, _) in enumerate(self.boundary_in)
         )
@@ -83,6 +84,11 @@ class Diagram:
             (a, j in claim.guarded_out) for j, (a, _) in enumerate(self.boundary_out)
         )
         return Diagram(self.boxes, self.wires, bi, bo)
+
+
+def check_fits(claim: Split, n_in: int, n_out: int) -> None:
+    if claim.n_in != n_in or claim.n_out != n_out:
+        raise DiagramError("claim does not fit the diagram boundary")
 
 
 # --- the graph index ----------------------------------------------------------
@@ -131,9 +137,11 @@ class DiagramIndex:
 
     Ports get integer ids in ``Diagram.all_ports`` order, box ``b``'s from
     ``base[b]`` on; ``src`` and ``dst`` hold the wire ends' ids in ``wires``
-    order.  The full graph has an edge for every wire and box passage, the
-    unguarded graph drops the guarded passages.  A port has one wire out at
-    most and passages keep output-gate order, so searches are deterministic.
+    order.  Every wire joins equal atoms, so a boundary atom wired to a box
+    is a word's; one wired to the boundary is checked as a word.  The full
+    graph has an edge for every wire and box passage, the unguarded graph
+    drops the guarded passages.  A port has one wire out at most and
+    passages keep output-gate order, so searches are deterministic.
     """
 
     def __init__(self, d: Diagram) -> None:
@@ -173,6 +181,11 @@ class DiagramIndex:
             a, b = number(s, self.src), number(t, self.dst)
             if a != b:
                 raise DiagramError(f"wire {s} -> {t} joins atoms {a} and {b}")
+            if s[0] == "din" and t[0] == "dout":  # no box word has checked the atom
+                try:
+                    ObjectExpr((a,))
+                except ValueError as exc:  # a bad atom name
+                    raise DiagramError(str(exc)) from None
         if 2 * len(self.src) < n:  # each wire numbered two ports
             raise DiagramError(f"port {self.ports[seen.index(0)]} is not wired")
 
@@ -210,15 +223,6 @@ class DiagramIndex:
         for b, sig in enumerate(self.boxes):
             out += [("bin", b, k) for k in range(sig.split.n_in)]
             out += [("bout", b, k) for k in range(sig.split.n_out)]
-        return out
-
-    @cached_property
-    def box_wires(self) -> list[list]:
-        """Per box, the wires touching it (a wire from a box to itself once)."""
-        out: list[list] = [[] for _ in self.boxes]
-        for w in self.wires:
-            for b in {p[1] for p in w if p[0] in ("bin", "bout")}:
-                out[b].append(w)
         return out
 
     @cached_property
@@ -290,8 +294,9 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
 
     Identities, symmetries, and trace feedback contribute wires only; the
     boundary decorations come from ``claim`` (default: nothing guarded).
-    Raises DiagramError if a trace closes a wire that passes through no
-    box at all, since such a loop has no ports to hang on to.
+    Raises DiagramError if ``claim`` does not fit the boundary, or if a
+    trace closes a wire that passes through no box at all, since such a
+    loop has no ports to hang on to.
     """
     fr = _Frag()
 
@@ -360,6 +365,7 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
     n_in, n_out = len(top_ins), len(top_outs)
     if claim is None:
         claim = corner_split(n_in, n_out, n_in, n_out)
+    check_fits(claim, n_in, n_out)
     bi = tuple((e.dom[i], i not in claim.unguarded_in) for i in range(n_in))
     bo = tuple((e.cod[j], j in claim.guarded_out) for j in range(n_out))
     return Diagram(tuple(sig for sig, _, _ in fr.boxes), frozenset(wires), bi, bo)
@@ -370,62 +376,56 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
 
 def diagram_iso(d1: Diagram, d2: Diagram) -> bool:
     """Decide whether a box bijection exists that preserves signatures,
-    gate order, wires, and both boundaries verbatim."""
-    if d1.boundary_in != d2.boundary_in or d1.boundary_out != d2.boundary_out:
-        return False
-    if Counter(d1.boxes) != Counter(d2.boxes):
-        return False
-    wires2 = d2.wires
-    # wires from boundary to boundary map to themselves
-    if any(s[0] == "din" and t[0] == "dout" and (s, t) not in wires2 for s, t in d1.wires):
-        return False
-    by_sig: dict[BoxSig, list[int]] = {}
-    for b, sig in enumerate(d2.boxes):
-        by_sig.setdefault(sig, []).append(b)
-    order1 = sorted(range(len(d1.boxes)), key=lambda b: str(d1.boxes[b]))
-    box_wires = d1.index.box_wires
-    assign: dict[int, int] = {}
+    gate order, wires, and both boundaries verbatim.
 
-    def mapped(p: Port) -> Port | None:
-        if p[0] in ("din", "dout"):
-            return p
-        if p[1] in assign:
-            return (p[0], assign[p[1]], p[2])
-        return None
+    Every port carries one wire, so pairing two boxes forces the pairing
+    of the boxes at the far ends of their wires, gate for gate.  The
+    boundary pairs with itself; then each unpaired box keeps the first
+    unused box of its signature that grows without a clash (isomorphism
+    of components is an equivalence relation).  Bound: a component tries
+    each box once and a try pairs at most the component, so boxes²
+    pairings at most; boxes wired to the boundary are paired in one pass.
+    """
+    (cuts1, peer1, sigs1), (cuts2, peer2, sigs2) = _nodes(d1), _nodes(d2)
+    image, used = [-1] * len(sigs1), bytearray(len(sigs2))
 
-    def consistent(b1: int) -> bool:
-        """Do the wires between ``b1`` and what is already assigned map?"""
-        for src, dst in box_wires[b1]:
-            ms, md = mapped(src), mapped(dst)
-            if ms is not None and md is not None and (ms, md) not in wires2:
-                return False
-        return True
+    def grow(k1: int, k2: int) -> bool:
+        """Pair node ``k1`` with ``k2`` and every pair that forces, or none."""
+        made, ends = [], []  # nodes paired; far ends of paired ports, to check
 
-    # depth-first search over the positions of ``order1``, keeping for each
-    # position entered an iterator over its untried candidates
-    used: set[int] = set()
-    tries: list = []
-    pos = 0
-    while pos < len(order1):
-        b1 = order1[pos]
-        if len(tries) == pos:
-            tries.append(iter(by_sig[d1.boxes[b1]]))
-        else:  # back from a dead end below
-            used.discard(assign.pop(b1))
-        for b2 in tries[pos]:
-            if b2 not in used:
-                assign[b1] = b2
-                if consistent(b1):
-                    used.add(b2)
-                    pos += 1
-                    break
-                del assign[b1]
-        else:
-            if pos == 0:
-                return False
-            tries.pop()
-            pos -= 1
-    return True
+        def pair(c1: int, c2: int) -> bool:
+            if image[c1] >= 0 or used[c2] or sigs1[c1] != sigs2[c2]:
+                return image[c1] == c2
+            image[c1], used[c2] = c2, 1
+            made.append(c1)
+            ends.extend(zip(peer1[cuts1[c1] : cuts1[c1 + 1]], peer2[cuts2[c2] : cuts2[c2 + 1]]))
+            return True
+
+        ok = pair(k1, k2)
+        while ok and ends:
+            q1, q2 = ends.pop()
+            c1, c2 = bisect_right(cuts1, q1) - 1, bisect_right(cuts2, q2) - 1
+            ok = q1 - cuts1[c1] == q2 - cuts2[c2] and pair(c1, c2)
+        for c in () if ok else made:
+            used[image[c]], image[c] = 0, -1
+        return ok
+
+    by_sig: dict = {}
+    for k2 in range(1, len(sigs2)):
+        by_sig.setdefault(sigs2[k2], []).append(k2)
+    return len(sigs1) == len(sigs2) and grow(0, 0) and all(
+        image[k1] >= 0 or any(grow(k1, k2) for k2 in by_sig.get(sigs1[k1], ()) if not used[k2])
+        for k1 in range(1, len(sigs1))
+    )
+
+
+def _nodes(d: Diagram) -> tuple[list[int], list[int], tuple]:
+    """Node ``k`` (0 the boundary, ``b + 1`` box ``b``) has signature ``sigs[k]``
+    and the ids from ``cuts[k]`` below ``cuts[k + 1]``; ``peer[v]`` is id ``v``'s wire partner."""
+    peer = [0] * d.index.n_ports
+    for s, t in zip(d.index.src, d.index.dst):
+        peer[s], peer[t] = t, s
+    return [0, *d.index.base, d.index.n_ports], peer, ((d.boundary_in, d.boundary_out), *d.boxes)
 
 
 # --- reversal ---------------------------------------------------------------

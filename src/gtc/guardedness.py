@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .diagrams import Diagram, DiagramError, DiagramIndex, Port, elaborate
+from .diagrams import Diagram, DiagramIndex, Port, check_fits, elaborate
 from .expressions import Box, Comp, MorphExpr, Sym, Tensor, Trace, fold, trace as mk_trace
 from .signatures import BoxSig, SignatureError, Split, _gate_set
 
@@ -130,7 +130,7 @@ class GeometricWitness:
 
 
 def _holds(d: Diagram, claim: Split) -> bool:
-    _check_fits(claim, len(d.boundary_in), len(d.boundary_out))
+    check_fits(claim, len(d.boundary_in), len(d.boundary_out))
     ix = d.index
     if ix.unguarded_loop:
         return False
@@ -233,11 +233,6 @@ def reach_table(reach: list[int]) -> list[int]:
     return table
 
 
-def _check_fits(claim: Split, n_in: int, n_out: int) -> None:
-    if claim.n_in != n_in or claim.n_out != n_out:
-        raise DiagramError("claim does not fit the diagram boundary")
-
-
 def _derives(reach: list[int], claim: Split) -> bool:
     return _union(reach, claim.unguarded_in_mask) & claim.guarded_out_mask == 0
 
@@ -299,7 +294,7 @@ def claim_derivable(
 
 def split_derivable(e: MorphExpr, claim: Split) -> bool:
     """Is the claim derivable for this trace-free expression?"""
-    _check_fits(claim, len(e.dom), len(e.cod))
+    check_fits(claim, len(e.dom), len(e.cod))
     return _derives(structural_reach(e), claim)
 
 
@@ -349,7 +344,7 @@ def check_annotated(e: MorphExpr, claim: Split) -> CheckResult:
     certificates and, on failure, the first failing layer's shortest
     offending path in its elaborated diagram.
     """
-    _check_fits(claim, len(e.dom), len(e.cod))
+    check_fits(claim, len(e.dom), len(e.cod))
     result = CheckResult(ok=True)
     traces: list[Trace] = []
     layers = [(e, claim, {"node": "top", "claim": str(claim)})]

@@ -4,17 +4,35 @@ Each graph function answers one graph question by walking the diagram
 from scratch, the way ``gtc`` did before it read every answer off the
 cached ``DiagramIndex``.  ``test_graph_index`` asserts that both give
 equal results.  ``infer_trace_annotations`` is the exhaustive annotation
-search that the one-fold inference replaced.
+search that the one-fold inference replaced, and ``diagram_iso`` the
+backtracking search over box assignments that wire-following replaced.
+``relabel`` renumbers a diagram's boxes, to give the deciders work.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from gtc.diagrams import Diagram, Port
 from gtc.expressions import Comp, Tensor, fold, trace
 from gtc.guardedness import GeometricWitness, PortPath, check_annotated
-from gtc.signatures import Split
+from gtc.signatures import BoxSig, Split
+
+
+def relabel(d: Diagram, perm: list[int]) -> Diagram:
+    """Renumber box instances by ``perm`` (new index of old box b)."""
+    boxes = [None] * len(d.boxes)
+    for old, new in enumerate(perm):
+        boxes[new] = d.boxes[old]
+
+    def move(p):
+        if p[0] in ("bin", "bout"):
+            return (p[0], perm[p[1]], p[2])
+        return p
+
+    wires = frozenset((move(s), move(t)) for s, t in d.wires)
+    return Diagram(tuple(boxes), wires, d.boundary_in, d.boundary_out)
 
 
 def unguarded_successors(d: Diagram) -> dict[Port, list[Port]]:
@@ -191,3 +209,66 @@ def infer_trace_annotations(e, claim: Split):
         if check_annotated(candidate, claim).ok:
             return candidate
     return None
+
+
+def diagram_iso(d1: Diagram, d2: Diagram) -> bool:
+    """Depth-first search over box assignments, boxes in ``str(sig)``
+    order, each checked against the wires to the boxes assigned so far.
+    Exponential when many boxes share a signature."""
+    if d1.boundary_in != d2.boundary_in or d1.boundary_out != d2.boundary_out:
+        return False
+    if Counter(d1.boxes) != Counter(d2.boxes):
+        return False
+    wires2 = d2.wires
+    # wires from boundary to boundary map to themselves
+    if any(s[0] == "din" and t[0] == "dout" and (s, t) not in wires2 for s, t in d1.wires):
+        return False
+    by_sig: dict[BoxSig, list[int]] = {}
+    for b, sig in enumerate(d2.boxes):
+        by_sig.setdefault(sig, []).append(b)
+    order1 = sorted(range(len(d1.boxes)), key=lambda b: str(d1.boxes[b]))
+    box_wires: list[list] = [[] for _ in d1.boxes]  # a wire from a box to itself once
+    for w in d1.wires:
+        for b in {p[1] for p in w if p[0] in ("bin", "bout")}:
+            box_wires[b].append(w)
+    assign: dict[int, int] = {}
+
+    def mapped(p: Port) -> Port | None:
+        if p[0] in ("din", "dout"):
+            return p
+        if p[1] in assign:
+            return (p[0], assign[p[1]], p[2])
+        return None
+
+    def consistent(b1: int) -> bool:
+        """Do the wires between ``b1`` and what is already assigned map?"""
+        for src, dst in box_wires[b1]:
+            ms, md = mapped(src), mapped(dst)
+            if ms is not None and md is not None and (ms, md) not in wires2:
+                return False
+        return True
+
+    # the positions of ``order1``, each with an iterator over its untried candidates
+    used: set[int] = set()
+    tries: list = []
+    pos = 0
+    while pos < len(order1):
+        b1 = order1[pos]
+        if len(tries) == pos:
+            tries.append(iter(by_sig[d1.boxes[b1]]))
+        else:  # back from a dead end below
+            used.discard(assign.pop(b1))
+        for b2 in tries[pos]:
+            if b2 not in used:
+                assign[b1] = b2
+                if consistent(b1):
+                    used.add(b2)
+                    pos += 1
+                    break
+                del assign[b1]
+        else:
+            if pos == 0:
+                return False
+            tries.pop()
+            pos -= 1
+    return True

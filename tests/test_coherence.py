@@ -9,27 +9,13 @@ and all five backends against each other.
 import numpy as np
 import pytest
 
+from graph_reference import relabel
 from gtc.axioms import BINDING_GENERATORS, AxiomInstance
 from gtc.diagrams import Diagram, diagram_iso, elaborate
 from gtc.generators import rand_guarded_diagram
 from gtc.guardedness import check_annotated
 from gtc.models import eval_expr
 from gtc.synthesis import SynthesisError, synthesize, synthesis_preconditions
-
-
-def _relabel(d: Diagram, perm: list[int]) -> Diagram:
-    """Renumber box instances by ``perm`` (new index of old box b)."""
-    boxes = [None] * len(d.boxes)
-    for old, new in enumerate(perm):
-        boxes[new] = d.boxes[old]
-
-    def move(p):
-        if p[0] in ("bin", "bout"):
-            return (p[0], perm[p[1]], p[2])
-        return p
-
-    wires = frozenset((move(s), move(t)) for s, t in d.wires)
-    return Diagram(tuple(boxes), wires, d.boundary_in, d.boundary_out)
 
 
 def _unique_names(d: Diagram) -> Diagram:
@@ -57,7 +43,7 @@ def test_synthesis_denotation_is_representation_independent(model_name):
             continue
         d = _unique_names(d)
         perm = list(rng.permutation(len(d.boxes)))
-        d2 = _relabel(d, perm)
+        d2 = relabel(d, perm)
         assert diagram_iso(d, d2)
         e1 = synthesize(d, claim)
         e2 = synthesize(d2, claim)

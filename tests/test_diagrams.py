@@ -253,6 +253,10 @@ THROUGH = {(("din", 0), ("bin", 0, 0)), (("bout", 0, 0), ("dout", 0))}
             (LOOP_BOX,), {(("din", 0), ("dout", 0))},
             A_IN, A_OUT, "port ('bin', 0, 0) is not wired",
         ),
+        (  # equal atom texts on a pass-through wire, but no atom name
+            (), {(("din", 0), ("dout", 0))},
+            (("I", False),), (("I", True),), "bad atom name 'I'",
+        ),
     ],
 )
 def test_diagram_validation_messages(boxes, wires, bi, bo, message):
@@ -261,6 +265,17 @@ def test_diagram_validation_messages(boxes, wires, bi, bo, message):
     with pytest.raises(DiagramError) as info:
         Diagram(boxes, frozenset(wires), bi, bo)
     assert str(info.value) == message
+
+
+def test_claim_of_the_wrong_width_is_rejected():
+    e = parse_expr("b", SIGS)  # one input, one output
+    for claim in (mk_split(3, 0, [0, 2], []), mk_split(1, 2, [], [1])):
+        with pytest.raises(DiagramError, match="^claim does not fit the diagram boundary$"):
+            elaborate(e, claim)
+        with pytest.raises(DiagramError, match="^claim does not fit the diagram boundary$"):
+            elaborate(e).with_claim(claim)
+    fits = mk_split(1, 1, [0], [0])
+    assert elaborate(e, fits).boundary_claim() == elaborate(e).with_claim(fits).boundary_claim()
 
 
 def test_diagram_validation_accepts_numpy_indices():

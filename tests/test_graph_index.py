@@ -1,17 +1,19 @@
 """The cached ``DiagramIndex`` answers every graph question as the direct
-traversals in ``graph_reference`` do, on seeded random diagrams."""
+traversals in ``graph_reference`` do, on seeded random diagrams, and
+``diagram_iso`` decides as the backtracking search does."""
 
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 import graph_reference as ref
-from gtc.diagrams import elaborate, tarjan
+from gtc.diagrams import Diagram, diagram_iso, elaborate, tarjan
+from gtc.expressions import parse_source
 from gtc.generators import rand_accepted_traced, rand_guarded_diagram, rand_trace_free_expr
 from gtc.guardedness import geometric_check, geometric_witness, unguarded_reach
-from gtc.signatures import mk_split
+from gtc.signatures import BoxSig, mk_split, parse_box_decl
 from gtc.synthesis import compute_uv, loop_wires
 
 MAX_WIDTH_ALL_CLAIMS = 8
@@ -87,3 +89,80 @@ def test_tarjan_long_chain_needs_no_recursion():
     n = 20_000
     comp, closed = tarjan([[v + 1] for v in range(n - 1)] + [[0]])
     assert len(closed) == n and set(comp) == {0}
+
+
+# --- isomorphism --------------------------------------------------------------
+
+
+def _rewired(d: Diagram, rng) -> Diagram:
+    """``d`` with the targets of two random wires swapped, when the two are
+    distinct and carry one atom."""
+    wires = sorted(d.wires)
+    (s1, t1), (s2, t2) = (wires[int(i)] for i in rng.integers(0, len(wires), 2))
+    if s1 == s2 or d.port_atom(s1) != d.port_atom(s2):
+        return d
+    swapped = set(d.wires) - {(s1, t1), (s2, t2)} | {(s1, t2), (s2, t1)}
+    return Diagram(d.boxes, frozenset(swapped), d.boundary_in, d.boundary_out)
+
+
+def _one_name(d: Diagram) -> Diagram:
+    boxes = tuple(BoxSig("n", sig.inputs, sig.outputs, sig.split) for sig in d.boxes)
+    return Diagram(boxes, d.wires, d.boundary_in, d.boundary_out)
+
+
+@pytest.mark.parametrize("n_atoms,rename", [(2, False), (1, True)], ids=["named", "one-name"])
+def test_iso_matches_backtracking_search(n_atoms, rename):
+    # with one atom and one box name, boxes of a shape share their signature
+    rng = np.random.default_rng(24)
+    verdicts = Counter()
+    for k in range(800):
+        d = rand_guarded_diagram(rng, max_boxes=7, n_atoms=n_atoms)[0]
+        d = _one_name(d) if rename else d
+        d2 = ref.relabel(d, [int(b) for b in rng.permutation(len(d.boxes))])
+        d2 = _rewired(d2, rng) if k % 2 else d2
+        want = ref.diagram_iso(d, d2)
+        assert diagram_iso(d, d2) == diagram_iso(d2, d) == want
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 100, verdicts
+
+
+LOOPS = "box f : U | I -> I | U\n" + "".join(
+    f"let loops{a}{b} = tr[U: I|I -> I|I]{{ {' ; '.join(['f'] * a)} }}"
+    f" (*) tr[U: I|I -> I|I]{{ {' ; '.join(['f'] * b)} }}\n"
+    for a, b in [(2, 3), (1, 4), (3, 2)]
+)
+
+
+def test_iso_pairs_closed_loops_of_identical_boxes():
+    exprs = parse_source(LOOPS).exprs
+    d23, d14, d32 = (elaborate(exprs[f"loops{n}"]) for n in (23, 14, 32))
+    assert len(d23.boxes) == len(d14.boxes) == 5 and not d23.boundary_in
+    rng = np.random.default_rng(25)
+    for _ in range(10):
+        shuffled = ref.relabel(d23, [int(b) for b in rng.permutation(5)])
+        assert diagram_iso(d23, shuffled) and diagram_iso(shuffled, d32)
+        assert not diagram_iso(shuffled, d14) and not diagram_iso(d14, shuffled)
+
+
+def test_failed_grow_leaves_no_pairing_behind():
+    # a closed ring s -> s -> s -> s -> t -> s: a first box paired with the
+    # wrong s pairs its neighbours before it meets t, and every such try
+    # must be undone before the right one can succeed
+    s, t = (parse_box_decl(f"box {n} : U | I -> I | U") for n in "st")
+    ring = Diagram(
+        (s, s, s, s, t),
+        frozenset((("bout", b, 0), ("bin", (b + 1) % 5, 0)) for b in range(5)),
+        (),
+        (),
+    )
+    for perm in permutations(range(5)):
+        assert diagram_iso(ring, ref.relabel(ring, list(perm)))
+    short = Diagram(  # the t box closes a loop on itself
+        (s, s, s, s, t),
+        frozenset({*((("bout", b, 0), ("bin", (b + 1) % 4, 0)) for b in range(4)),
+                   (("bout", 4, 0), ("bin", 4, 0))}),
+        (),
+        (),
+    )
+    assert not ref.diagram_iso(ring, short)
+    assert not diagram_iso(ring, short) and not diagram_iso(short, ring)

@@ -2,6 +2,9 @@
 
 import sys
 
+import numpy as np
+
+from graph_reference import relabel
 from gtc import diagrams, signatures
 from gtc.diagrams import diagram_iso, elaborate, export_json, import_json
 from gtc.expressions import parse_expr, parse_source, print_expr
@@ -70,3 +73,37 @@ def test_20000_boxes_over_two_shapes_build_each_split_once(monkeypatch):
     back = import_json(exported)
     assert len(back.boxes) == n and len(calls) <= 4
     assert back == d
+
+
+def _shuffled(d, rng):
+    return relabel(d, [int(b) for b in rng.permutation(len(d.boxes))])
+
+
+def test_shuffled_2000_box_ladder_of_one_signature():
+    # every box is X*X -> X*X, so only the wiring tells the rungs apart
+    rungs = ["p"] * 2000
+    decl = "box p : X*X | I -> I | X*X\n"
+    exprs = parse_source(
+        decl + "let ladder = " + " ; sym[X,X] ; ".join(rungs) + "\n"
+        "let kinked = " + " ; sym[X,X] ; ".join(rungs[:1000]) + " ; "
+        + " ; sym[X,X] ; ".join(rungs[1000:]) + "\n"
+    ).exprs
+    ladder, kinked = elaborate(exprs["ladder"]), elaborate(exprs["kinked"])
+    rng = np.random.default_rng(26)
+    a, b = _shuffled(ladder, rng), _shuffled(ladder, rng)
+    assert diagram_iso(a, b) and diagram_iso(b, ladder)
+    assert not diagram_iso(a, _shuffled(kinked, rng))
+
+
+def test_1500_independent_loops_against_a_shuffled_copy():
+    loop = "tr[U: I|I -> I|I]{ f }"
+    exprs = parse_source(
+        "box f : U | I -> I | U\n"
+        "let loops = " + " (*) ".join([loop] * 1500) + "\n"
+        "let pair = " + " (*) ".join([loop] * 1498 + ["tr[U: I|I -> I|I]{ f ; f }"]) + "\n"
+    ).exprs
+    loops, pair = elaborate(exprs["loops"]), elaborate(exprs["pair"])
+    assert len(loops.boxes) == len(pair.boxes) == 1500
+    rng = np.random.default_rng(27)
+    assert diagram_iso(loops, _shuffled(loops, rng))
+    assert not diagram_iso(_shuffled(loops, rng), pair)
