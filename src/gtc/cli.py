@@ -152,62 +152,15 @@ def cmd_eval(args) -> int:
             text = fh.read()
         # a point that is malformed or outside the domain is bad input (exit 2)
         try:
-            out = _apply(model.name, value, json.loads(text))
+            out = model.apply(value, json.loads(text))
         except KeyError as exc:
             raise EvalError(f"bad input point: no entry {exc}") from None
         except (AttributeError, IndexError, RecursionError, TypeError, ValueError) as exc:
             raise EvalError(f"bad input point: {exc}") from None
         print(json.dumps(out))
     else:
-        print(json.dumps(_render(model.name, value)))
+        print(json.dumps(model.render(value)))
     return 0
-
-
-def _apply(model_name: str, value, point):
-    if model_name == "finset":
-        gate, elem = point["gate"], point["elem"]
-        out = value.table[(int(gate), elem)]
-        return {"gate": out[0], "elem": out[1]}
-    if model_name == "metric":
-        blocks = [np.asarray(b, dtype=float) for b in point["blocks"]]
-        ys = value.apply([b.reshape(1, -1) for b in blocks])
-        return {"blocks": [y[0].tolist() for y in ys]}
-    if model_name == "hilbert":
-        vec = np.asarray(point["vector"], dtype=float)
-        return {"vector": (value.mat @ vec).tolist()}
-    if model_name == "tot":
-        stages = [tuple(s.split("|")) if s else () for s in point["stages"]]
-        out = [value.maps[n][stages[n]] for n in range(len(value.maps))]
-        return {"stages": ["|".join(t) for t in out]}
-    if model_name == "flat":
-        x = tuple(point["elems"].split("|")) if point["elems"] else ()
-        return {"elems": "|".join(value.table[x])}
-    raise EvalError(f"unknown model {model_name!r}")
-
-
-def _render(model_name: str, value):
-    if model_name == "finset":
-        return {
-            "table": {f"{g}:{e}": f"{g2}:{e2}" for (g, e), (g2, e2) in value.table.items()}
-        }
-    if model_name == "metric":
-        return {
-            "in_dims": list(value.in_dims),
-            "out_dims": list(value.out_dims),
-            "lip": np.asarray(value.lip).tolist(),
-        }
-    if model_name == "hilbert":
-        return {"matrix": value.mat.tolist()}
-    if model_name == "tot":
-        return {
-            "stages": [
-                {"|".join(k): "|".join(v) for k, v in stage.items()}
-                for stage in value.maps
-            ]
-        }
-    if model_name == "flat":
-        return {"table": {"|".join(k): "|".join(v) for k, v in value.table.items()}}
-    raise EvalError(f"unknown model {model_name!r}")
 
 
 def cmd_suite(args) -> int:

@@ -12,7 +12,7 @@
   the outputs no derivation can guard once that input is unguarded.  On
   trace-free expressions the two deciders agree; the test suite
   exercises that equivalence as an oracle.  ``derivable_splits`` lists
-  the derivable claims it implies as an antichain of maximal elements.
+  the maximal derivable claims it implies, one per union of its masks.
 
 * ``check_annotated`` verifies a traced expression layer by layer:
   each trace node is read as a box carrying its conclusion split, and
@@ -23,7 +23,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .diagrams import Diagram, DiagramIndex, Port, check_fits, elaborate
 from .expressions import Box, Comp, MorphExpr, Sym, Tensor, Trace, fold, trace as mk_trace
@@ -237,28 +236,8 @@ def _derives(reach: list[int], claim: Split) -> bool:
     return _union(reach, claim.unguarded_in_mask) & claim.guarded_out_mask == 0
 
 
-def _antichain(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The maximal pairs, under ``(a, d) <= (a2, d2)`` iff ``a <= a2`` and
-    ``d <= d2`` as bit sets.
-
-    A pair is only dominated by pairs with more bits, so pairs are visited
-    by decreasing bit count and each is compared with the maxima kept so
-    far; a repeated pair is dominated by its first copy.
-    """
-    maxima: list[tuple[int, int]] = []
-    by_bits = sorted(pairs, key=lambda p: p[0].bit_count() + p[1].bit_count(), reverse=True)
-    for a, d in by_bits:
-        for a2, d2 in maxima:
-            if a & ~a2 == 0 and d & ~d2 == 0:
-                break
-        else:
-            maxima.append((a, d))
-    return maxima
-
-
 # widest expression, in domain plus codomain gates, that derivable_splits
-# takes: it lists a claim per set of inputs and reduces them to an
-# antichain, which takes about a second at this width
+# takes: the maximal claims can number 2^(width/2), as for an identity
 MAX_SPLIT_WIDTH = 20
 
 
@@ -277,9 +256,17 @@ def derivable_splits(e: MorphExpr) -> frozenset[tuple[frozenset[int], frozenset[
             f"takes at most {MAX_SPLIT_WIDTH}"
         )
     full = (1 << len(e.cod)) - 1
-    table = reach_table(structural_reach(e))
-    maxes = _antichain((a, full & ~t) for a, t in enumerate(table))
-    return frozenset((_gate_set(a), _gate_set(d)) for a, d in maxes)
+    reach = structural_reach(e)
+    unions = {0}
+    for r in reach:
+        unions |= {u | r for u in unions}
+    # a maximal claim leaves unguarded some union u of reach masks and every
+    # input whose mask lies in u, and promises the outputs outside u
+    maxes = set()
+    for u in unions:
+        a = sum(1 << i for i, r in enumerate(reach) if r & ~u == 0)
+        maxes.add((_gate_set(a), _gate_set(full & ~u)))
+    return frozenset(maxes)
 
 
 def claim_derivable(

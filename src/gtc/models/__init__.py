@@ -1,6 +1,7 @@
 """Concrete categories in which typed expressions are evaluated.
 
-Five backends share one interpretation routine (``eval_expr``):
+Five backends, each a ``Model`` reading its own bindings JSON, share one
+interpretation routine (``eval_expr``):
 
 * finset    -- functions between tagged disjoint unions; feedback never
                actually fires because promised gates cannot be reached
@@ -14,7 +15,7 @@ Five backends share one interpretation routine (``eval_expr``):
                fixpoints over lifted carriers
 """
 
-from .base import EvalError, eval_expr
+from .base import EvalError, Model, eval_expr
 from .finset import FinSetModel, FinSetMorphism, finset_iter
 from .flatposet import (
     FlatPosetModel,
@@ -36,10 +37,16 @@ from .hilbert import (
 from .metric import MetricModel, MetricMorphism, banach_rec, metric_trace
 from .trees import StageObject, ToposOfTreesModel, ToTMorphism, tot_fixpoint
 
-MODEL_NAMES = ("finset", "metric", "tot", "hilbert", "flat")
+# the backends by name, in the order check_axiom's seeds number them
+MODELS = {
+    m.name: m
+    for m in (FinSetModel, MetricModel, ToposOfTreesModel, HilbertModel, FlatPosetModel)
+}
+MODEL_NAMES = tuple(MODELS)
 
 __all__ = [
     "EvalError",
+    "Model",
     "eval_expr",
     "FinSetModel",
     "FinSetMorphism",
@@ -65,5 +72,6 @@ __all__ = [
     "lfp_rec",
     "rec_to_grec",
     "grec_to_rec",
+    "MODELS",
     "MODEL_NAMES",
 ]

@@ -10,10 +10,47 @@ witnesses).
 from __future__ import annotations
 
 from ..expressions import Id, MorphExpr, Sym, fold
+from ..signatures import ObjectExpr
 
 
 class EvalError(ValueError):
     """Unbound box, witness/split inconsistency, or bad model data."""
+
+
+class Model:
+    """What the five backends share.  A backend sets ``name`` and
+    ``objects`` (atom to carrier) and supplies the categorical operations
+    (``identity``, ``symmetry``, ``compose``, ``tensor``, ``trace``,
+    ``validate_box``) and its bindings JSON: ``from_json`` builds the
+    model from the ``"objects"`` entry, ``box_from_json`` one box from its
+    ``"boxes"`` entry, ``render`` a value as JSON, and ``apply`` a value
+    to an input point given as JSON.
+    """
+
+    name: str
+    objects: dict
+    noun = "carrier"  # what an atom denotes, for the missing-atom error
+
+    @classmethod
+    def from_json(cls, objects: dict) -> Model:
+        return cls(objects)
+
+    def ob(self, word: ObjectExpr) -> tuple:
+        try:
+            return tuple(self.objects[a] for a in word)
+        except KeyError as exc:
+            raise EvalError(f"no {self.noun} for atom {exc.args[0]!r}") from None
+
+    def equal(self, m1, m2, tol=None, rng=None):
+        """Exact equality; the deviation is 0 or 1."""
+        same = m1 == m2
+        return same, 0.0 if same else 1.0
+
+
+def untuple(s: str) -> tuple:
+    """A tuple of element names from its JSON text, joined by "|" (the
+    empty tuple is "")."""
+    return tuple(s.split("|")) if s else ()
 
 
 def eval_expr(e: MorphExpr, model, boxes: dict, tol: float | None = None):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import EvalError
+from .base import EvalError, Model
 
 WITNESS_TOL = 1e-12
 
@@ -49,17 +49,38 @@ class HilbertMorphism:
         object.__setattr__(self, "mat", mat)
 
 
-class HilbertModel:
+class HilbertModel(Model):
+    """Bindings JSON: objects ``{"A": dim}``; a box ``{"matrix": [[...]],
+    "witness": {"e_dim": n, "g": [[...]], "h": [[...]]}}``.  The witness
+    may be omitted: in finite dimension every matrix factors, and a
+    canonical witness is derived on load when the declared split requires
+    one."""
+
     name = "hilbert"
+    noun = "dimension"
 
     def __init__(self, objects: dict[str, int]):
         self.objects = {k: int(v) for k, v in objects.items()}
 
-    def ob(self, word: ObjectExpr) -> tuple[int, ...]:
-        try:
-            return tuple(self.objects[a] for a in word)
-        except KeyError as exc:
-            raise EvalError(f"no dimension for atom {exc.args[0]!r}") from None
+    def box_from_json(self, sig: BoxSig, spec: dict) -> HilbertMorphism:
+        mat = np.asarray(spec["matrix"], dtype=float)
+        witness = spec.get("witness")
+        if witness is not None:
+            witness = {
+                "e_dim": int(witness["e_dim"]),
+                "g": np.asarray(witness["g"], dtype=float),
+                "h": np.asarray(witness["h"], dtype=float),
+            }
+        elif sig.split.unguarded_in and sig.split.guarded_out:
+            witness = derive_witness(self, sig, mat)
+        return HilbertMorphism(self.ob(sig.inputs), self.ob(sig.outputs), mat, witness)
+
+    def render(self, m: HilbertMorphism) -> dict:
+        return {"matrix": m.mat.tolist()}
+
+    def apply(self, m: HilbertMorphism, point: dict) -> dict:
+        vec = np.asarray(point["vector"], dtype=float)
+        return {"vector": (m.mat @ vec).tolist()}
 
     def identity(self, word: ObjectExpr) -> HilbertMorphism:
         dims = self.ob(word)
@@ -109,6 +130,36 @@ class HilbertModel:
             return False, float("inf")
         dev = float(np.max(np.abs(m1.mat - m2.mat) / (1.0 + np.abs(m1.mat))))
         return dev <= tol, dev
+
+
+def derive_witness(model: HilbertModel, sig: BoxSig, mat: np.ndarray) -> dict:
+    """Canonical factorization for a declared split: in finite dimension
+    the rearranged matrix always factors through a large enough middle
+    space (take it to be the whole guarded-input/guarded-output corner)."""
+    in_dims = model.ob(sig.inputs)
+    out_dims = model.ob(sig.outputs)
+    mat = np.asarray(mat, dtype=float)
+    want = (math.prod(out_dims), math.prod(in_dims))
+    if mat.shape != want:
+        raise EvalError(
+            f"matrix for {sig.name!r} has shape {mat.shape}, profile needs {want}"
+        )
+    grouped, (da, db, dc, dd) = split_permuted(mat, in_dims, out_dims, sig.split)
+    # grouped[(c,d),(a,b)] = sum_e h[c,(a,e)] g[(e,d),b] with E = B x D
+    e_dim = db * dd
+    four = grouped.reshape(dc, dd, da, db)
+    h = four.transpose(0, 2, 3, 1).reshape(dc, da * e_dim)
+    g = _name_witness(db, dd)
+    return {"e_dim": e_dim, "g": g, "h": h}
+
+
+def _name_witness(db: int, dd: int) -> np.ndarray:
+    """g: B -> (B x D) x D copying B and emitting the paired-basis name of D."""
+    g = np.zeros((db * dd * dd, db))
+    for b in range(db):
+        for d in range(dd):
+            g[(b * dd + d) * dd + d, b] = 1.0
+    return g
 
 
 def corner_perms(

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import EvalError
+from .base import EvalError, Model
 
 Blocks = list  # list of np.ndarray with shape (n_points, dim)
 
@@ -51,17 +51,40 @@ class MetricMorphism:
         return [np.asarray(y, dtype=float) for y in ys]
 
 
-class MetricModel:
+class MetricModel(Model):
+    """Bindings JSON: objects ``{"A": dim}``; a box either
+    ``{"kind": "affine", "weight": [[...]], "offset": [...]}`` (the kind
+    may be omitted) or ``{"kind": "named", "name": "cos_half"}``."""
+
     name = "metric"
+    noun = "dimension"
 
     def __init__(self, objects: dict[str, int]):
         self.objects = {k: int(v) for k, v in objects.items()}
 
-    def ob(self, word: ObjectExpr) -> tuple[int, ...]:
-        try:
-            return tuple(self.objects[a] for a in word)
-        except KeyError as exc:
-            raise EvalError(f"no dimension for atom {exc.args[0]!r}") from None
+    def box_from_json(self, sig: BoxSig, spec: dict) -> MetricMorphism:
+        in_dims = self.ob(sig.inputs)
+        out_dims = self.ob(sig.outputs)
+        if spec.get("kind", "affine") == "affine":
+            return affine(
+                in_dims,
+                out_dims,
+                np.asarray(spec["weight"], dtype=float),
+                np.asarray(spec["offset"], dtype=float),
+            )
+        return named_function(spec["name"])
+
+    def render(self, m: MetricMorphism) -> dict:
+        return {
+            "in_dims": list(m.in_dims),
+            "out_dims": list(m.out_dims),
+            "lip": np.asarray(m.lip).tolist(),
+        }
+
+    def apply(self, m: MetricMorphism, point: dict) -> dict:
+        blocks = [np.asarray(b, dtype=float) for b in point["blocks"]]
+        ys = m.apply([b.reshape(1, -1) for b in blocks])
+        return {"blocks": [y[0].tolist() for y in ys]}
 
     def identity(self, word: ObjectExpr) -> MetricMorphism:
         dims = self.ob(word)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import count, product
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import EvalError
+from .base import EvalError, Model, untuple
 
 
 # one shared instance per (stages, restrictions), validated when it is first
@@ -135,7 +135,7 @@ def stagewise(dom: tuple, cod: tuple, fn, depth: int) -> ToTMorphism:
     return ToTMorphism(dom, cod, maps)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ToTMorphism:
     dom: tuple[StageObject, ...]
     cod: tuple[StageObject, ...]
@@ -160,16 +160,13 @@ class ToTMorphism:
                 x = next(x for x, y in zip(down, lhs) if y != lo[down[x]])
                 raise EvalError(f"naturality fails between stages {n + 1} and {n} at {x}")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ToTMorphism)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.maps == other.maps
-        )
 
+class ToposOfTreesModel(Model):
+    """Bindings JSON: objects ``{"X": {"stages": [["x0"], ...],
+    "restrictions": [{...}, ...]}}``; a box ``{"stages": [{"x0|y0":
+    "z0|w0", ...}, ...]}``, one map per stage, tuple entries joined by "|"
+    (the empty tuple is "")."""
 
-class ToposOfTreesModel:
     name = "tot"
 
     def __init__(self, objects: dict[str, StageObject]):
@@ -179,11 +176,30 @@ class ToposOfTreesModel:
         self.depth = depths.pop() if depths else 1
         self.objects = dict(objects)
 
-    def ob(self, word: ObjectExpr) -> tuple[StageObject, ...]:
-        try:
-            return tuple(self.objects[a] for a in word)
-        except KeyError as exc:
-            raise EvalError(f"no carrier for atom {exc.args[0]!r}") from None
+    @classmethod
+    def from_json(cls, objects: dict) -> ToposOfTreesModel:
+        objs = {}
+        for atom, spec in objects.items():
+            stages = tuple(tuple(s) for s in spec["stages"])
+            restr = tuple(dict(r) for r in spec.get("restrictions", []))
+            objs[atom] = StageObject(stages, restr)
+        return cls(objs)
+
+    def box_from_json(self, sig: BoxSig, spec: dict) -> ToTMorphism:
+        maps = tuple(
+            {untuple(k): untuple(v) for k, v in stage.items()} for stage in spec["stages"]
+        )
+        return ToTMorphism(self.ob(sig.inputs), self.ob(sig.outputs), maps)
+
+    def render(self, m: ToTMorphism) -> dict:
+        return {
+            "stages": [{"|".join(k): "|".join(v) for k, v in stage.items()} for stage in m.maps]
+        }
+
+    def apply(self, m: ToTMorphism, point: dict) -> dict:
+        stages = [untuple(s) for s in point["stages"]]
+        out = [m.maps[n][stages[n]] for n in range(len(m.maps))]
+        return {"stages": ["|".join(t) for t in out]}
 
     def identity(self, word: ObjectExpr) -> ToTMorphism:
         dom = self.ob(word)
@@ -275,9 +291,7 @@ class ToposOfTreesModel:
                         f"outputs at stage {n + 1}"
                     )
 
-    def equal(self, m1: ToTMorphism, m2: ToTMorphism, tol=None, rng=None):
-        same = m1 == m2
-        return same, 0.0 if same else 1.0
+    equal = Model.equal  # in the class's own namespace, where bench/tracer.py wraps it
 
 
 def tot_fixpoint(f: ToTMorphism, witness: tuple[dict, ...], y: list[tuple]):

@@ -1,12 +1,12 @@
 """Turning guarded cyclic diagrams back into annotated traced expressions.
 
-The recursion mirrors the constructive argument: if the diagram is
-acyclic, read off a trace-free expression by topological slicing; else
-find a loop wire whose source box has no unguarded path from the claimed
-unguarded inputs (not in V) and whose target box has no unguarded path to
-the claimed guarded outputs (not in U), cut it, synthesize the opened
-diagram, and close the cut with a trace node.  Each cut removes a wire
-from a loop, so the recursion terminates.
+The loop mirrors the constructive argument: while the diagram is
+cyclic, find a loop wire whose source box has no unguarded path from the
+claimed unguarded inputs (not in V) and whose target box has no unguarded
+path to the claimed guarded outputs (not in U), and cut it.  Each cut
+removes a wire from a loop, so the loop terminates.  The acyclic rest is
+read off as a trace-free expression by topological slicing, and each cut
+is then closed with a trace node, the last cut innermost.
 """
 
 from __future__ import annotations
@@ -234,24 +234,28 @@ def acyclic_to_expr(d: Diagram) -> MorphExpr:
     return _compose_opt(parts)
 
 
-# --- the main recursion -------------------------------------------------------
+# --- the main loop -------------------------------------------------------------
 
 
 def synthesize(d: Diagram, claim: Split) -> MorphExpr:
     """Produce an annotated expression that checks under ``claim`` and
     elaborates back to ``d`` (up to diagram isomorphism)."""
     synthesis_preconditions(d, claim)
-    return _synthesize(d, claim)
+    cuts = []
+    while loop_wires(d):
+        u_set, v_set = compute_uv(d, claim)
+        wire = find_cut_wire(d, u_set, v_set)
+        cuts.append((d, claim, wire))
+        d, claim = cut_wire(d, wire, claim)
+    expr = acyclic_to_expr(d)
+    for d, claim, wire in reversed(cuts):  # the last cut is the innermost trace
+        expr = _retrace(d, claim, wire, expr)
+    return expr
 
 
-def _synthesize(d: Diagram, claim: Split) -> MorphExpr:
-    if not loop_wires(d):
-        return acyclic_to_expr(d)
-    u_set, v_set = compute_uv(d, claim)
-    wire = find_cut_wire(d, u_set, v_set)
-    d2, claim2 = cut_wire(d, wire, claim)
-    inner = _synthesize(d2, claim2)
-
+def _retrace(d: Diagram, claim: Split, wire: tuple[Port, Port], inner: MorphExpr) -> MorphExpr:
+    """Close the loop of ``wire``, cut from ``d``, around ``inner``, the
+    expression of the cut diagram."""
     atom = d.port_atom(wire[0])
     corners = claim.corner_gates()
     a_gates, b_gates, c_gates, d_gates = corners

@@ -5,7 +5,7 @@ import pytest
 import gtc.axioms
 from gtc.axioms import AXIOMS, check_axiom, gen_axiom_instances, run_axiom_suite
 from gtc.guardedness import check_annotated
-from gtc.models import MODEL_NAMES, EvalError
+from gtc.models import MODEL_NAMES, MODELS, EvalError
 from gtc.signatures import mk_split
 from gtc.laws import (
     finset_conway_suite,
@@ -13,6 +13,14 @@ from gtc.laws import (
     law_implication_report,
     tot_conway_suite,
 )
+
+
+def test_model_registries_name_the_five_models_in_one_order():
+    # check_axiom seeds by MODEL_NAMES.index, and `gtc suite --models`
+    # errors list the names in this order
+    names = ("finset", "metric", "tot", "hilbert", "flat")
+    assert MODEL_NAMES == tuple(MODELS) == tuple(gtc.axioms.BINDING_GENERATORS) == names
+    assert all(MODELS[name].name == name for name in names)
 
 
 def test_every_instance_type_checks():

@@ -203,6 +203,106 @@ def test_eval_full_trace_of_identity(tmp_path, capsys):
     assert out["matrix"] == [[2.0]]
 
 
+_TOT_A = {
+    "stages": [["x0"], ["x0", "x1"], ["x0", "x1"]],
+    "restrictions": [{"x0": "x0", "x1": "x0"}, {"x0": "x0", "x1": "x1"}],
+}
+
+# model -> (source defining main, bindings, input point, printed value,
+# printed image of the point)
+_EVAL_PINS = {
+    "finset": (
+        "box p : I | A -> A*B | I\nlet main = p ; sym[A,B]\n",
+        {
+            "objects": {"A": ["a0", "a1"], "B": ["b0"]},
+            "boxes": {"p": {"table": {"0:a0": "1:b0", "0:a1": "0:a0"}}},
+        },
+        {"gate": 0, "elem": "a1"},
+        '{"table": {"0:a0": "0:b0", "0:a1": "1:a0"}}',
+        '{"gate": 1, "elem": "a0"}',
+    ),
+    "metric": (
+        "box f : A | I -> A*B | I\nlet main = f ; sym[A,B]\n",
+        {
+            "objects": {"A": 1, "B": 2},
+            "boxes": {
+                "f": {
+                    "kind": "affine",
+                    "weight": [[0.5], [1.0], [-0.25]],
+                    "offset": [0.25, 0.0, 1.0],
+                }
+            },
+        },
+        {"blocks": [[2.0]]},
+        '{"in_dims": [1], "out_dims": [2, 1], "lip": [[1.0, 0.5]]}',
+        '{"blocks": [[2.0, 0.5], [1.25]]}',
+    ),
+    "tot": (
+        "box p : I | A -> A | I\nlet main = sym[A,A] ; (p (*) id[A])\n",
+        {
+            "objects": {"A": _TOT_A},
+            "boxes": {
+                "p": {
+                    "stages": [
+                        {"x0": "x0"},
+                        {"x0": "x0", "x1": "x0"},
+                        {"x0": "x0", "x1": "x0"},
+                    ]
+                }
+            },
+        },
+        {"stages": ["x0|x0", "x1|x0", "x1|x1"]},
+        '{"stages": [{"x0|x0": "x0|x0"}, '
+        '{"x0|x0": "x0|x0", "x0|x1": "x0|x0", "x1|x0": "x0|x1", "x1|x1": "x0|x1"}, '
+        '{"x0|x0": "x0|x0", "x0|x1": "x0|x0", "x1|x0": "x0|x1", "x1|x1": "x0|x1"}]}',
+        '{"stages": ["x0|x0", "x0|x1", "x0|x1"]}',
+    ),
+    "hilbert": (
+        "box h : A*U | I -> A | U\nlet main = tr[U: A|I -> A|I]{ h }\n",
+        {
+            "objects": {"A": 2, "U": 2},
+            "boxes": {
+                "h": {
+                    "matrix": [
+                        [1.0, 0.5, 0.0, 2.0],
+                        [0.0, 1.0, -1.0, 0.0],
+                        [0.25, 0.0, 1.0, 0.5],
+                        [3.0, 0.0, 0.0, 1.0],
+                    ]
+                }
+            },
+        },
+        {"vector": [1.0, 2.0]},
+        '{"matrix": [[2.0, 0.0], [0.25, 2.0]]}',
+        '{"vector": [2.0, 4.25]}',
+    ),
+    "flat": (
+        "box f : I | A*B -> A | I\nlet main = sym[B,A] ; f\n",
+        {
+            "objects": {"A": {"elements": ["p", "q"]}, "B": {"elements": ["r"]}},
+            "boxes": {"f": {"table": {"p|r": "q", "q|r": "p"}}},
+        },
+        {"elems": "r|q"},
+        '{"table": {"r|p": "q", "r|q": "p"}}',
+        '{"elems": "p"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("model", list(_EVAL_PINS))
+def test_eval_prints_the_value_and_the_image_of_a_point(tmp_path, capsys, model):
+    source, bindings, point, value_text, image_text = _EVAL_PINS[model]
+    src, bind, inputs = tmp_path / "m.gtc", tmp_path / "b.json", tmp_path / "in.json"
+    src.write_text(source)
+    bind.write_text(json.dumps({"model": model, **bindings}))
+    inputs.write_text(json.dumps(point))
+    argv = ["eval", str(src), "--name", "main", "--model", model, "--bindings", str(bind)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == value_text + "\n"
+    assert main(argv + ["--inputs", str(inputs)]) == 0
+    assert capsys.readouterr().out == image_text + "\n"
+
+
 def test_suite_small_green(tmp_path, capsys):
     report = tmp_path / "report.jsonl"
     code = main(

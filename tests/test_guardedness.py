@@ -18,7 +18,6 @@ from gtc.generators import (
     wrap_in_trace,
 )
 from gtc.guardedness import (
-    _antichain,
     _derives,
     _opaque,
     check_annotated,
@@ -263,18 +262,6 @@ def test_derivable_splits_match_all_pairs_reference():
     for _ in range(300):
         e = rand_trace_free_expr(rng, max_boxes=8)
         assert derivable_splits(e) == _derivable_splits_reference(e)
-
-
-def test_antichain_matches_all_pairs_reference():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n_a, n_d = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-        pairs = [
-            (int(rng.integers(1 << n_a)), int(rng.integers(1 << n_d)))
-            for _ in range(int(rng.integers(0, 40)))
-        ]
-        got = _antichain(pairs + pairs[:3])  # repeats are dropped too
-        assert len(got) == len(set(got)) and set(got) == _antichain_all_pairs(set(pairs))
 
 
 def test_wire_candidates_are_an_antichain():

@@ -1,17 +1,18 @@
 """Inputs far longer than Python's default recursion limit is deep."""
 
 import sys
+import time
 
 import numpy as np
 
 from graph_reference import relabel
 from gtc import diagrams, signatures
 from gtc.diagrams import diagram_iso, elaborate, export_json, import_json
-from gtc.expressions import parse_expr, parse_source, print_expr
+from gtc.expressions import Box, parse_expr, parse_source, print_expr
 from gtc.guardedness import check_annotated, derivable_splits
 from gtc.models import eval_expr
 from gtc.models.io import load_bindings
-from gtc.signatures import parse_claim
+from gtc.signatures import parse_box_decl, parse_claim
 from gtc.synthesis import synthesize
 
 # a white box on lane X, a black box on lane Y
@@ -107,3 +108,35 @@ def test_1500_independent_loops_against_a_shuffled_copy():
     rng = np.random.default_rng(27)
     assert diagram_iso(loops, _shuffled(loops, rng))
     assert not diagram_iso(_shuffled(loops, rng), pair)
+
+
+def test_20_unguarded_inputs_and_no_outputs_give_one_claim_quickly():
+    # listing all 2^20 input sets took over a second for this one claim
+    e = Box(parse_box_decl(f"box f : {'*'.join(['A'] * 20)} | I -> I | I"))
+    start = time.process_time()
+    assert derivable_splits(e) == {(frozenset(range(20)), frozenset())}
+    assert time.process_time() - start < 0.25
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_synthesis_of_100_loops_under_a_low_recursion_limit():
+    # one cut per loop: a recursive synthesis needs a frame per cut
+    loop = "tr[U: I|I -> I|I]{ f }"
+    src = parse_source("box f : U | I -> I | U\nlet loops = " + " (*) ".join([loop] * 100) + "\n")
+    e = src.exprs["loops"]
+    claim = parse_claim("I|I -> I|I", e.dom, e.cod)
+    d = elaborate(e, claim)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 80)
+    try:
+        back = synthesize(d, claim)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert check_annotated(back, claim).ok
+    assert diagram_iso(elaborate(back, claim), d)
