@@ -369,19 +369,21 @@ def tot_conway_suite() -> dict[str, dict]:
         for w in _enumerate_natural(dom, cod):
             yield stagewise(dom, (cod,), lambda s, x: (w[s][x],), depth)
 
-    def family():
-        """Every guarded f: Y x X -> X over the pairs of carriers, with rec f."""
-        for xo in shapes:
-            for yo in shapes:
-                for f in _tot_guarded((yo,), xo):
-                    yield yo, xo, f, rec(f)
+    # every guarded f: Y x X -> X over the pairs of carriers, with rec f;
+    # built once for the three laws that walk it
+    family = [
+        (yo, xo, f, rec(f))
+        for xo in shapes
+        for yo in shapes
+        for f in _tot_guarded((yo,), xo)
+    ]
 
     identity = {o: stagewise((o,), (o,), lambda s, x: x, depth) for o in shapes}
     endos = {o: list(natural((o,), o)) for o in shapes}
 
     def naturality():
         # u ; rec f = rec((u x id) ; f)
-        for yo, xo, f, fd in family():
+        for yo, xo, f, fd in family:
             for u in endos[yo]:
                 uid = model.tensor(u, identity[xo])
                 yield model.compose(u, fd) == rec(model.compose(uid, f))
@@ -419,12 +421,12 @@ def tot_conway_suite() -> dict[str, dict]:
 
     return {
         # rec f = f . <fst, rec f>
-        "fixpoint": _tally(after_fst(f, fd) == fd for _, _, f, fd in family()),
+        "fixpoint": _tally(after_fst(f, fd) == fd for _, _, f, fd in family),
         "naturality": _tally(naturality()),
         "dinaturality": _tally(dinaturality()),
         "diagonal": _tally(diagonal()),
         # rec f = rec(f . <fst, f>)
-        "squaring": _tally(fd == rec(after_fst(f, f)) for _, _, f, fd in family()),
+        "squaring": _tally(fd == rec(after_fst(f, f)) for _, _, f, fd in family),
         "uniformity_projections": _tally(uniformity_projections()),
     }
 

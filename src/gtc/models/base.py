@@ -31,10 +31,6 @@ class Model:
     objects: dict
     noun = "carrier"  # what an atom denotes, for the missing-atom error
 
-    @classmethod
-    def from_json(cls, objects: dict) -> Model:
-        return cls(objects)
-
     def ob(self, word: ObjectExpr) -> tuple:
         try:
             return tuple(self.objects[a] for a in word)
@@ -45,6 +41,35 @@ class Model:
         """Exact equality; the deviation is 0 or 1."""
         same = m1 == m2
         return same, 0.0 if same else 1.0
+
+
+def trusted(cls, *values):
+    """An instance of the frozen dataclass ``cls`` with these field values,
+    in field order, made without running ``__post_init__``.
+
+    Morphisms are checked by their constructors where they enter (loaders,
+    binding generators, tests).  Every constructor check is closed under
+    the categorical operations, so an operation on checked operands builds
+    its result this way instead of checking it again."""
+    x = object.__new__(cls)
+    x.__dict__.update(zip(cls.__match_args__, values))
+    return x
+
+
+def json_array(value, what: str):
+    """``value`` if it is a JSON array (a list, or a tuple from Python);
+    anything else, a string above all, raises EvalError naming ``what``."""
+    if not isinstance(value, (list, tuple)):
+        raise EvalError(f"{what} must be a JSON array")
+    return value
+
+
+def json_dimensions(objects: dict) -> dict[str, int]:
+    """Atom to dimension, each a JSON integer of at least 1."""
+    for atom, dim in objects.items():
+        if type(dim) is not int or dim < 1:
+            raise EvalError(f"dimension for atom {atom!r} must be an integer >= 1")
+    return objects
 
 
 def untuple(s: str) -> tuple:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import EvalError, Model
+from .base import EvalError, Model, json_array, trusted
 
 Elem = tuple[int, str]  # (gate, element name)
 
@@ -50,6 +50,10 @@ class FinSetModel(Model):
     def __init__(self, objects: dict[str, tuple[str, ...]]):
         self.objects = {k: tuple(v) for k, v in objects.items()}
 
+    @classmethod
+    def from_json(cls, objects: dict) -> FinSetModel:
+        return cls({a: json_array(v, f"carrier for atom {a!r}") for a, v in objects.items()})
+
     def box_from_json(self, sig: BoxSig, spec: dict) -> FinSetMorphism:
         table = {_tag(k): _tag(v) for k, v in spec["table"].items()}
         return FinSetMorphism(self.ob(sig.inputs), self.ob(sig.outputs), table)
@@ -64,7 +68,7 @@ class FinSetModel(Model):
 
     def identity(self, word: ObjectExpr) -> FinSetMorphism:
         dom = self.ob(word)
-        return FinSetMorphism(dom, dom, {x: x for x in _elems(dom)})
+        return trusted(FinSetMorphism, dom, dom, {x: x for x in _elems(dom)})
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> FinSetMorphism:
         dom = self.ob(left * right)
@@ -73,19 +77,19 @@ class FinSetModel(Model):
         table = {}
         for g, e in _elems(dom):
             table[(g, e)] = (g + m, e) if g < k else (g - k, e)
-        return FinSetMorphism(dom, cod, table)
+        return trusted(FinSetMorphism, dom, cod, table)
 
     def compose(self, f: FinSetMorphism, g: FinSetMorphism) -> FinSetMorphism:
         if f.cod != g.dom:
             raise EvalError("composition mismatch")
-        return FinSetMorphism(f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
+        return trusted(FinSetMorphism, f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
 
     def tensor(self, f: FinSetMorphism, g: FinSetMorphism) -> FinSetMorphism:
         nf_in, nf_out = len(f.dom), len(f.cod)
         table = dict(f.table)
         for (gate, e), (gate2, e2) in g.table.items():
             table[(gate + nf_in, e)] = (gate2 + nf_out, e2)
-        return FinSetMorphism(f.dom + g.dom, f.cod + g.cod, table)
+        return trusted(FinSetMorphism, f.dom + g.dom, f.cod + g.cod, table)
 
     def trace(self, m: FinSetMorphism, loop, corners, tol=None) -> FinSetMorphism:
         a, b, c, d = corners
@@ -108,7 +112,7 @@ class FinSetModel(Model):
                     )
                 y = m.table[(a_len + (y[0] - (n_out - k)), y[1])]
             table[(gate, e)] = y
-        return FinSetMorphism(dom, cod, table)
+        return trusted(FinSetMorphism, dom, cod, table)
 
     def validate_box(self, sig: BoxSig, m: FinSetMorphism) -> None:
         if m.dom != self.ob(sig.inputs) or m.cod != self.ob(sig.outputs):

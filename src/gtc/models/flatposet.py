@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import EvalError, Model, untuple
+from .base import EvalError, Model, json_array, trusted, untuple
 
 
 # one shared instance per (elements, order), validated when it is first
@@ -149,7 +149,8 @@ class FlatPosetModel(Model):
 
     @classmethod
     def from_json(cls, objects: dict) -> FlatPosetModel:
-        return cls({a: flat(tuple(spec["elements"])) for a, spec in objects.items()})
+        elements = {a: spec["elements"] for a, spec in objects.items()}
+        return cls({a: flat(json_array(e, f"elements for atom {a!r}")) for a, e in elements.items()})
 
     def box_from_json(self, sig: BoxSig, spec: dict) -> PosetMorphism:
         table = {untuple(k): untuple(v) for k, v in spec["table"].items()}
@@ -164,25 +165,25 @@ class FlatPosetModel(Model):
     def identity(self, word: ObjectExpr) -> PosetMorphism:
         dom = self.ob(word)
         elems = product_elements(dom)
-        return PosetMorphism(dom, dom, {x: x for x in elems})
+        return trusted(PosetMorphism, dom, dom, {x: x for x in elems})
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> PosetMorphism:
         dom = self.ob(left * right)
         cod = self.ob(right * left)
         k = len(left)
         elems = product_elements(dom)
-        return PosetMorphism(dom, cod, {x: x[k:] + x[:k] for x in elems})
+        return trusted(PosetMorphism, dom, cod, {x: x[k:] + x[:k] for x in elems})
 
     def compose(self, f: PosetMorphism, g: PosetMorphism) -> PosetMorphism:
         if f.cod != g.dom:
             raise EvalError("composition mismatch")
-        return PosetMorphism(f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
+        return trusted(PosetMorphism, f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
 
     def tensor(self, f: PosetMorphism, g: PosetMorphism) -> PosetMorphism:
         ni = len(f.dom)
         elems = product_elements(f.dom + g.dom)
         table = {x: f.table[x[:ni]] + g.table[x[ni:]] for x in elems}
-        return PosetMorphism(f.dom + g.dom, f.cod + g.cod, table)
+        return trusted(PosetMorphism, f.dom + g.dom, f.cod + g.cod, table)
 
     def trace(self, m: PosetMorphism, loop, corners, tol=None) -> PosetMorphism:
         a, b, c, d = corners
@@ -206,7 +207,7 @@ class FlatPosetModel(Model):
                     "promised gates"
                 )
             table[x] = y[:n_cd]
-        return PosetMorphism(dom, cod, table)
+        return trusted(PosetMorphism, dom, cod, table)
 
     def validate_box(self, sig: BoxSig, m: PosetMorphism) -> None:
         if m.dom != self.ob(sig.inputs) or m.cod != self.ob(sig.outputs):

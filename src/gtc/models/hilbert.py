@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import EvalError, Model
+from .base import EvalError, Model, json_dimensions, trusted
 
 WITNESS_TOL = 1e-12
 
@@ -62,6 +62,10 @@ class HilbertModel(Model):
     def __init__(self, objects: dict[str, int]):
         self.objects = {k: int(v) for k, v in objects.items()}
 
+    @classmethod
+    def from_json(cls, objects: dict) -> HilbertModel:
+        return cls(json_dimensions(objects))
+
     def box_from_json(self, sig: BoxSig, spec: dict) -> HilbertMorphism:
         mat = np.asarray(spec["matrix"], dtype=float)
         witness = spec.get("witness")
@@ -84,22 +88,21 @@ class HilbertModel(Model):
 
     def identity(self, word: ObjectExpr) -> HilbertMorphism:
         dims = self.ob(word)
-        return HilbertMorphism(dims, dims, np.eye(math.prod(dims)))
+        return trusted(HilbertMorphism, dims, dims, np.eye(math.prod(dims)), None)
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> HilbertMorphism:
         dl, dr = self.ob(left), self.ob(right)
         perm = [*range(len(dl), len(dl) + len(dr)), *range(len(dl))]
-        return HilbertMorphism(dl + dr, dr + dl, kron_perm(dl + dr, perm))
+        return trusted(HilbertMorphism, dl + dr, dr + dl, kron_perm(dl + dr, perm), None)
 
     def compose(self, f: HilbertMorphism, g: HilbertMorphism) -> HilbertMorphism:
         if f.out_dims != g.in_dims:
             raise EvalError("composition mismatch")
-        return HilbertMorphism(f.in_dims, g.out_dims, g.mat @ f.mat)
+        return trusted(HilbertMorphism, f.in_dims, g.out_dims, g.mat @ f.mat, None)
 
     def tensor(self, f: HilbertMorphism, g: HilbertMorphism) -> HilbertMorphism:
-        return HilbertMorphism(
-            f.in_dims + g.in_dims, f.out_dims + g.out_dims, np.kron(f.mat, g.mat)
-        )
+        in_dims, out_dims = f.in_dims + g.in_dims, f.out_dims + g.out_dims
+        return trusted(HilbertMorphism, in_dims, out_dims, np.kron(f.mat, g.mat), None)
 
     def trace(self, m: HilbertMorphism, loop, corners, tol=None) -> HilbertMorphism:
         a, b, c, d = corners
@@ -110,9 +113,8 @@ class HilbertModel(Model):
         dc = math.prod(m.out_dims[:n_c])
         dd = math.prod(m.out_dims[n_c : n_c + n_d])
         mat = hs_sum_trace(m.mat, da, du, db, dc, dd)
-        return HilbertMorphism(
-            m.in_dims[:n_a] + m.in_dims[n_a + k :], m.out_dims[: n_c + n_d], mat
-        )
+        in_dims = m.in_dims[:n_a] + m.in_dims[n_a + k :]
+        return trusted(HilbertMorphism, in_dims, m.out_dims[: n_c + n_d], mat, None)
 
     def validate_box(self, sig: BoxSig, m: HilbertMorphism) -> None:
         if m.in_dims != self.ob(sig.inputs) or m.out_dims != self.ob(sig.outputs):

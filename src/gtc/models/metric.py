@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import EvalError, Model
+from .base import EvalError, Model, json_dimensions, trusted
 
 Blocks = list  # list of np.ndarray with shape (n_points, dim)
 
@@ -62,6 +62,10 @@ class MetricModel(Model):
     def __init__(self, objects: dict[str, int]):
         self.objects = {k: int(v) for k, v in objects.items()}
 
+    @classmethod
+    def from_json(cls, objects: dict) -> MetricModel:
+        return cls(json_dimensions(objects))
+
     def box_from_json(self, sig: BoxSig, spec: dict) -> MetricMorphism:
         in_dims = self.ob(sig.inputs)
         out_dims = self.ob(sig.outputs)
@@ -88,7 +92,7 @@ class MetricModel(Model):
 
     def identity(self, word: ObjectExpr) -> MetricMorphism:
         dims = self.ob(word)
-        return MetricMorphism(dims, dims, lambda xs: list(xs), np.eye(len(dims)))
+        return trusted(MetricMorphism, dims, dims, lambda xs: list(xs), np.eye(len(dims)))
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> MetricMorphism:
         dl, dr = self.ob(left), self.ob(right)
@@ -98,15 +102,13 @@ class MetricModel(Model):
         lip = np.zeros((n, n))
         for j, i in enumerate(perm):
             lip[i, j] = 1.0
-        return MetricMorphism(
-            dl + dr, dr + dl, lambda xs: [xs[i] for i in perm], lip
-        )
+        return trusted(MetricMorphism, dl + dr, dr + dl, lambda xs: [xs[i] for i in perm], lip)
 
     def compose(self, f: MetricMorphism, g: MetricMorphism) -> MetricMorphism:
         if f.out_dims != g.in_dims:
             raise EvalError("composition mismatch")
-        return MetricMorphism(
-            f.in_dims, g.out_dims, lambda xs: g.fn(f.fn(xs)), f.lip @ g.lip
+        return trusted(
+            MetricMorphism, f.in_dims, g.out_dims, lambda xs: g.fn(f.fn(xs)), f.lip @ g.lip
         )
 
     def tensor(self, f: MetricMorphism, g: MetricMorphism) -> MetricMorphism:
@@ -118,7 +120,7 @@ class MetricModel(Model):
         lip = np.zeros((ni + len(g.in_dims), no + len(g.out_dims)))
         lip[:ni, :no] = f.lip
         lip[ni:, no:] = g.lip
-        return MetricMorphism(f.in_dims + g.in_dims, f.out_dims + g.out_dims, fn, lip)
+        return trusted(MetricMorphism, f.in_dims + g.in_dims, f.out_dims + g.out_dims, fn, lip)
 
     def trace(self, m: MetricMorphism, loop, corners, tol=None) -> MetricMorphism:
         a, b, c, d = corners
@@ -141,7 +143,7 @@ class MetricModel(Model):
             return ys[: n_c + n_d]
 
         lip = _traced_lip(m.lip, n_a, k, n_c + n_d, c_loop)
-        return MetricMorphism(in_dims, out_dims, fn, lip)
+        return trusted(MetricMorphism, in_dims, out_dims, fn, lip)
 
     def validate_box(self, sig: BoxSig, m: MetricMorphism) -> None:
         if m.in_dims != self.ob(sig.inputs) or m.out_dims != self.ob(sig.outputs):

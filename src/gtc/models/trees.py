@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import count, product
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import EvalError, Model, untuple
+from .base import EvalError, Model, json_array, trusted, untuple
 
 
 # one shared instance per (stages, restrictions), validated when it is first
@@ -180,8 +180,10 @@ class ToposOfTreesModel(Model):
     def from_json(cls, objects: dict) -> ToposOfTreesModel:
         objs = {}
         for atom, spec in objects.items():
-            stages = tuple(tuple(s) for s in spec["stages"])
-            restr = tuple(dict(r) for r in spec.get("restrictions", []))
+            what = f"stages for atom {atom!r}"
+            stages = tuple(tuple(json_array(s, what)) for s in json_array(spec["stages"], what))
+            restr = json_array(spec.get("restrictions", []), f"restrictions for atom {atom!r}")
+            restr = tuple(dict(r) for r in restr)
             objs[atom] = StageObject(stages, restr)
         return cls(objs)
 
@@ -204,32 +206,33 @@ class ToposOfTreesModel(Model):
     def identity(self, word: ObjectExpr) -> ToTMorphism:
         dom = self.ob(word)
         maps = tuple({x: x for x in xs} for xs in _word(dom, self.depth))
-        return ToTMorphism(dom, dom, maps)
+        return trusted(ToTMorphism, dom, dom, maps)
 
     def symmetry(self, left: ObjectExpr, right: ObjectExpr) -> ToTMorphism:
         dom = self.ob(left * right)
         cod = self.ob(right * left)
         k = len(left)
         maps = tuple({x: x[k:] + x[:k] for x in xs} for xs in _word(dom, self.depth))
-        return ToTMorphism(dom, cod, maps)
+        return trusted(ToTMorphism, dom, cod, maps)
 
     def compose(self, f: ToTMorphism, g: ToTMorphism) -> ToTMorphism:
         if f.cod != g.dom:
             raise EvalError("composition mismatch")
+        _same_depth(f, g)
         maps = tuple(
-            {x: g.maps[n][y] for x, y in f.maps[n].items()}
-            for n in range(len(f.maps))
+            {x: gm[y] for x, y in fm.items()} for fm, gm in zip(f.maps, g.maps)
         )
-        return ToTMorphism(f.dom, g.cod, maps)
+        return trusted(ToTMorphism, f.dom, g.cod, maps)
 
     def tensor(self, f: ToTMorphism, g: ToTMorphism) -> ToTMorphism:
+        _same_depth(f, g)
         ni = len(f.dom)
         dom = f.dom + g.dom
         maps = tuple(
             {x: fm[x[:ni]] + gm[x[ni:]] for x in xs}
             for fm, gm, xs in zip(f.maps, g.maps, _word(dom, len(f.maps)))
         )
-        return ToTMorphism(dom, f.cod + g.cod, maps)
+        return trusted(ToTMorphism, dom, f.cod + g.cod, maps)
 
     def trace(self, m: ToTMorphism, loop, corners, tol=None) -> ToTMorphism:
         a, b, c, d = corners
@@ -263,7 +266,7 @@ class ToposOfTreesModel(Model):
                 table[x], u_here[x] = y[:n_cd], u
             maps.append(table)
             u_below = u_here
-        return ToTMorphism(dom, cod, tuple(maps))
+        return trusted(ToTMorphism, dom, cod, tuple(maps))
 
     def validate_box(self, sig: BoxSig, m: ToTMorphism) -> None:
         if m.dom != self.ob(sig.inputs) or m.cod != self.ob(sig.outputs):
@@ -292,6 +295,13 @@ class ToposOfTreesModel(Model):
                     )
 
     equal = Model.equal  # in the class's own namespace, where bench/tracer.py wraps it
+
+
+def _same_depth(f: ToTMorphism, g: ToTMorphism) -> None:
+    """Operands between unit words carry their stage count only in their
+    maps; a result must have one map per stage of its carriers."""
+    if len(f.maps) != len(g.maps):
+        raise EvalError("need one stage map per carrier stage")
 
 
 def tot_fixpoint(f: ToTMorphism, witness: tuple[dict, ...], y: list[tuple]):

@@ -397,6 +397,15 @@ def test_synthesize_missing_box_exit_2(tmp_path, capsys):
             {"model": "metric", "objects": {"A": 1}, "boxes": {"p": {"weight": [[0.5]]}}},
             "'offset'",
         ),
+        # a dimension is a JSON integer of at least 1
+        ("hilbert", {"model": "hilbert", "objects": {"A": -1}}, "integer >= 1"),
+        ("metric", {"model": "metric", "objects": {"A": -1}}, "integer >= 1"),
+        ("metric", {"model": "metric", "objects": {"A": 2.7}}, "integer >= 1"),
+        ("hilbert", {"model": "hilbert", "objects": {"A": True}}, "integer >= 1"),
+        # a string is not split into a carrier of its characters
+        ("finset", {"model": "finset", "objects": {"A": "xyz"}}, "JSON array"),
+        ("flat", {"model": "flat", "objects": {"A": {"elements": "pq"}}}, "JSON array"),
+        ("tot", {"model": "tot", "objects": {"A": {"stages": ["ab"]}}}, "JSON array"),
     ],
 )
 def test_eval_malformed_bindings_exit_2(tmp_path, capsys, model, bindings, message):

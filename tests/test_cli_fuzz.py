@@ -79,14 +79,18 @@ leaf_junk = st.one_of(
 )
 
 
-def _mutated(doc, where: int, value):
-    """``doc`` with its ``where``-th leaf (mod the leaf count) set to ``value``."""
+def _mutated(doc, where: int, value, inner: bool = False):
+    """``doc`` with its ``where``-th leaf (mod the leaf count) set to
+    ``value``; with ``inner``, non-empty arrays and objects count as slots
+    too."""
     slots = []
 
     def walk(node):
         items = node.items() if isinstance(node, dict) else enumerate(node)
         for key, child in items:
             if isinstance(child, (dict, list)) and child:
+                if inner:
+                    slots.append((node, key))
                 walk(child)
             else:
                 slots.append((node, key))
@@ -99,6 +103,10 @@ def _mutated(doc, where: int, value):
 
 
 mutations = st.none() | st.tuples(st.integers(0, 10**6), leaf_junk)
+# junk for a node of the bindings' "objects": negative, zero, fractional
+# and boolean dimensions, and strings where a carrier or stage array belongs
+object_junk = st.sampled_from((-1, 0, 2.7, True, False, "xyz", "x0", ""))
+object_mutations = st.tuples(st.integers(0, 10**6), object_junk)
 
 
 def _run(argv: list[str], files: dict[str, str], env: dict[str, str] | None = None) -> None:
@@ -189,12 +197,15 @@ POINTS = (
     model=st.sampled_from(sorted(BINDINGS)),
     named=st.none() | st.sampled_from(sorted(BINDINGS) + ["bogus"]),
     mutation=st.none() | mutations,
+    objects_mutation=st.none() | object_mutations,
     claim=st.none() | claims,
     point=st.none() | st.sampled_from(POINTS),
     tol=st.sampled_from(("1e-12", "1e-12", "0", "-1", "nan", "x")),
 )
-def test_eval_exits_0_1_or_2(src, model, named, mutation, claim, point, tol):
+def test_eval_exits_0_1_or_2(src, model, named, mutation, objects_mutation, claim, point, tol):
     bindings = {"model": model, **json.loads(json.dumps(BINDINGS[model]))}
+    if objects_mutation is not None:
+        _mutated(bindings["objects"], *objects_mutation, inner=True)
     if mutation is not None:
         bindings = _mutated(bindings, *mutation)
     files = {"src": src, "bindings": json.dumps(bindings)}

@@ -1,12 +1,18 @@
-"""Property tests for the exact models' constructors and loaders: on small
-random data each either returns a valid value or raises EvalError."""
+"""Property tests for the models: on small random data the exact models'
+constructors and loaders either return a valid value or raise EvalError,
+and in every model the result of an operation on checked operands passes
+its constructor's checks."""
 
+from collections import Counter
+from dataclasses import fields
 from itertools import product
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from gtc.axioms import AXIOMS, BINDING_GENERATORS, gen_axiom_instances
 from gtc.laws import all_stage_objects
-from gtc.models import EvalError, Poset, PosetMorphism, flat, lift
+from gtc.models import MODEL_NAMES, EvalError, Poset, PosetMorphism, eval_expr, flat, lift
 from gtc.models.io import load_bindings
 from gtc.models.trees import StageObject, ToTMorphism
 from gtc.signatures import parse_box_decl
@@ -209,3 +215,57 @@ def test_load_bindings_returns_or_raises_eval_error(payload):
         sig = _SIGS[name]
         assert m.dom == model.ob(sig.inputs) and m.cod == model.ob(sig.outputs)
         _returns_or_eval_error(lambda: model.validate_box(sig, m))
+
+
+OPERATIONS = ("identity", "symmetry", "compose", "tensor", "trace")
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+    return x == y
+
+
+class _Rebuilding:
+    """A model whose operations rebuild each result through its class's
+    public constructor, which must accept it and give the same fields."""
+
+    def __init__(self, model):
+        self.model = model
+        self.seen = Counter()
+
+    def __getattr__(self, name):
+        op = getattr(self.model, name)
+        if name not in OPERATIONS:
+            return op
+
+        def checked(*args):
+            m = op(*args)
+            values = [getattr(m, f.name) for f in fields(m)]
+            try:
+                rebuilt = type(m)(*values)
+            except EvalError as exc:
+                raise AssertionError(f"{name} built an invalid result: {exc}") from None
+            assert all(_same(getattr(rebuilt, f.name), v) for f, v in zip(fields(m), values))
+            self.seen[name] += 1
+            return m
+
+        return checked
+
+
+@given(seed=st.integers(0, 2**16), model_name=st.sampled_from(MODEL_NAMES))
+@settings(max_examples=40, deadline=None)
+def test_operation_results_pass_their_constructors(seed, model_name):
+    seen = Counter()
+    for axiom in AXIOMS:
+        inst = gen_axiom_instances(axiom, seed)[0]
+        model, boxes = BINDING_GENERATORS[model_name](inst, np.random.default_rng(seed))
+        checking = _Rebuilding(model)
+        for side in (inst.lhs, inst.rhs):
+            try:
+                eval_expr(side, checking, boxes, tol=1e-12)
+            except EvalError:
+                # only a side that fails its guardedness check may not settle
+                assert inst.failing_side is not None
+        seen += checking.seen
+    assert set(seen) == set(OPERATIONS)

@@ -678,6 +678,25 @@ def test_tot_morphism_rejects_values_outside_its_codomain():
         ToTMorphism((one, two), (), ({("a0", "a0"): (), ("a1", "a0"): ()},))
 
 
+def test_tot_operations_reject_operands_of_different_stage_counts():
+    # a morphism between unit words carries its stage count only in its
+    # maps, so only the operation can tell that the result would be invalid
+    two = StageObject((("a0",), ("a0", "a1")), ({"a0": "a0", "a1": "a0"},))
+    unit1 = ToTMorphism((), (), ({(): ()},))
+    unit2 = ToTMorphism((), (), ({(): ()},) * 2)
+    to_two = ToTMorphism((), (two,), ({(): ("a0",)}, {(): ("a1",)}))
+    ident = ToTMorphism((two,), (two,), ({("a0",): ("a0",)}, {("a0",): ("a0",), ("a1",): ("a1",)}))
+    model = ToposOfTreesModel({"X": two})
+    for f, g in ((unit1, ident), (unit1, to_two), (unit2, unit1)):
+        with pytest.raises(EvalError, match="^need one stage map per carrier stage$"):
+            model.tensor(f, g)
+    for f, g in ((unit1, to_two), (unit2, unit1), (unit1, unit2)):
+        with pytest.raises(EvalError, match="^need one stage map per carrier stage$"):
+            model.compose(f, g)
+    assert model.compose(unit2, to_two).maps == to_two.maps
+    assert model.tensor(unit2, ident).maps == ident.maps
+
+
 def test_tot_word_tables_are_built_once_per_word():
     from gtc.models.trees import _word
 
