@@ -83,6 +83,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def _dumps(value, **kwargs) -> str:
+    """``value`` as JSON text; a NaN or infinity in it is an error, not output."""
+    try:
+        return json.dumps(value, allow_nan=False, **kwargs)
+    except ValueError:
+        raise EvalError("result is not finite, so it has no JSON form") from None
+
+
 def _load_expr(path: str, name: str):
     with open(path, encoding="utf-8") as fh:
         src = parse_source(fh.read())
@@ -103,7 +111,7 @@ def cmd_check(args) -> int:
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(export_json(diagram))
-    print(json.dumps(result.to_json(), indent=2))
+    print(_dumps(result.to_json(), indent=2))
     return 0 if result.ok else 1
 
 
@@ -119,7 +127,7 @@ def cmd_synthesize(args) -> int:
         expr = synthesize(diagram, claim)
     except SynthesisError as exc:
         print(
-            json.dumps({"ok": False, "reason": exc.reason, "witness": exc.witness}),
+            _dumps({"ok": False, "reason": exc.reason, "witness": exc.witness}),
         )
         return 1
     result = check_annotated(expr, claim)
@@ -128,7 +136,7 @@ def cmd_synthesize(args) -> int:
     print("\n".join(lines))
     if args.cert:
         with open(args.cert, "w", encoding="utf-8") as fh:
-            json.dump(result.to_json(), fh, indent=2)
+            fh.write(_dumps(result.to_json(), indent=2))
     return 0 if result.ok else 1
 
 
@@ -138,7 +146,7 @@ def cmd_eval(args) -> int:
         claim = parse_claim(args.claim, expr.dom, expr.cod)
         res = check_annotated(expr, claim)
         if not res.ok:
-            print(json.dumps(res.to_json(), indent=2))
+            print(_dumps(res.to_json(), indent=2))
             return 1
     with open(args.bindings, encoding="utf-8") as fh:
         model, boxes = load_bindings(fh.read(), src.sigs)
@@ -157,9 +165,9 @@ def cmd_eval(args) -> int:
             raise EvalError(f"bad input point: no entry {exc}") from None
         except (AttributeError, IndexError, RecursionError, TypeError, ValueError) as exc:
             raise EvalError(f"bad input point: {exc}") from None
-        print(json.dumps(out))
+        print(_dumps(out))
     else:
-        print(json.dumps(model.render(value)))
+        print(_dumps(model.render(value)))
     return 0
 
 
@@ -184,10 +192,10 @@ def cmd_suite(args) -> int:
         tol=args.tol,
         jobs=args.jobs,
     )
-    lines = [json.dumps(header)]
+    lines = [_dumps(header)]
     failures = 0
     for rep in reports:
-        lines.append(json.dumps(rep))
+        lines.append(_dumps(rep))
         if rep["verdict"] != "pass":
             failures += 1
 
@@ -203,7 +211,7 @@ def cmd_suite(args) -> int:
     law_blocks["structural_geometric"] = _oracle_block(seeds[0])
     law_blocks["synthesis_round_trip"] = _synthesis_block(seeds[0])
     for name, block in law_blocks.items():
-        lines.append(json.dumps({"kind": name, **block}))
+        lines.append(_dumps({"kind": name, **block}))
         failures += _count_failures(block)
 
     text = "\n".join(lines) + "\n"
@@ -217,7 +225,7 @@ def cmd_suite(args) -> int:
         "checks": len(reports),
         "failures": failures,
     }
-    print(json.dumps(summary))
+    print(_dumps(summary))
     return 0 if failures == 0 else 1
 
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from types import NoneType
 
 from .signatures import (
-    UNIT,
     BoxSig,
+    Interned,
     ObjectExpr,
     SignatureError,
     Split,
@@ -44,9 +44,12 @@ class ParseError(ValueError):
     """Concrete-syntax error, with position information."""
 
 
-@dataclass(frozen=True)
-class MorphExpr:
-    """Base class; every node exposes a plain profile dom -> cod."""
+class MorphExpr(Interned):
+    """Base class; every node exposes a plain profile dom -> cod.  Nodes are
+    interned (see ``Interned``): leaves by their data, the others by their
+    children, so ``;``, ``(*)`` and ``tr`` check types for new nodes only."""
+
+    __slots__ = ()
 
     def __rshift__(self, other: "MorphExpr") -> "MorphExpr":
         return Comp(self, other)
@@ -54,101 +57,83 @@ class MorphExpr:
     def __matmul__(self, other: "MorphExpr") -> "MorphExpr":
         return Tensor(self, other)
 
+    def __repr__(self) -> str:
+        def node(x: MorphExpr, *kids: str) -> str:
+            kids = iter(kids)
+            return x._repr(next(kids) if isinstance(v, MorphExpr) else repr(v) for v in x._fields())
 
-@dataclass(frozen=True)
+        return fold(self, node, node, node, node)
+
+
 class Box(MorphExpr):
-    sig: BoxSig
+    __slots__ = ("sig", "dom", "cod")
+    __match_args__ = ("sig",)
 
-    @property
-    def dom(self) -> ObjectExpr:
-        return self.sig.inputs
-
-    @property
-    def cod(self) -> ObjectExpr:
-        return self.sig.outputs
+    def __new__(cls, sig: BoxSig) -> Box:
+        # sig's data, which hashes without calling into Python
+        s = sig.split
+        key = (sig.name, sig.inputs, sig.outputs, s.unguarded_in_mask, s.guarded_out_mask)
+        return cls._intern(key, sig, sig.inputs, sig.outputs)
 
 
-@dataclass(frozen=True)
 class Id(MorphExpr):
-    obj: ObjectExpr
+    __slots__ = ("obj", "dom", "cod")
+    __match_args__ = ("obj",)
 
-    @property
-    def dom(self) -> ObjectExpr:
-        return self.obj
-
-    @property
-    def cod(self) -> ObjectExpr:
-        return self.obj
+    def __new__(cls, obj: ObjectExpr) -> Id:
+        return cls._intern(obj, obj, obj, obj)
 
 
-@dataclass(frozen=True)
 class Sym(MorphExpr):
-    left: ObjectExpr
-    right: ObjectExpr
+    __slots__ = ("left", "right", "dom", "cod")
+    __match_args__ = ("left", "right")
 
-    @property
-    def dom(self) -> ObjectExpr:
-        return self.left * self.right
-
-    @property
-    def cod(self) -> ObjectExpr:
-        return self.right * self.left
+    def __new__(cls, left: ObjectExpr, right: ObjectExpr) -> Sym:
+        return cls._intern((left, right), left, right, left * right, right * left)
 
 
-@dataclass(frozen=True)
 class Comp(MorphExpr):
     """first ; second (run ``first``, feed its outputs to ``second``)."""
 
-    first: MorphExpr
-    second: MorphExpr
+    __slots__ = ("first", "second", "dom", "cod")
+    __match_args__ = ("first", "second")
 
-    def __post_init__(self) -> None:
-        if self.first.cod.factors != self.second.dom.factors:
+    def __new__(cls, first: MorphExpr, second: MorphExpr) -> Comp:
+        key = (first, second)
+        x = cls._table.get(key, NoneType)()
+        if x is not None:
+            return x
+        if first.cod != second.dom:
             raise TypingError(
-                f"cannot compose: left produces {self.first.cod}, "
-                f"right consumes {self.second.dom}"
+                f"cannot compose: left produces {first.cod}, right consumes {second.dom}"
             )
-        # set once: the children already hold theirs, so no access walks a chain
-        object.__setattr__(self, "dom", self.first.dom)
-        object.__setattr__(self, "cod", self.second.cod)
+        # the children hold their profiles, so no access walks a chain
+        return cls._intern(key, first, second, first.dom, second.cod)
 
 
-@dataclass(frozen=True)
 class Tensor(MorphExpr):
-    top: MorphExpr
-    bottom: MorphExpr
+    __slots__ = ("top", "bottom", "dom", "cod")
+    __match_args__ = ("top", "bottom")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dom", self.top.dom * self.bottom.dom)
-        object.__setattr__(self, "cod", self.top.cod * self.bottom.cod)
+    def __new__(cls, top: MorphExpr, bottom: MorphExpr) -> Tensor:
+        dom, cod = top.dom * bottom.dom, top.cod * bottom.cod
+        return cls._intern((top, bottom), top, bottom, dom, cod)
 
 
-@dataclass(frozen=True)
 class Trace(MorphExpr):
-    """Feedback node; ``annotation`` is the split claimed for the body."""
+    """Feedback node; ``annotation`` is the split claimed for the body,
+    ``corners`` the four boundary words (A, B, C, D) of the conclusion."""
 
-    loop: ObjectExpr
-    body: MorphExpr
-    annotation: Split
+    __slots__ = ("loop", "body", "annotation", "corners", "dom", "cod")
+    __match_args__ = ("loop", "body", "annotation")
 
-    def __post_init__(self) -> None:
-        a, b, c, d = _check_trace_shape(self.loop, self.body, self.annotation)
-        object.__setattr__(self, "_corners", (a, b, c, d))
-
-    @property
-    def corners(self) -> tuple[ObjectExpr, ObjectExpr, ObjectExpr, ObjectExpr]:
-        """The four boundary words (A, B, C, D) of the conclusion."""
-        return self._corners  # type: ignore[attr-defined]
-
-    @cached_property
-    def dom(self) -> ObjectExpr:
-        a, b, _, _ = self.corners
-        return a * b
-
-    @cached_property
-    def cod(self) -> ObjectExpr:
-        _, _, c, d = self.corners
-        return c * d
+    def __new__(cls, loop: ObjectExpr, body: MorphExpr, annotation: Split) -> Trace:
+        key = (loop, body, annotation)
+        x = cls._table.get(key, NoneType)()
+        if x is not None:
+            return x
+        a, b, c, d = corners = _check_trace_shape(loop, body, annotation)
+        return cls._intern(key, loop, body, annotation, corners, a * b, c * d)
 
     def conclusion_split(self) -> Split:
         a, _, c, _ = self.corners
@@ -320,8 +305,6 @@ class _Parser:
         while self.at("star"):
             self.take("star")
             parts.append(self.take("name"))
-        if parts == ["I"]:
-            return UNIT
         try:
             return parse_object("*".join(parts))
         except SignatureError as exc:
@@ -391,9 +374,8 @@ class _Parser:
         self.take("lbrace")
         body = self.parse_expr()
         self.take("rbrace")
-        want_dom = a * loop * b
-        want_cod = c * d * loop
-        if body.dom.factors != want_dom.factors or body.cod.factors != want_cod.factors:
+        want_dom, want_cod = a * loop * b, c * d * loop
+        if body.dom != want_dom or body.cod != want_cod:
             raise ParseError(
                 f"trace body has profile {body.dom} -> {body.cod}, "
                 f"annotation requires {want_dom} -> {want_cod}"

@@ -9,6 +9,8 @@ witnesses).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..expressions import Id, MorphExpr, Sym, fold
 from ..signatures import ObjectExpr
 
@@ -43,6 +45,22 @@ class Model:
         return same, 0.0 if same else 1.0
 
 
+class DimensionModel(Model):
+    """A backend whose atoms denote dimensions, integers of at least 1."""
+
+    noun = "dimension"
+
+    def __init__(self, objects: dict[str, int]):
+        for atom, dim in objects.items():
+            if type(dim) is not int or dim < 1:
+                raise EvalError(f"dimension for atom {atom!r} must be an integer >= 1")
+        self.objects = dict(objects)
+
+    @classmethod
+    def from_json(cls, objects: dict):
+        return cls(objects)
+
+
 def trusted(cls, *values):
     """An instance of the frozen dataclass ``cls`` with these field values,
     in field order, made without running ``__post_init__``.
@@ -64,12 +82,11 @@ def json_array(value, what: str):
     return value
 
 
-def json_dimensions(objects: dict) -> dict[str, int]:
-    """Atom to dimension, each a JSON integer of at least 1."""
-    for atom, dim in objects.items():
-        if type(dim) is not int or dim < 1:
-            raise EvalError(f"dimension for atom {atom!r} must be an integer >= 1")
-    return objects
+def json_floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array; numpy would read a JSON boolean as 0 or 1."""
+    if any(type(v) is bool for v in np.asarray(value, dtype=object).flat):
+        raise EvalError(f"{what} holds a boolean, not a number")
+    return np.asarray(value, dtype=float)
 
 
 def untuple(s: str) -> tuple:

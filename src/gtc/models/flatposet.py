@@ -10,34 +10,27 @@ transport one operator into the other and are mutually inverse.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from itertools import product
+from types import NoneType
 
-from ..signatures import BoxSig, ObjectExpr
+from ..signatures import BoxSig, Interned, ObjectExpr
 from .base import EvalError, Model, json_array, trusted, untuple
 
 
-# one shared instance per (elements, order), validated when it is first
-# built, with everything derived from it (up-sets, bottom, flatness, lift)
-# stored on it; a poset nothing refers to any more leaves the table.
-_POSETS: weakref.WeakValueDictionary[tuple, Poset] = weakref.WeakValueDictionary()
-_POSETS_LOCK = threading.Lock()
+class Poset(Interned):
+    """A finite poset.  Equal data gives one shared object (see
+    ``Interned``), validated when it is first built, with everything derived
+    from it (up-sets, bottom, flatness, lift) stored on it."""
 
-
-@dataclass(frozen=True, init=False, eq=False)
-class Poset:
-    """A finite poset.  Equal data gives one shared object, so ``==`` is
-    identity and a carrier is checked once however often it is built."""
-
-    __slots__ = ("elements", "leq", "up", "is_flat", "_bottom", "_lift", "__weakref__")
+    __slots__ = ("elements", "leq", "up", "is_flat", "_bottom", "_lift")
+    __match_args__ = ("elements", "leq")
     elements: tuple[str, ...]
     leq: frozenset  # all pairs (a, b) with a <= b, reflexivity included
 
     def __new__(cls, elements: tuple[str, ...], leq: frozenset) -> Poset:
         key = (tuple(elements), frozenset(leq))
-        shared = _POSETS.get(key)
+        shared = cls._table.get(key, NoneType)()
         if shared is not None:
             return shared
         elements, leq = key
@@ -57,23 +50,9 @@ class Poset:
                 raise EvalError("order not transitive")
             if a != b and a in up[b]:
                 raise EvalError("order not antisymmetric")
-        p = object.__new__(cls)
-        for name, value in (
-            ("elements", elements),
-            ("leq", leq),
-            ("up", {a: frozenset(s) for a, s in up.items()}),
-            ("is_flat", all(a == b for a, b in leq)),
-            ("_bottom", next((a for a in elements if len(up[a]) == len(elements)), None)),
-            ("_lift", None),
-        ):
-            object.__setattr__(p, name, value)
-        with _POSETS_LOCK:
-            return _POSETS.setdefault(key, p)
-
-    # copy and pickle rebuild a poset from its data, which finds the shared
-    # instance, and write no state into it
-    def __reduce__(self):
-        return Poset, (self.elements, self.leq)
+        up = {a: frozenset(s) for a, s in up.items()}
+        bottom = next((a for a in elements if len(up[a]) == len(elements)), None)
+        return cls._intern(key, elements, leq, up, all(a == b for a, b in leq), bottom, None)
 
     def le(self, a: str, b: str) -> bool:
         return (a, b) in self.leq

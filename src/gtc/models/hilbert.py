@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import EvalError, Model, json_dimensions, trusted
+from .base import DimensionModel, EvalError, json_floats, trusted
 
 WITNESS_TOL = 1e-12
 
@@ -49,7 +49,7 @@ class HilbertMorphism:
         object.__setattr__(self, "mat", mat)
 
 
-class HilbertModel(Model):
+class HilbertModel(DimensionModel):
     """Bindings JSON: objects ``{"A": dim}``; a box ``{"matrix": [[...]],
     "witness": {"e_dim": n, "g": [[...]], "h": [[...]]}}``.  The witness
     may be omitted: in finite dimension every matrix factors, and a
@@ -57,24 +57,15 @@ class HilbertModel(Model):
     one."""
 
     name = "hilbert"
-    noun = "dimension"
-
-    def __init__(self, objects: dict[str, int]):
-        self.objects = {k: int(v) for k, v in objects.items()}
-
-    @classmethod
-    def from_json(cls, objects: dict) -> HilbertModel:
-        return cls(json_dimensions(objects))
 
     def box_from_json(self, sig: BoxSig, spec: dict) -> HilbertMorphism:
-        mat = np.asarray(spec["matrix"], dtype=float)
+        mat = json_floats(spec["matrix"], "matrix")
         witness = spec.get("witness")
         if witness is not None:
-            witness = {
-                "e_dim": int(witness["e_dim"]),
-                "g": np.asarray(witness["g"], dtype=float),
-                "h": np.asarray(witness["h"], dtype=float),
-            }
+            if type(witness["e_dim"]) is not int:
+                raise EvalError(f"witness e_dim for {sig.name!r} must be an integer")
+            g, h = json_floats(witness["g"], "witness g"), json_floats(witness["h"], "witness h")
+            witness = {"e_dim": witness["e_dim"], "g": g, "h": h}
         elif sig.split.unguarded_in and sig.split.guarded_out:
             witness = derive_witness(self, sig, mat)
         return HilbertMorphism(self.ob(sig.inputs), self.ob(sig.outputs), mat, witness)

@@ -25,7 +25,7 @@ def load_bindings(payload, sigs: dict[str, BoxSig]):
     EvalError."""
     try:
         if isinstance(payload, str):
-            payload = json.loads(payload)
+            payload = json.loads(payload, parse_constant=_no_constant)
         if not isinstance(payload, dict):
             raise EvalError("bindings must be a JSON object")
         return _load(payload, sigs)
@@ -35,6 +35,10 @@ def load_bindings(payload, sigs: dict[str, BoxSig]):
         raise EvalError(f"bad bindings: missing {exc}") from None
     except (AttributeError, IndexError, RecursionError, TypeError, ValueError) as exc:
         raise EvalError(f"bad bindings: {exc}") from None
+
+
+def _no_constant(name: str):
+    raise EvalError(f"bad bindings: {name} is not a JSON number")
 
 
 def _load(payload: dict, sigs: dict[str, BoxSig]):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import EvalError, Model, json_dimensions, trusted
+from .base import DimensionModel, EvalError, json_floats, trusted
 
 Blocks = list  # list of np.ndarray with shape (n_points, dim)
 
@@ -38,6 +38,8 @@ class MetricMorphism:
             raise EvalError("Lipschitz matrix shape does not match the profile")
         if np.any(lip < 0):
             raise EvalError("Lipschitz bounds must be nonnegative")
+        if not np.all(np.isfinite(lip)):  # NaN passes `< 0` and the contraction test
+            raise EvalError("Lipschitz bounds must be finite")
         object.__setattr__(self, "lip", lip)
 
     def apply(self, xs: Sequence[np.ndarray]) -> Blocks:
@@ -51,31 +53,19 @@ class MetricMorphism:
         return [np.asarray(y, dtype=float) for y in ys]
 
 
-class MetricModel(Model):
+class MetricModel(DimensionModel):
     """Bindings JSON: objects ``{"A": dim}``; a box either
     ``{"kind": "affine", "weight": [[...]], "offset": [...]}`` (the kind
     may be omitted) or ``{"kind": "named", "name": "cos_half"}``."""
 
     name = "metric"
-    noun = "dimension"
-
-    def __init__(self, objects: dict[str, int]):
-        self.objects = {k: int(v) for k, v in objects.items()}
-
-    @classmethod
-    def from_json(cls, objects: dict) -> MetricModel:
-        return cls(json_dimensions(objects))
 
     def box_from_json(self, sig: BoxSig, spec: dict) -> MetricMorphism:
         in_dims = self.ob(sig.inputs)
         out_dims = self.ob(sig.outputs)
         if spec.get("kind", "affine") == "affine":
-            return affine(
-                in_dims,
-                out_dims,
-                np.asarray(spec["weight"], dtype=float),
-                np.asarray(spec["offset"], dtype=float),
-            )
+            weight = json_floats(spec["weight"], "weight")
+            return affine(in_dims, out_dims, weight, json_floats(spec["offset"], "offset"))
         return named_function(spec["name"])
 
     def render(self, m: MetricMorphism) -> dict:

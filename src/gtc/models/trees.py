@@ -13,34 +13,24 @@ restriction to stage n.  Feedback is then solved stage by stage.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from itertools import count, product
+from types import NoneType
 
-from ..signatures import BoxSig, ObjectExpr
+from ..signatures import BoxSig, Interned, ObjectExpr
 from .base import EvalError, Model, json_array, trusted, untuple
 
 
-# one shared instance per (stages, restrictions), validated when it is first
-# built; a stage object nothing refers to any more leaves the table, and the
-# word tables it owns go with it.
-_STAGE_OBJECTS: weakref.WeakValueDictionary[tuple, StageObject] = (
-    weakref.WeakValueDictionary()
-)
-_STAGE_OBJECTS_LOCK = threading.Lock()
 _SERIALS = count()
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class StageObject:
+class StageObject(Interned):
     """Stage sets with surjective restrictions.  Equal data gives one shared
-    object, so ``==`` is identity and a carrier is checked once however
-    often it is built."""
+    object (see ``Interned``), checked when it is first built; the word
+    tables it owns leave with it."""
 
-    __slots__ = (
-        "stages", "restr", "section", "fibers", "_serial", "_words", "__weakref__"
-    )
+    __slots__ = ("stages", "restr", "section", "fibers", "_serial", "_words")
+    __match_args__ = ("stages", "restr")
     stages: tuple[tuple[str, ...], ...]
     restr: tuple[dict, ...]  # restr[n]: stage n+2 -> stage n+1
 
@@ -48,7 +38,7 @@ class StageObject:
         stages = tuple(map(tuple, stages))
         restr = tuple(map(dict, restr))
         key = (stages, tuple(frozenset(r.items()) for r in restr))
-        shared = _STAGE_OBJECTS.get(key)
+        shared = cls._table.get(key, NoneType)()
         if shared is not None:
             return shared
         if len(restr) != len(stages) - 1:
@@ -66,7 +56,6 @@ class StageObject:
         for n, s in enumerate(stages):
             if len(set(s)) != len(s):
                 raise EvalError(f"duplicate elements in stage {n + 1}")
-        x = object.__new__(cls)
         # section[n]: each stage-(n+1) element to its first preimage at
         # stage n+2, in stage order; fibers[n]: to all its preimages, in
         # the order of restr[n]
@@ -80,25 +69,12 @@ class StageObject:
             for e, v in r.items():
                 fiber.setdefault(v, []).append(e)
             fibers.append({v: tuple(es) for v, es in fiber.items()})
-        for name, value in (
-            ("stages", stages),
-            ("restr", restr),
-            ("section", tuple(section)),
-            ("fibers", tuple(fibers)),
-            ("_serial", next(_SERIALS)),
-            # tables of the words this object starts, keyed by the serials
-            # of the rest of the word; serials, not objects, so no word
-            # keeps a carrier alive or forms a cycle through it
-            ("_words", {}),
-        ):
-            object.__setattr__(x, name, value)
-        with _STAGE_OBJECTS_LOCK:
-            return _STAGE_OBJECTS.setdefault(key, x)
-
-    # copy and pickle rebuild an object from its data, which finds the
-    # shared instance, and write no state into it
-    def __reduce__(self):
-        return StageObject, (self.stages, self.restr)
+        # _words: tables of the words this object starts, keyed by the
+        # serials of the rest of the word; serials, not objects, so no word
+        # keeps a carrier alive or forms a cycle through it
+        return cls._intern(
+            key, stages, restr, tuple(section), tuple(fibers), next(_SERIALS), {}
+        )
 
 
 def _word(gates: tuple[StageObject, ...], depth: int) -> tuple[dict, ...]:
@@ -181,10 +157,9 @@ class ToposOfTreesModel(Model):
         objs = {}
         for atom, spec in objects.items():
             what = f"stages for atom {atom!r}"
-            stages = tuple(tuple(json_array(s, what)) for s in json_array(spec["stages"], what))
+            stages = [json_array(s, what) for s in json_array(spec["stages"], what)]
             restr = json_array(spec.get("restrictions", []), f"restrictions for atom {atom!r}")
-            restr = tuple(dict(r) for r in restr)
-            objs[atom] = StageObject(stages, restr)
+            objs[atom] = StageObject(stages, restr)  # which makes the tuples and dicts
         return cls(objs)
 
     def box_from_json(self, sig: BoxSig, spec: dict) -> ToTMorphism:

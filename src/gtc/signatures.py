@@ -10,8 +10,10 @@ never changes a split's meaning.
 from __future__ import annotations
 
 import re
+import threading
 import weakref
-from dataclasses import dataclass, field
+from types import NoneType
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator
 
 _ATOM_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -23,27 +25,88 @@ class SignatureError(ValueError):
     """Malformed object text, split data, or signature declaration."""
 
 
-# one shared instance per word, validated when it is first built; a word
-# nothing refers to any more leaves the table.  Two threads that build a new
-# word at once may each keep a copy; the copies still compare equal.
-_WORDS: weakref.WeakValueDictionary[tuple[str, ...], ObjectExpr] = (
-    weakref.WeakValueDictionary()
-)
+# reentrant: an instance can die, and leave its table, while its thread holds it
+_INTERN_LOCK = threading.RLock()
 
 
-@dataclass(frozen=True, init=False)
-class ObjectExpr:
+class _Entry(weakref.ref):  # a table's weak reference, holding its key
+    __slots__ = ("key",)
+
+
+class Interned:
+    """Base of the classes whose equal values are one shared object, so
+    ``==`` and ``hash`` are identity and never walk a value.
+
+    Each subclass has one weak table, ``cls._table``, from a key to an
+    ``_Entry``; ``cls._table.get(key, NoneType)()`` is the instance or None,
+    and a miss raises nothing, unlike one in a ``WeakValueDictionary``.
+    Inserts take one lock for all tables, so two threads building one value
+    get one object.  Instances are immutable; ``repr``, ``copy`` and
+    ``pickle`` use the constructor's arguments, named in ``__match_args__``
+    (``pickle`` recurses once per level, so not past the recursion limit)."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        table, lock = {}, _INTERN_LOCK  # the callback may run at exit
+
+        def forget(entry: _Entry) -> None:  # unless a new instance took the key
+            with lock:
+                if table.get(entry.key) is entry:
+                    del table[entry.key]
+
+        cls._table, cls._forget = table, staticmethod(forget)
+
+    @classmethod
+    def _intern(cls, key, *values):
+        """The instance for ``key``, else a new one holding ``values`` in slot order."""
+        shared = cls._table.get(key, NoneType)()
+        if shared is not None:
+            return shared
+        x = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(x, name, value)
+        with _INTERN_LOCK:
+            shared = cls._table.get(key, NoneType)()
+            if shared is not None:
+                return shared
+            entry = cls._table[key] = _Entry(x, cls._forget)
+            entry.key = key
+        return x
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, a) for a in self.__match_args__)
+
+    def _repr(self, values) -> str:
+        args = ", ".join(f"{a}={v}" for a, v in zip(self.__match_args__, values))
+        return f"{type(self).__name__}({args})"
+
+    def __repr__(self) -> str:
+        return self._repr(map(repr, self._fields()))
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ObjectExpr(Interned):
     """A tensor word: an ordered tuple of atom names (empty = unit I).
+    Equal words are one shared object, so a corpus pays for each word once."""
 
-    Equal words are one shared object, so a corpus pays for each word once.
-    """
-
-    __slots__ = ("factors", "__weakref__")
+    __slots__ = __match_args__ = ("factors",)
     factors: tuple[str, ...]
 
     def __new__(cls, factors: tuple[str, ...] = ()) -> ObjectExpr:
         try:
-            word = _WORDS.get(factors)
+            word = cls._table.get(factors, NoneType)()
         except TypeError:  # unhashable, so not a word
             word = None
         if word is not None:
@@ -55,17 +118,7 @@ class ObjectExpr:
         for a in factors:
             if not isinstance(a, str) or not _ATOM_RE.fullmatch(a) or a == "I":
                 raise SignatureError(f"bad atom name {a!r}")
-        word = object.__new__(cls)
-        object.__setattr__(word, "factors", factors)
-        return _WORDS.setdefault(factors, word)
-
-    # copy and pickle rebuild a word from its factors, which finds the
-    # shared instance, and write no state into it
-    def __getnewargs__(self) -> tuple[tuple[str, ...]]:
-        return (self.factors,)
-
-    def __getstate__(self) -> None:
-        return None
+        return cls._intern(factors, factors)
 
     def __mul__(self, other: "ObjectExpr") -> "ObjectExpr":
         return ObjectExpr(self.factors + other.factors)

@@ -592,3 +592,71 @@ def test_eval_too_deep_bindings_and_inputs_exit_2(tmp_path, capsys):
     inputs.write_text(deep)
     assert main([*argv, "--inputs", str(inputs)]) == 2
     assert _error_line(capsys).startswith("error: bad input point: maximum recursion depth")
+
+
+# numbers that JSON carries but no binding may hold: non-finite literals,
+# booleans where a float belongs, a fraction where an integer belongs
+_BLACK, _WHITE = "box f : A | I -> I | A", "box f : I | A -> A | I"
+_LOOP = "tr[A: I|I -> I|I]{ f }"
+
+
+@pytest.mark.parametrize(
+    "model, decl, expr, boxes, message",
+    [
+        # NaN passes both the sign test and the contraction test (>= 1.0)
+        ("metric", _BLACK, _LOOP, '{"weight": [[NaN]], "offset": [0.0]}', "NaN is not"),
+        ("metric", _WHITE, "f", '{"weight": [[Infinity]], "offset": [0.0]}', "Infinity is not"),
+        ("metric", _WHITE, "f", '{"weight": [[0.5]], "offset": [-Infinity]}', "-Infinity is not"),
+        ("metric", _WHITE, "f", '{"weight": [[true]], "offset": [0.0]}', "boolean"),
+        ("metric", _WHITE, "f", '{"weight": [[0.5]], "offset": [false]}', "boolean"),
+        ("hilbert", _WHITE, "f", '{"matrix": [[true]]}', "boolean"),
+        ("hilbert", _WHITE, "f", '{"matrix": [[NaN]]}', "NaN is not"),
+        (
+            "hilbert", _BLACK, _LOOP,
+            '{"matrix": [[1.0]], "witness": {"e_dim": 1.5, "g": [[1.0]], "h": [[1.0]]}}',
+            "e_dim for 'f' must be an integer",
+        ),
+        (
+            "hilbert", _BLACK, _LOOP,
+            '{"matrix": [[1.0]], "witness": {"e_dim": 1, "g": [[true]], "h": [[1.0]]}}',
+            "boolean",
+        ),
+    ],
+    ids=[
+        "metric-nan-contraction", "metric-infinity", "metric-minus-infinity",
+        "metric-true-weight", "metric-false-offset", "hilbert-true-entry", "hilbert-nan",
+        "hilbert-fractional-e-dim", "hilbert-true-witness",
+    ],
+)
+def test_eval_non_finite_or_coerced_numbers_exit_2(
+    tmp_path, capsys, model, decl, expr, boxes, message
+):
+    src = tmp_path / "f.gtc"
+    src.write_text(f"{decl}\nlet main = {expr}\n")
+    bind = tmp_path / "b.json"
+    bind.write_text(f'{{"model": "{model}", "objects": {{"A": 1}}, "boxes": {{"f": {boxes}}}}}')
+    argv = ["eval", str(src), "--name", "main", "--model", model, "--bindings", str(bind)]
+    assert main(argv) == 2
+    assert message in _error_line(capsys)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize(
+    "model, boxes, point",
+    [
+        ("metric", {"f": {"weight": [[1e308]], "offset": [0.0]}}, '{"blocks": [[10.0]]}'),
+        ("hilbert", {"f": {"matrix": [[1e308]]}}, '{"vector": [10.0]}'),
+    ],
+)
+def test_eval_never_prints_a_non_finite_value(tmp_path, capsys, model, boxes, point):
+    src = tmp_path / "f.gtc"
+    src.write_text(f"{_WHITE}\nlet main = f\n")
+    bind = tmp_path / "b.json"
+    bind.write_text(json.dumps({"model": model, "objects": {"A": 1}, "boxes": boxes}))
+    inputs = tmp_path / "in.json"
+    inputs.write_text(point)
+    argv = ["eval", str(src), "--name", "main", "--model", model, "--bindings", str(bind)]
+    assert main(argv) == 0  # the value itself is finite
+    assert json.loads(capsys.readouterr().out)
+    assert main([*argv, "--inputs", str(inputs)]) == 2  # its image of the point is not
+    assert "not finite" in _error_line(capsys)

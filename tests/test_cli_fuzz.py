@@ -6,6 +6,7 @@ exit code is 0, 1 or 2 and no traceback reaches stderr."""
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 from unittest import mock
@@ -106,7 +107,13 @@ mutations = st.none() | st.tuples(st.integers(0, 10**6), leaf_junk)
 # junk for a node of the bindings' "objects": negative, zero, fractional
 # and boolean dimensions, and strings where a carrier or stage array belongs
 object_junk = st.sampled_from((-1, 0, 2.7, True, False, "xyz", "x0", ""))
-object_mutations = st.tuples(st.integers(0, 10**6), object_junk)
+# junk for a number under the bindings' "boxes": non-finite numbers, which
+# json.dumps writes as the NaN and Infinity literals, a fraction where an
+# integer belongs, and booleans
+number_junk = st.sampled_from((math.nan, math.inf, -math.inf, 1.5, True, False))
+object_mutations = st.tuples(st.just("objects"), st.integers(0, 10**6), object_junk) | st.tuples(
+    st.just("boxes"), st.integers(0, 10**6), number_junk
+)
 
 
 def _run(argv: list[str], files: dict[str, str], env: dict[str, str] | None = None) -> None:
@@ -162,7 +169,8 @@ def test_synthesize_exits_0_1_or_2(seed, mutation, claim, cert):
     _run(argv, {"diagram": json.dumps(doc)})
 
 
-# per model, carriers for A and B and a binding of the white box h : A -> A
+# per model, carriers for A and B and a binding of the white box h : A -> A;
+# hilbert also binds the black box k with a factorization witness
 BINDINGS = {
     "finset": {
         "objects": {"A": ["a0", "a1"], "B": ["b0"]},
@@ -172,7 +180,17 @@ BINDINGS = {
         "objects": {"A": 1, "B": 2},
         "boxes": {"h": {"kind": "affine", "weight": [[0.5]], "offset": [0.0]}},
     },
-    "hilbert": {"objects": {"A": 2, "B": 1}, "boxes": {"h": {"matrix": [[0, 1], [1, 0]]}}},
+    "hilbert": {
+        "objects": {"A": 2, "B": 1},
+        "boxes": {
+            "h": {"matrix": [[0, 1], [1, 0]]},
+            # k : A -> A, promised on both gates, with a witness of its split
+            "k": {
+                "matrix": [[1, 0], [0, 0]],
+                "witness": {"e_dim": 1, "g": [[1], [0]], "h": [[1, 0]]},
+            },
+        },
+    },
     "tot": {
         "objects": {
             "A": {"stages": [["x0"], ["x0", "x1"]], "restrictions": [{"x0": "x0", "x1": "x0"}]},
@@ -205,7 +223,8 @@ POINTS = (
 def test_eval_exits_0_1_or_2(src, model, named, mutation, objects_mutation, claim, point, tol):
     bindings = {"model": model, **json.loads(json.dumps(BINDINGS[model]))}
     if objects_mutation is not None:
-        _mutated(bindings["objects"], *objects_mutation, inner=True)
+        part, where, value = objects_mutation
+        _mutated(bindings[part], where, value, inner=True)
     if mutation is not None:
         bindings = _mutated(bindings, *mutation)
     files = {"src": src, "bindings": json.dumps(bindings)}

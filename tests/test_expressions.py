@@ -1,3 +1,12 @@
+import copy
+import dataclasses
+import gc
+import os
+import pickle
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -163,3 +172,61 @@ def test_source_rejects_duplicates():
         parse_source("box f : A | I -> I | B\nbox f : A | I -> I | B")
     with pytest.raises(ParseError):
         parse_source("box f : A | I -> I | B\nlet x = f\nlet x = f")
+
+
+def test_nodes_are_shared_immutable_and_printed_by_a_fold():
+    e = parse_expr("tr[B: A|I -> I|I]{ k ; f } (*) (h ; id[B*C])", SIGS)
+    again = parse_expr("(tr[B: A|I -> I|I]{ k ; f }) (*) (h ; (id[B*C]))", SIGS)
+    assert again is e and Comp(e.bottom.first, e.bottom.second) is e.bottom
+    for back in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert back is e
+    assert repr(Id(obj("A"))) == "Id(obj=ObjectExpr(factors=('A',)))"
+    assert repr(e) == (
+        f"Tensor(top=Trace(loop={obj('B')!r}, body=Comp(first=Box(sig={SIGS['k']!r}), "
+        f"second=Box(sig={SIGS['f']!r})), annotation={e.top.annotation!r}), "
+        f"bottom=Comp(first=Box(sig={SIGS['h']!r}), second=Id(obj={obj('B', 'C')!r})))"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.top = e.bottom
+    # a node nothing refers to leaves its table
+    probe = weakref.ref(Comp(Id(obj("Zq")), Id(obj("Zq"))))
+    gc.collect()
+    assert probe() is None and (Id(obj("Zq")), Id(obj("Zq"))) not in Comp._table
+
+
+def test_nodes_built_from_many_threads_are_one_object():
+    # more threads than cores, switching often, each building the same new
+    # expressions in its own order: a racy insert would leave two copies of
+    # one expression, which compare unequal
+    n_threads = 4 * (os.cpu_count() or 1)
+    sigs = {f"f{i}": parse_box_decl(f"box f{i} : A | I -> I | A") for i in range(300)}
+    texts = [f"tr[A: I|I -> I|I]{{ f{i} ; f{i} }} (*) (f{i} ; id[A])" for i in range(300)]
+    errors: list[BaseException] = []
+    built: list[list] = []
+
+    def work(seed: int) -> None:
+        mine = [None] * len(texts)
+        try:
+            for i in np.random.default_rng(seed).permutation(len(texts)):
+                mine[i] = parse_expr(texts[i], sigs)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+        built.append(mine)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert len(built) == n_threads
+    for i, text in enumerate(texts):
+        first = built[0][i]
+        assert print_expr(first) == text
+        assert all(mine[i] is first for mine in built)

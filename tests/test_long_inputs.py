@@ -1,5 +1,6 @@
 """Inputs far longer than Python's default recursion limit is deep."""
 
+import copy
 import sys
 import time
 
@@ -42,10 +43,12 @@ def test_5000_box_chain_under_default_recursion_limit():
     assert check_annotated(back, claim).ok
     assert diagram_iso(elaborate(back, claim), d)
 
-    # dataclass equality recurses, so compare printed text instead
+    # nodes are shared: == and hash walk nothing, and repr folds the chain
     for expr in (e, back):
-        text = print_expr(expr)
-        assert print_expr(parse_expr(text, src.sigs)) == text
+        again = parse_expr(print_expr(expr), src.sigs)
+        assert again is expr and again == expr and hash(again) == hash(expr)
+        assert copy.deepcopy(expr) is expr and copy.copy(expr) is expr
+        assert repr(expr).count("Box(sig=BoxSig(name=") == 5000
     assert print_expr(e) == " ; ".join(["w (*) b"] * slices)
 
     model, boxes = load_bindings(BINDINGS, src.sigs)

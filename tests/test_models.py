@@ -42,6 +42,7 @@ from gtc.models.hilbert import (
     split_permuted,
     trace_witness,
 )
+from gtc.models.io import load_bindings
 from gtc.models.metric import MetricModel, _iterate, affine, named_function
 from gtc.models.trees import StageObject, ToTMorphism, ToposOfTreesModel, tot_fixpoint
 from gtc.signatures import UNIT, mk_split, obj, parse_box_decl
@@ -607,7 +608,7 @@ def test_carrier_copies_and_pickles_are_the_shared_object():
 
 def test_unreferenced_carriers_leave_their_tables():
     from gtc.laws import _enumerate_natural
-    from gtc.models import flatposet, trees
+    from gtc.models import trees
 
     (elems, leq), (stages, restr) = _carrier_data("gc")
     was = gc.isenabled()
@@ -620,12 +621,12 @@ def test_unreferenced_carriers_leave_their_tables():
         m = ToTMorphism((x,), (x,), ({("gc0",): ("gc0",)}, {("gc0",): ("gc1",), ("gc1",): ("gc0",)}))
         started = _enumerate_natural((x,), x)  # a law enumeration left half done
         next(started)
-        n_posets, n_stage_objects = len(flatposet._POSETS), len(trees._STAGE_OBJECTS)
+        n_posets, n_stage_objects = len(Poset._table), len(StageObject._table)
         probes = [weakref.ref(o) for o in (p, lift(p)[0], x)]
         del p, x, m, started
         assert [probe() for probe in probes] == [None] * 3
-        assert len(flatposet._POSETS) <= n_posets - 3  # p, its lift and the lift's lift
-        assert len(trees._STAGE_OBJECTS) == n_stage_objects - 1
+        assert len(Poset._table) <= n_posets - 3  # p, its lift and the lift's lift
+        assert len(StageObject._table) == n_stage_objects - 1
     finally:
         if was:
             gc.enable()
@@ -818,3 +819,53 @@ def test_gathered_permutations_equal_dense_products():
                 back = grouped[np.ix_(np.argsort(out_idx), np.argsort(in_idx))]
                 assert np.array_equal(back, p_out.T @ grouped @ p_in)
                 assert np.array_equal(back, mat)
+
+
+# --- numbers entering the numeric models --------------------------------------
+
+
+@pytest.mark.parametrize("model", [MetricModel, HilbertModel])
+@pytest.mark.parametrize("dim", [2.7, 1.0, -1, 0, True, "x", None])
+def test_dimension_constructors_check_instead_of_coercing(model, dim):
+    with pytest.raises(EvalError, match=r"dimension for atom 'A' must be an integer >= 1"):
+        model({"B": 2, "A": dim})
+    assert model({"A": 3}).objects == {"A": 3}
+
+
+def test_nan_contraction_factors_are_rejected():
+    # NaN passes both `lip < 0` and the contraction test `lip >= 1.0`
+    with pytest.raises(EvalError, match="Lipschitz bounds must be finite"):
+        MetricMorphism((1,), (1,), lambda xs: xs, np.array([[math.nan]]))
+    with pytest.raises(EvalError, match="Lipschitz bounds must be finite"):
+        affine((1,), (1,), np.array([[math.nan]]), np.array([0.0]))
+    sigs = {"f": parse_box_decl("box f : A | I -> I | A")}
+    payload = {"model": "metric", "objects": {"A": 1}, "boxes": {"f": {"weight": [[math.nan]], "offset": [0.0]}}}
+    with pytest.raises(EvalError, match="Lipschitz bounds must be finite"):
+        load_bindings(payload, sigs)  # parsed already, so no JSON literal to refuse
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_bindings_text_with_non_finite_literals_is_rejected(literal):
+    sigs = {"f": parse_box_decl("box f : I | A -> A | I")}
+    text = f'{{"model": "metric", "objects": {{"A": 1}}, "boxes": {{"f": {{"weight": [[{literal}]], "offset": [0.0]}}}}}}'
+    with pytest.raises(EvalError, match=f"bad bindings: {literal} is not a JSON number"):
+        load_bindings(text, sigs)
+    assert load_bindings(text.replace(literal, "0.5"), sigs)[1]["f"].lip[0, 0] == 0.5
+
+
+def test_hilbert_bindings_take_no_booleans_and_an_integer_e_dim():
+    sigs = {"f": parse_box_decl("box f : A | I -> I | A")}
+    witness = {"e_dim": 1, "g": [[1.0]], "h": [[0.5]]}
+    payload = {"model": "hilbert", "objects": {"A": 1}, "boxes": {"f": {"matrix": [[0.5]], "witness": witness}}}
+    model, boxes = load_bindings(payload, sigs)
+    model.validate_box(sigs["f"], boxes["f"])
+    for e_dim in (1.5, 1.0, True, "1"):
+        witness["e_dim"] = e_dim
+        with pytest.raises(EvalError, match="e_dim for 'f' must be an integer"):
+            load_bindings(payload, sigs)
+    witness["e_dim"] = 1
+    for where in (payload["boxes"]["f"]["matrix"][0], witness["h"][0]):
+        where[0] = True
+        with pytest.raises(EvalError, match="holds a boolean, not a number"):
+            load_bindings(payload, sigs)
+        where[0] = 0.5

@@ -17,7 +17,6 @@ from gtc.generators import rand_split
 from gtc.signatures import (
     _GATE_MASKS,
     _GATE_SETS,
-    _WORDS,
     UNIT,
     BoxSig,
     ObjectExpr,
@@ -359,11 +358,11 @@ def test_words_are_shared_and_copies_leave_unit_empty():
 def test_unreferenced_word_leaves_the_table():
     key = ("Zq", "Zr", "Zs")
     word = ObjectExpr(key)
-    assert _WORDS[key] is word
+    assert ObjectExpr._table[key]() is word
     probe = weakref.ref(word)
     del word
     gc.collect()
-    assert probe() is None and key not in _WORDS
+    assert probe() is None and key not in ObjectExpr._table
 
 
 def test_object_words_reject_non_strings():
