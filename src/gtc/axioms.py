@@ -14,7 +14,6 @@ models here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product as iproduct
@@ -525,7 +524,6 @@ def run_axiom_suite(
     seeds=(0,),
     per_axiom: int = 50,
     tol: float = 1e-9,
-    jobs: int = 1,
 ) -> tuple[dict, list[dict]]:
     """The full grid: every axiom, ``per_axiom`` instances per seed, every
     model.  Returns (header, reports)."""
@@ -537,24 +535,12 @@ def run_axiom_suite(
         "tol": tol,
         "note": REVIEW_NOTE,
     }
-    # one task per instance, so its cached guardedness check runs in
-    # one thread only
-    tasks = [
-        (inst, seed)
+    reports = [
+        check_axiom(inst, model_name, seed, tol)
         for seed in seeds
         for axiom in AXIOMS
         for inst in gen_axiom_instances(axiom, seed, per_axiom)
+        for model_name in models
     ]
-
-    def run(task):
-        inst, seed = task
-        return [check_axiom(inst, model_name, seed, tol) for model_name in models]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_task = list(pool.map(run, tasks))
-    else:
-        per_task = map(run, tasks)
-    reports = [rep for reps in per_task for rep in reps]
     reports.sort(key=lambda r: (r["seed"], r["axiom"], r["index"], r["model"]))
     return header, reports

@@ -116,8 +116,11 @@ class Tensor(MorphExpr):
     __match_args__ = ("top", "bottom")
 
     def __new__(cls, top: MorphExpr, bottom: MorphExpr) -> Tensor:
-        dom, cod = top.dom * bottom.dom, top.cod * bottom.cod
-        return cls._intern((top, bottom), top, bottom, dom, cod)
+        key = (top, bottom)
+        x = cls._table.get(key, NoneType)()
+        if x is not None:
+            return x
+        return cls._intern(key, top, bottom, top.dom * bottom.dom, top.cod * bottom.cod)
 
 
 class Trace(MorphExpr):

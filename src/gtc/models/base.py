@@ -61,6 +61,20 @@ class DimensionModel(Model):
         return cls(objects)
 
 
+def check_dimensions(in_dims, out_dims) -> None:
+    """Raise EvalError unless every entry of a morphism profile is an
+    ``int`` (not a ``bool``) of at least 1."""
+    for dim in (*in_dims, *out_dims):
+        if type(dim) is not int or dim < 1:
+            raise EvalError(f"morphism dimension {dim!r} is not an integer >= 1")
+
+
+def check_finite(values, what: str) -> None:
+    """Raise EvalError if the array ``values`` holds a NaN or an infinity."""
+    if not np.all(np.isfinite(values)):
+        raise EvalError(f"{what} must be finite")
+
+
 def trusted(cls, *values):
     """An instance of the frozen dataclass ``cls`` with these field values,
     in field order, made without running ``__post_init__``.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import DimensionModel, EvalError, json_floats, trusted
+from .base import DimensionModel, EvalError, check_dimensions, check_finite, json_floats, trusted
 
 WITNESS_TOL = 1e-12
 
@@ -42,10 +42,15 @@ class HilbertMorphism:
     witness: dict | None = None  # {"e_dim", "g", "h"} for the box's own split
 
     def __post_init__(self) -> None:
+        check_dimensions(self.in_dims, self.out_dims)
         mat = np.asarray(self.mat, dtype=float)
         want = (math.prod(self.out_dims), math.prod(self.in_dims))
         if mat.shape != want:
             raise EvalError(f"matrix shape {mat.shape} does not match profile {want}")
+        check_finite(mat, "matrix")
+        if self.witness is not None:
+            check_finite(self.witness["g"], "witness g")
+            check_finite(self.witness["h"], "witness h")
         object.__setattr__(self, "mat", mat)
 
 

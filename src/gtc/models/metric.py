@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..signatures import BoxSig, ObjectExpr
-from .base import DimensionModel, EvalError, json_floats, trusted
+from .base import DimensionModel, EvalError, check_dimensions, check_finite, json_floats, trusted
 
 Blocks = list  # list of np.ndarray with shape (n_points, dim)
 
@@ -33,13 +33,13 @@ class MetricMorphism:
     lip: np.ndarray  # shape (len(in_dims), len(out_dims))
 
     def __post_init__(self) -> None:
+        check_dimensions(self.in_dims, self.out_dims)
         lip = np.asarray(self.lip, dtype=float)
         if lip.shape != (len(self.in_dims), len(self.out_dims)):
             raise EvalError("Lipschitz matrix shape does not match the profile")
         if np.any(lip < 0):
             raise EvalError("Lipschitz bounds must be nonnegative")
-        if not np.all(np.isfinite(lip)):  # NaN passes `< 0` and the contraction test
-            raise EvalError("Lipschitz bounds must be finite")
+        check_finite(lip, "Lipschitz bounds")  # NaN passes `< 0` and the contraction test
         object.__setattr__(self, "lip", lip)
 
     def apply(self, xs: Sequence[np.ndarray]) -> Blocks:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,19 @@ def test_suite_small_green(tmp_path, capsys):
     assert {l["model"] for l in lines if "model" in l} == {"finset", "flat"}
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "7"])
+def test_suite_report_does_not_depend_on_jobs(tmp_path, capsys, seed):
+    # --jobs is accepted for compatibility; the checks run in one thread
+    texts = set()
+    for jobs in ("1", "2", "4"):
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        argv = ["suite", "--per-axiom", "2", "--seeds", seed, "--jobs", jobs, "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        texts.add(out.read_bytes())
+    assert len(texts) == 1
+
+
 def test_suite_seed_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GTC_SEED", "13")
     env_out = tmp_path / "env.jsonl"
@@ -375,6 +389,24 @@ def _error_line(capsys) -> str:
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     return lines[0]
+
+
+def test_eval_overflow_is_one_error_line(tmp_path, capsys):
+    src = tmp_path / "f.gtc"
+    src.write_text("box f : I | A -> A | I\nlet main = f\n")
+    bind = tmp_path / "b.json"
+    bind.write_text(json.dumps(
+        {"model": "metric", "objects": {"A": 1},
+         "boxes": {"f": {"weight": [[1e308]], "offset": [0.0]}}}
+    ))
+    inputs = tmp_path / "in.json"
+    inputs.write_text('{"blocks": [[10.0]]}')
+    argv = ["eval", str(src), "--name", "main", "--model", "metric",
+            "--bindings", str(bind), "--inputs", str(inputs)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # outside pytest, a warning is printed to stderr
+        assert main(argv) == 2
+    assert _error_line(capsys) == "error: result is not finite, so it has no JSON form"
 
 
 def test_synthesize_missing_box_exit_2(tmp_path, capsys):

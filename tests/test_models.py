@@ -20,6 +20,7 @@ from gtc.models import (
     FinSetModel,
     FinSetMorphism,
     HilbertModel,
+    HilbertMorphism,
     MetricMorphism,
     Poset,
     banach_rec,
@@ -402,8 +403,6 @@ def test_dagger_commutes_with_trace():
 def test_hilbert_box_requires_witness():
     sig = parse_box_decl("box b : U | I -> I | U")
     model = HilbertModel({"U": 2})
-    from gtc.models.hilbert import HilbertMorphism
-
     bare = HilbertMorphism((2,), (2,), np.eye(2))
     with pytest.raises(EvalError):
         model.validate_box(sig, bare)
@@ -842,6 +841,31 @@ def test_nan_contraction_factors_are_rejected():
     payload = {"model": "metric", "objects": {"A": 1}, "boxes": {"f": {"weight": [[math.nan]], "offset": [0.0]}}}
     with pytest.raises(EvalError, match="Lipschitz bounds must be finite"):
         load_bindings(payload, sigs)  # parsed already, so no JSON literal to refuse
+
+
+@pytest.mark.parametrize("dims", [((2.5,), (1,)), ((1,), (0,)), ((True,), (1,)), ((1,), (np.int64(1),))])
+def test_numeric_morphisms_take_only_integer_dimensions(dims):
+    in_dims, out_dims = dims
+    with pytest.raises(EvalError, match="is not an integer >= 1"):
+        MetricMorphism(in_dims, out_dims, lambda xs: xs, np.array([[0.5]]))
+    with pytest.raises(EvalError, match="is not an integer >= 1"):
+        HilbertMorphism(in_dims, out_dims, np.array([[0.5]]))
+    assert MetricMorphism((1,), (1,), lambda xs: xs, np.array([[0.5]])).in_dims == (1,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hilbert_morphism_rejects_a_non_finite_matrix(bad):
+    with pytest.raises(EvalError, match="matrix must be finite"):
+        HilbertMorphism((1,), (1,), np.array([[bad]]))
+
+
+@pytest.mark.parametrize("part", ["g", "h"])
+def test_hilbert_morphism_rejects_a_non_finite_witness(part):
+    witness = {"e_dim": 1, "g": np.array([[1.0]]), "h": np.array([[0.5]])}
+    assert HilbertMorphism((1,), (1,), np.array([[0.5]]), dict(witness)).witness is not None
+    witness[part] = np.array([[math.nan]])
+    with pytest.raises(EvalError, match=f"witness {part} must be finite"):
+        HilbertMorphism((1,), (1,), np.array([[0.5]]), witness)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
