@@ -47,7 +47,8 @@ def test_suite_reports_are_deterministic():
     assert "note" in h1 and h1 == h2
 
 
-def test_suite_checks_guardedness_once_per_instance(monkeypatch):
+@pytest.mark.parametrize("per_axiom", [1, 2])
+def test_suite_checks_guardedness_once_per_instance(monkeypatch, per_axiom):
     calls = []
 
     def counted(expr, claim):
@@ -55,9 +56,9 @@ def test_suite_checks_guardedness_once_per_instance(monkeypatch):
         return check_annotated(expr, claim)
 
     monkeypatch.setattr(gtc.axioms, "check_annotated", counted)
-    _, reports = run_axiom_suite(models=MODEL_NAMES, seeds=(0,), per_axiom=1)
-    assert len(reports) == len(AXIOMS) * len(MODEL_NAMES)
-    assert len(calls) == 2 * len(AXIOMS)
+    _, reports = run_axiom_suite(models=MODEL_NAMES, seeds=(0,), per_axiom=per_axiom)
+    assert len(reports) == per_axiom * len(AXIOMS) * len(MODEL_NAMES)
+    assert len(calls) == 2 * per_axiom * len(AXIOMS)
 
 
 def test_failed_guardedness_check_raises_in_every_model():
