@@ -28,7 +28,7 @@ from .expressions import ParseError, TypingError, parse_source, print_expr
 from .generators import rand_guarded_diagram, rand_trace_free_expr
 from .guardedness import check_annotated, geometric_reach_table, reach_table, structural_reach
 from .models import MODEL_NAMES, EvalError, eval_expr
-from .models.io import load_bindings
+from .models.io import load_bindings, read_json
 from .signatures import SignatureError, parse_claim
 from .synthesis import SynthesisError, synthesis_preconditions, synthesize
 
@@ -164,7 +164,7 @@ def cmd_eval(args) -> int:
                 text = fh.read()
             # a point that is malformed or outside the domain is bad input (exit 2)
             try:
-                out = model.apply(value, json.loads(text))
+                out = model.apply(value, read_json(text))
             except KeyError as exc:
                 raise EvalError(f"bad input point: no entry {exc}") from None
             except (AttributeError, IndexError, RecursionError, TypeError, ValueError) as exc:

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .expressions import Box, Comp, Id, MorphExpr, Trace, fold
+from .expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, Trace
 from .signatures import BoxSig, ObjectExpr, Split, corner_split, mk_split, parse_object
 
 Port = tuple
@@ -266,29 +266,6 @@ class DiagramIndex:
 # --- elaboration ------------------------------------------------------------
 
 
-class _Frag:
-    """Union-find scratchpad used while flattening an expression."""
-
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.boxes: list[tuple[BoxSig, list[int], list[int]]] = []
-
-    def fresh(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
     """Flatten a well-typed expression into its port graph.
 
@@ -297,78 +274,77 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
     Raises DiagramError if ``claim`` does not fit the boundary, or if a
     trace closes a wire that passes through no box at all, since such a
     loop has no ports to hang on to.
+
+    One top-down walk with an explicit stack hands each node the ports
+    that drive its inputs and takes back those that drive its outputs
+    (``fold`` is bottom-up, so it cannot hand a node its input drivers).
+    A trace feeds its body one placeholder, an int, per loop wire and
+    binds it to the body's loop output; the walk then resolves every
+    placeholder once, so nested traces cost one step per level.
     """
-    fr = _Frag()
+    boxes: list[BoxSig] = []
+    wires: list[tuple] = []  # (driver, consumer), the driver may be a placeholder
+    bound: list = []  # per placeholder, the driver bound to it
+    outs: list = []  # per node walked and not yet consumed, its output drivers
+    todo: list = [(e, [("din", i) for i in range(len(e.dom))])]
+    while todo:
+        x, ins = todo.pop()
+        if ins is None:  # the second half of a ';' takes the first half's outputs
+            ins = outs.pop()
+        t = type(x)
+        if t is Box:
+            b = len(boxes)
+            boxes.append(x.sig)
+            wires += zip(ins, [("bin", b, k) for k in range(len(ins))])
+            outs.append([("bout", b, k) for k in range(len(x.cod))])
+        elif t is Comp:
+            todo += ((x.second, None), (x.first, ins))
+        elif t is Tensor:
+            n = len(x.top.dom)
+            todo += ((_JOIN, ()), (x.bottom, ins[n:]), (x.top, ins[:n]))
+        elif t is Id:
+            outs.append(ins)
+        elif t is Sym:
+            outs.append(ins[len(x.left) :] + ins[: len(x.left)])
+        elif t is Trace:
+            a_len, p = len(x.corners[0]), len(bound)
+            loop = list(range(p, p + len(x.loop)))
+            bound += loop
+            todo += ((_BIND, loop), (x.body, ins[:a_len] + loop + ins[a_len:]))
+        elif x is _JOIN:
+            bottom = outs.pop()
+            outs[-1] = outs[-1] + bottom
+        else:  # _BIND: the body's trailing outputs drive its loop placeholders
+            body, k = outs[-1], len(ins)
+            bound[ins[0] : ins[0] + k] = body[len(body) - k :]
+            outs[-1] = body[: len(body) - k]
+    top_outs = outs.pop()
+    wires += zip(top_outs, [("dout", j) for j in range(len(top_outs))])
 
-    def leaf(x: MorphExpr) -> tuple[list[int], list[int]]:
-        if isinstance(x, Box):
-            ins = [fr.fresh() for _ in x.sig.inputs]
-            outs = [fr.fresh() for _ in x.sig.outputs]
-            fr.boxes.append((x.sig, ins, outs))
-            return ins, outs
-        if isinstance(x, Id):
-            nodes = [fr.fresh() for _ in x.obj]
-            return nodes, list(nodes)
-        nodes = [fr.fresh() for _ in range(len(x.left) + len(x.right))]
-        k = len(x.left)
-        return nodes, nodes[k:] + nodes[:k]
-
-    def comp(x: Comp, first, second) -> tuple[list[int], list[int]]:
-        for a, b in zip(first[1], second[0]):
-            fr.union(a, b)
-        return first[0], second[1]
-
-    def trace(x: Trace, body) -> tuple[list[int], list[int]]:
-        ins, outs = body
-        a_len, k, m = len(x.corners[0]), len(x.loop), len(outs)
-        for t in range(k):
-            fr.union(outs[m - k + t], ins[a_len + t])
-        return ins[:a_len] + ins[a_len + k :], outs[: m - k]
-
-    top_ins, top_outs = fold(
-        e, leaf, comp, lambda x, top, bot: (top[0] + bot[0], top[1] + bot[1]), trace
-    )
-
-    drivers: dict[int, Port] = {}
-    consumers: dict[int, Port] = {}
-
-    def attach(ends: dict[int, Port], node: int, port: Port) -> None:
-        r = fr.find(node)
-        if r in ends:
-            verb = "driven" if ends is drivers else "consumed"
-            raise DiagramError(f"node {verb} twice: {ends[r]} and {port}")
-        ends[r] = port
-
-    for i, n in enumerate(top_ins):
-        attach(drivers, n, ("din", i))
-    for j, n in enumerate(top_outs):
-        attach(consumers, n, ("dout", j))
-    for b, (_, ins, outs) in enumerate(fr.boxes):
-        for k, n in enumerate(ins):
-            attach(consumers, n, ("bin", b, k))
-        for k, n in enumerate(outs):
-            attach(drivers, n, ("bout", b, k))
-
-    roots = {fr.find(i) for i in range(len(fr.parent))}
-    wires = set()
-    for r in roots:
-        if r in drivers and r in consumers:
-            wires.add((drivers[r], consumers[r]))
-        elif r in drivers or r in consumers:
-            raise DiagramError("dangling wire end (expression is ill-typed)")
-        else:
+    for start in range(len(bound)):  # each placeholder is followed once
+        chain, p = [], start
+        while type(bound[p]) is int:
+            chain.append(p)
+            bound[p], p = None, bound[p]  # None: on the chain being followed
+        if bound[p] is None:
             raise DiagramError(
                 "trace closes a wire through no box; the resulting bare loop "
                 "has no port-graph representation"
             )
+        for q in chain:
+            bound[q] = bound[p]
 
-    n_in, n_out = len(top_ins), len(top_outs)
+    n_in, n_out = len(e.dom), len(top_outs)
     if claim is None:
         claim = corner_split(n_in, n_out, n_in, n_out)
     check_fits(claim, n_in, n_out)
     bi = tuple((e.dom[i], i not in claim.unguarded_in) for i in range(n_in))
     bo = tuple((e.cod[j], j in claim.guarded_out) for j in range(n_out))
-    return Diagram(tuple(sig for sig, _, _ in fr.boxes), frozenset(wires), bi, bo)
+    wires = frozenset((bound[s] if type(s) is int else s, t) for s, t in wires)
+    return Diagram(tuple(boxes), wires, bi, bo)
+
+
+_JOIN, _BIND = "join", "bind"  # work items that finish a tensor and a trace
 
 
 # --- isomorphism ------------------------------------------------------------

@@ -165,8 +165,8 @@ def rand_guarded_diagram(
         for k, a in enumerate(sig.outputs):
             sources[a].append(("bout", b, k))
 
-    boundary_in: list[tuple[str, bool]] = []
-    boundary_out: list[tuple[str, bool]] = []
+    boundary_in: list[str] = []  # atoms; the guard flags come from the claim
+    boundary_out: list[str] = []
     for a in atoms:
         need = len(sinks[a]) - len(sources[a])
         extra = int(rng.integers(0, 2))
@@ -174,10 +174,10 @@ def rand_guarded_diagram(
         n_dout = n_din - need
         for _ in range(n_din):
             sources[a].append(("din", len(boundary_in)))
-            boundary_in.append((a, False))
+            boundary_in.append(a)
         for _ in range(n_dout):
             sinks[a].append(("dout", len(boundary_out)))
-            boundary_out.append((a, False))
+            boundary_out.append(a)
 
     wires = set()
     for a in atoms:
@@ -193,5 +193,6 @@ def rand_guarded_diagram(
         unguarded_in=[i for i in range(len(boundary_in)) if rng.random() < 0.5],
         guarded_out=[j for j in range(len(boundary_out)) if rng.random() < 0.4],
     )
-    d = Diagram(tuple(boxes), frozenset(wires), tuple(boundary_in), tuple(boundary_out))
-    return d.with_claim(claim), claim
+    bi = tuple((a, i not in claim.unguarded_in) for i, a in enumerate(boundary_in))
+    bo = tuple((a, j in claim.guarded_out) for j, a in enumerate(boundary_out))
+    return Diagram(tuple(boxes), frozenset(wires), bi, bo), claim

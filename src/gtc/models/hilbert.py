@@ -79,7 +79,7 @@ class HilbertModel(DimensionModel):
         return {"matrix": m.mat.tolist()}
 
     def apply(self, m: HilbertMorphism, point: dict) -> dict:
-        vec = np.asarray(point["vector"], dtype=float)
+        vec = json_floats(point["vector"], "input vector")
         return {"vector": (m.mat @ vec).tolist()}
 
     def identity(self, word: ObjectExpr) -> HilbertMorphism:

@@ -13,6 +13,7 @@ of the five model classes.
 from __future__ import annotations
 
 import json
+import math
 
 from ..signatures import BoxSig
 from . import MODEL_NAMES, MODELS
@@ -25,7 +26,7 @@ def load_bindings(payload, sigs: dict[str, BoxSig]):
     EvalError."""
     try:
         if isinstance(payload, str):
-            payload = json.loads(payload, parse_constant=_no_constant)
+            payload = read_json(payload)
         if not isinstance(payload, dict):
             raise EvalError("bindings must be a JSON object")
         return _load(payload, sigs)
@@ -37,8 +38,21 @@ def load_bindings(payload, sigs: dict[str, BoxSig]):
         raise EvalError(f"bad bindings: {exc}") from None
 
 
+def read_json(text: str):
+    """JSON text whose floats are all finite: the NaN and Infinity
+    literals and a number beyond the float range raise ValueError."""
+    return json.loads(text, parse_constant=_no_constant, parse_float=_finite)
+
+
 def _no_constant(name: str):
-    raise EvalError(f"bad bindings: {name} is not a JSON number")
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if math.isinf(x):
+        raise ValueError(f"{text} overflows a float")
+    return x
 
 
 def _load(payload: dict, sigs: dict[str, BoxSig]):

@@ -76,7 +76,7 @@ class MetricModel(DimensionModel):
         }
 
     def apply(self, m: MetricMorphism, point: dict) -> dict:
-        blocks = [np.asarray(b, dtype=float) for b in point["blocks"]]
+        blocks = [json_floats(b, "input block") for b in point["blocks"]]
         ys = m.apply([b.reshape(1, -1) for b in blocks])
         return {"blocks": [y[0].tolist() for y in ys]}
 

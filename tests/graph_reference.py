@@ -6,7 +6,9 @@ cached ``DiagramIndex``.  ``test_graph_index`` asserts that both give
 equal results.  ``infer_trace_annotations`` is the exhaustive annotation
 search that the one-fold inference replaced, and ``diagram_iso`` the
 backtracking search over box assignments that wire-following replaced.
-``relabel`` renumbers a diagram's boxes, to give the deciders work.
+``elaborate`` is the union-find flattening that the one top-down walk
+replaced.  ``relabel`` renumbers a diagram's boxes, to give the deciders
+work.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from gtc.diagrams import Diagram, Port
-from gtc.expressions import Comp, Tensor, fold, trace
+from gtc.diagrams import Diagram, DiagramError, Port, check_fits
+from gtc.expressions import Box, Comp, Id, MorphExpr, Tensor, Trace, fold, trace
 from gtc.guardedness import GeometricWitness, PortPath, check_annotated
-from gtc.signatures import BoxSig, Split
+from gtc.signatures import BoxSig, Split, corner_split
 
 
 def relabel(d: Diagram, perm: list[int]) -> Diagram:
@@ -272,3 +274,102 @@ def diagram_iso(d1: Diagram, d2: Diagram) -> bool:
             tries.pop()
             pos -= 1
     return True
+
+
+class _Frag:
+    """Union-find scratchpad used while flattening an expression."""
+
+    def __init__(self) -> None:
+        self.parent: list[int] = []
+        self.boxes: list[tuple[BoxSig, list[int], list[int]]] = []
+
+    def fresh(self) -> int:
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
+    """One union-find node per wire segment, joined at every ``;`` and
+    trace; then each port attaches to its node's root."""
+    fr = _Frag()
+
+    def leaf(x: MorphExpr) -> tuple[list[int], list[int]]:
+        if isinstance(x, Box):
+            ins = [fr.fresh() for _ in x.sig.inputs]
+            outs = [fr.fresh() for _ in x.sig.outputs]
+            fr.boxes.append((x.sig, ins, outs))
+            return ins, outs
+        if isinstance(x, Id):
+            nodes = [fr.fresh() for _ in x.obj]
+            return nodes, list(nodes)
+        nodes = [fr.fresh() for _ in range(len(x.left) + len(x.right))]
+        k = len(x.left)
+        return nodes, nodes[k:] + nodes[:k]
+
+    def comp(x: Comp, first, second) -> tuple[list[int], list[int]]:
+        for a, b in zip(first[1], second[0]):
+            fr.union(a, b)
+        return first[0], second[1]
+
+    def trace(x: Trace, body) -> tuple[list[int], list[int]]:
+        ins, outs = body
+        a_len, k, m = len(x.corners[0]), len(x.loop), len(outs)
+        for t in range(k):
+            fr.union(outs[m - k + t], ins[a_len + t])
+        return ins[:a_len] + ins[a_len + k :], outs[: m - k]
+
+    top_ins, top_outs = fold(
+        e, leaf, comp, lambda x, top, bot: (top[0] + bot[0], top[1] + bot[1]), trace
+    )
+
+    drivers: dict[int, Port] = {}
+    consumers: dict[int, Port] = {}
+
+    def attach(ends: dict[int, Port], node: int, port: Port) -> None:
+        r = fr.find(node)
+        if r in ends:
+            verb = "driven" if ends is drivers else "consumed"
+            raise DiagramError(f"node {verb} twice: {ends[r]} and {port}")
+        ends[r] = port
+
+    for i, n in enumerate(top_ins):
+        attach(drivers, n, ("din", i))
+    for j, n in enumerate(top_outs):
+        attach(consumers, n, ("dout", j))
+    for b, (_, ins, outs) in enumerate(fr.boxes):
+        for k, n in enumerate(ins):
+            attach(consumers, n, ("bin", b, k))
+        for k, n in enumerate(outs):
+            attach(drivers, n, ("bout", b, k))
+
+    roots = {fr.find(i) for i in range(len(fr.parent))}
+    wires = set()
+    for r in roots:
+        if r in drivers and r in consumers:
+            wires.add((drivers[r], consumers[r]))
+        elif r in drivers or r in consumers:
+            raise DiagramError("dangling wire end (expression is ill-typed)")
+        else:
+            raise DiagramError(
+                "trace closes a wire through no box; the resulting bare loop "
+                "has no port-graph representation"
+            )
+
+    n_in, n_out = len(top_ins), len(top_outs)
+    if claim is None:
+        claim = corner_split(n_in, n_out, n_in, n_out)
+    check_fits(claim, n_in, n_out)
+    bi = tuple((e.dom[i], i not in claim.unguarded_in) for i in range(n_in))
+    bo = tuple((e.cod[j], j in claim.guarded_out) for j in range(n_out))
+    return Diagram(tuple(sig for sig, _, _ in fr.boxes), frozenset(wires), bi, bo)

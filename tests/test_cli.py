@@ -626,48 +626,89 @@ def test_eval_too_deep_bindings_and_inputs_exit_2(tmp_path, capsys):
     assert _error_line(capsys).startswith("error: bad input point: maximum recursion depth")
 
 
-# numbers that JSON carries but no binding may hold: non-finite literals,
-# booleans where a float belongs, a fraction where an integer belongs
+# numbers that JSON carries but no binding or input point may hold:
+# non-finite literals, numbers beyond the float range, booleans where a
+# float belongs, a fraction where an integer belongs
 _BLACK, _WHITE = "box f : A | I -> I | A", "box f : I | A -> A | I"
 _LOOP = "tr[A: I|I -> I|I]{ f }"
+_BIG = "1" + "0" * 400  # an integer that no float holds
+# a contraction whose fixpoint the metric trace iterates from the point
+_AVG, _FIX = "box f : A*A | I -> A | A", "tr[A: A|I -> A|I]{ f }"
+_AVG_BOXES = '{"weight": [[0.5, 0.5], [0.9, 0.5]], "offset": [0.0, 0.0]}'
 
 
 @pytest.mark.parametrize(
-    "model, decl, expr, boxes, message",
+    "model, decl, expr, boxes, point, message",
     [
         # NaN passes both the sign test and the contraction test (>= 1.0)
-        ("metric", _BLACK, _LOOP, '{"weight": [[NaN]], "offset": [0.0]}', "NaN is not"),
-        ("metric", _WHITE, "f", '{"weight": [[Infinity]], "offset": [0.0]}', "Infinity is not"),
-        ("metric", _WHITE, "f", '{"weight": [[0.5]], "offset": [-Infinity]}', "-Infinity is not"),
-        ("metric", _WHITE, "f", '{"weight": [[true]], "offset": [0.0]}', "boolean"),
-        ("metric", _WHITE, "f", '{"weight": [[0.5]], "offset": [false]}', "boolean"),
-        ("hilbert", _WHITE, "f", '{"matrix": [[true]]}', "boolean"),
-        ("hilbert", _WHITE, "f", '{"matrix": [[NaN]]}', "NaN is not"),
+        ("metric", _BLACK, _LOOP, '{"weight": [[NaN]], "offset": [0.0]}', None, "NaN is not"),
+        (
+            "metric", _WHITE, "f", '{"weight": [[Infinity]], "offset": [0.0]}',
+            None, "Infinity is not",
+        ),
+        (
+            "metric", _WHITE, "f", '{"weight": [[0.5]], "offset": [-Infinity]}',
+            None, "-Infinity is not",
+        ),
+        ("metric", _WHITE, "f", '{"weight": [[true]], "offset": [0.0]}', None, "boolean"),
+        ("metric", _WHITE, "f", '{"weight": [[0.5]], "offset": [false]}', None, "boolean"),
+        ("hilbert", _WHITE, "f", '{"matrix": [[true]]}', None, "boolean"),
+        ("hilbert", _WHITE, "f", '{"matrix": [[NaN]]}', None, "NaN is not"),
         (
             "hilbert", _BLACK, _LOOP,
             '{"matrix": [[1.0]], "witness": {"e_dim": 1.5, "g": [[1.0]], "h": [[1.0]]}}',
-            "e_dim for 'f' must be an integer",
+            None, "e_dim for 'f' must be an integer",
         ),
         (
             "hilbert", _BLACK, _LOOP,
             '{"matrix": [[1.0]], "witness": {"e_dim": 1, "g": [[true]], "h": [[1.0]]}}',
-            "boolean",
+            None, "boolean",
+        ),
+        (
+            "metric", _WHITE, "f", f'{{"weight": [[{_BIG}]], "offset": [0.0]}}',
+            None, f"error: weight holds {_BIG}, which overflows a float",
+        ),
+        (
+            "metric", _WHITE, "f", '{"weight": [[1e400]], "offset": [0.0]}',
+            None, "error: bad bindings: 1e400 overflows a float",
+        ),
+        (
+            "metric", _WHITE, "f", '{"weight": [[0.5]], "offset": [0.0]}',
+            f'{{"blocks": [[{_BIG}]]}}', f"input block holds {_BIG}, which overflows a float",
+        ),
+        (
+            "hilbert", _WHITE, "f", '{"matrix": [[1.0]]}',
+            f'{{"vector": [-{_BIG}]}}', f"input vector holds -{_BIG}, which overflows a float",
+        ),
+        (
+            "metric", _AVG, _FIX, _AVG_BOXES,
+            '{"blocks": [[1e400]]}', "error: bad input point: 1e400 overflows a float",
+        ),
+        (
+            "metric", _AVG, _FIX, _AVG_BOXES,
+            '{"blocks": [[NaN]]}', "error: bad input point: NaN is not a JSON number",
         ),
     ],
     ids=[
         "metric-nan-contraction", "metric-infinity", "metric-minus-infinity",
         "metric-true-weight", "metric-false-offset", "hilbert-true-entry", "hilbert-nan",
-        "hilbert-fractional-e-dim", "hilbert-true-witness",
+        "hilbert-fractional-e-dim", "hilbert-true-witness", "metric-huge-weight",
+        "metric-1e400-weight", "metric-huge-point", "hilbert-huge-point", "metric-1e400-point",
+        "metric-nan-point",
     ],
 )
 def test_eval_non_finite_or_coerced_numbers_exit_2(
-    tmp_path, capsys, model, decl, expr, boxes, message
+    tmp_path, capsys, model, decl, expr, boxes, point, message
 ):
     src = tmp_path / "f.gtc"
     src.write_text(f"{decl}\nlet main = {expr}\n")
     bind = tmp_path / "b.json"
     bind.write_text(f'{{"model": "{model}", "objects": {{"A": 1}}, "boxes": {{"f": {boxes}}}}}')
     argv = ["eval", str(src), "--name", "main", "--model", model, "--bindings", str(bind)]
+    if point is not None:
+        inputs = tmp_path / "in.json"
+        inputs.write_text(point)
+        argv += ["--inputs", str(inputs)]
     assert main(argv) == 2
     assert message in _error_line(capsys)
 

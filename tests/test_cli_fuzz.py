@@ -108,9 +108,10 @@ mutations = st.none() | st.tuples(st.integers(0, 10**6), leaf_junk)
 # and boolean dimensions, and strings where a carrier or stage array belongs
 object_junk = st.sampled_from((-1, 0, 2.7, True, False, "xyz", "x0", ""))
 # junk for a number under the bindings' "boxes": non-finite numbers, which
-# json.dumps writes as the NaN and Infinity literals, a fraction where an
-# integer belongs, and booleans
-number_junk = st.sampled_from((math.nan, math.inf, -math.inf, 1.5, True, False))
+# json.dumps writes as the NaN and Infinity literals, an integer of 401
+# digits that no float holds, a fraction where an integer belongs, and
+# booleans
+number_junk = st.sampled_from((math.nan, math.inf, -math.inf, 10**400, 1.5, True, False))
 object_mutations = st.tuples(st.just("objects"), st.integers(0, 10**6), object_junk) | st.tuples(
     st.just("boxes"), st.integers(0, 10**6), number_junk
 )

@@ -2,7 +2,9 @@ import json
 import numpy as np
 import pytest
 
+import graph_reference
 from gtc.diagrams import (
+    Diagram,
     DiagramError,
     diagram_iso,
     elaborate,
@@ -11,10 +13,11 @@ from gtc.diagrams import (
     import_json,
     reverse_diagram,
 )
-from gtc.expressions import Trace, parse_expr
+from gtc.expressions import Trace, leaf_boxes, parse_expr
 from gtc.generators import rand_accepted_traced, rand_guarded_diagram, rand_trace_free_expr
 from gtc.guardedness import geometric_check
 from gtc.signatures import BoxSig, dual_split, mk_split, parse_box_decl, parse_object
+from gtc.synthesis import SynthesisError, synthesize
 
 SIGS = {
     s.name: s
@@ -63,6 +66,63 @@ def test_bare_loop_is_rejected():
     e = parse_expr("tr[A: I|I -> I|I]{ id[A] }", SIGS)
     with pytest.raises(DiagramError):
         elaborate(e)
+
+
+def _elaboration_corpus():
+    rng = np.random.default_rng(31)
+    out = [rand_trace_free_expr(rng, max_boxes=8, n_atoms=4) for _ in range(300)]
+    while len(out) < 600:
+        got = rand_accepted_traced(rng)
+        if got is not None:
+            out.append(got[0])
+    while len(out) < 800:
+        d, claim = rand_guarded_diagram(rng, max_boxes=int(rng.integers(1, 11)))
+        try:
+            out.append(synthesize(d, claim))
+        except SynthesisError:  # no valid claim, no expression
+            pass
+    return out
+
+
+# bare loops: one wire, two wires crossed by a symmetry, and a yanking
+# trace X1 = tr[A: A|I -> A|I]{ sym[A,A] } closed by an outer trace
+_BARE_LOOPS = [
+    "tr[A: I|I -> I|I]{ id[A] }",
+    "tr[A*A: I|I -> I|I]{ sym[A,A] }",
+    "tr[A: I|I -> I|I]{ tr[A: A|I -> A|I]{ sym[A,A] } }",
+    "f (*) tr[A: I|I -> I|I]{ id[A] } ; g",
+]
+
+
+# symmetries wider than one wire, which the random corpus does not build
+_WIDE_SYMS = [
+    "f (*) b (*) g ; sym[B*A,C]",
+    "sym[A,A*B] ; f (*) g (*) b",
+    "tr[A*A: I|I -> I|I]{ p ; sym[A,A] }",
+    "tr[A*A: A|I -> A|I]{ sym[A,A*A] ; b (*) q ; sym[A,A*A] }",
+]
+
+
+def _outcome(elab, e, claim=None):
+    """The diagram, or the text of the DiagramError."""
+    try:
+        return elab(e, claim)
+    except DiagramError as exc:
+        return str(exc)
+
+
+def test_elaborate_matches_union_find_reference():
+    exprs = _elaboration_corpus() + [parse_expr(t, SIGS) for t in _WIDE_SYMS + _BARE_LOOPS]
+    for e in exprs:
+        got = _outcome(elaborate, e)
+        assert got == _outcome(graph_reference.elaborate, e)
+        if not isinstance(got, str):
+            assert got.boxes == tuple(leaf_boxes(e))
+    for text in _BARE_LOOPS:  # the bare loop is reported before a claim that does not fit
+        e, wide = parse_expr(text, SIGS), mk_split(5, 0, [], [])
+        got = _outcome(elaborate, e, wide)
+        assert got == _outcome(graph_reference.elaborate, e, wide)
+        assert got.startswith("trace closes a wire through no box")
 
 
 def test_iso_reflexive_and_boundary_sensitive():
@@ -197,6 +257,13 @@ def test_boundary_claim_round_trip():
         len(d.boundary_in), len(d.boundary_out), range(len(d.boundary_in))
     )
     assert d.with_claim(weakest).boundary_claim() == weakest
+
+
+def test_random_diagram_is_built_with_its_claim_as_with_claim_would():
+    for seed in range(200):
+        d, claim = rand_guarded_diagram(np.random.default_rng(seed))
+        bi, bo = (tuple((a, False) for a, _ in side) for side in (d.boundary_in, d.boundary_out))
+        assert Diagram(d.boxes, d.wires, bi, bo).with_claim(claim) == d
 
 
 # --- validation -------------------------------------------------------------

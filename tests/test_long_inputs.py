@@ -9,11 +9,11 @@ import numpy as np
 from graph_reference import relabel
 from gtc import diagrams, signatures
 from gtc.diagrams import diagram_iso, elaborate, export_json, import_json
-from gtc.expressions import Box, parse_expr, parse_source, print_expr
+from gtc.expressions import Box, Id, Sym, parse_expr, parse_source, print_expr, trace
 from gtc.guardedness import check_annotated, derivable_splits
 from gtc.models import eval_expr
 from gtc.models.io import load_bindings
-from gtc.signatures import parse_box_decl, parse_claim
+from gtc.signatures import parse_box_decl, parse_claim, parse_object
 from gtc.synthesis import synthesize
 
 # a white box on lane X, a black box on lane Y
@@ -143,3 +143,18 @@ def test_synthesis_of_100_loops_under_a_low_recursion_limit():
         sys.setrecursionlimit(limit)
     assert check_annotated(back, claim).ok
     assert diagram_iso(elaborate(back, claim), d)
+
+
+def test_10000_nested_yanking_traces_elaborate_to_one_wire():
+    # X1 = tr[A: A|I -> A|I]{ sym[A,A] }, X(k+1) the same trace around
+    # (Xk (*) id[A]) ; sym[A,A]: each level's loop wire leads through
+    # every level below it to the diagram input
+    a = parse_object("A")
+    e = trace(a, Sym(a, a), 1, 1)
+    for _ in range(9999):
+        e = trace(a, (e @ Id(a)) >> Sym(a, a), 1, 1)
+    assert sys.getrecursionlimit() <= 1000
+    start = time.process_time()
+    d = elaborate(e)
+    assert time.process_time() - start < 1.0
+    assert d.boxes == () and d.wires == frozenset({(("din", 0), ("dout", 0))})
