@@ -315,8 +315,9 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
             bottom = outs.pop()
             outs[-1] = outs[-1] + bottom
         else:  # _BIND: the body's trailing outputs drive its loop placeholders
-            body, k = outs[-1], len(ins)
-            bound[ins[0] : ins[0] + k] = body[len(body) - k :]
+            body, k = outs[-1], len(ins)  # k may be 0: a trace over I
+            for p, d in zip(ins, body[len(body) - k :]):
+                bound[p] = d
             outs[-1] = body[: len(body) - k]
     top_outs = outs.pop()
     wires += zip(top_outs, [("dout", j) for j in range(len(top_outs))])

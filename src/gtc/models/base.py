@@ -96,18 +96,17 @@ def json_array(value, what: str):
     return value
 
 
-# the least integer that rounds past the largest float
-_FLOAT_LIMIT = 2**1024 - 2**970
-
-
 def json_floats(value, what: str) -> np.ndarray:
     """``value`` as a float array.  numpy would read a JSON boolean as 0
     or 1, and raise OverflowError on an integer that no float holds."""
     for v in np.asarray(value, dtype=object).flat:
         if type(v) is bool:
             raise EvalError(f"{what} holds a boolean, not a number")
-        if type(v) is int and abs(v) >= _FLOAT_LIMIT:
-            raise EvalError(f"{what} holds {v}, which overflows a float")
+        if type(v) is int:
+            try:
+                float(v)
+            except OverflowError:
+                raise EvalError(f"{what} holds {v}, which overflows a float") from None
     return np.asarray(value, dtype=float)
 
 

@@ -674,11 +674,13 @@ _AVG_BOXES = '{"weight": [[0.5, 0.5], [0.9, 0.5]], "offset": [0.0, 0.0]}'
         ),
         (
             "metric", _WHITE, "f", '{"weight": [[0.5]], "offset": [0.0]}',
-            f'{{"blocks": [[{_BIG}]]}}', f"input block holds {_BIG}, which overflows a float",
+            f'{{"blocks": [[{_BIG}]]}}',
+            f"error: bad input point: input block holds {_BIG}, which overflows a float",
         ),
         (
             "hilbert", _WHITE, "f", '{"matrix": [[1.0]]}',
-            f'{{"vector": [-{_BIG}]}}', f"input vector holds -{_BIG}, which overflows a float",
+            f'{{"vector": [-{_BIG}]}}',
+            f"error: bad input point: input vector holds -{_BIG}, which overflows a float",
         ),
         (
             "metric", _AVG, _FIX, _AVG_BOXES,

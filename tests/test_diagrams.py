@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import graph_reference
+from gtc.axioms import AXIOMS, gen_axiom_instances
 from gtc.diagrams import (
     Diagram,
     DiagramError,
@@ -81,6 +82,9 @@ def _elaboration_corpus():
             out.append(synthesize(d, claim))
         except SynthesisError:  # no valid claim, no expression
             pass
+    for axiom in AXIOMS:  # vanishing1's left side is a trace over I
+        for inst in gen_axiom_instances(axiom, 5, 10):
+            out += [inst.lhs, inst.rhs]
     return out
 
 
@@ -94,8 +98,11 @@ _BARE_LOOPS = [
 ]
 
 
-# symmetries wider than one wire, which the random corpus does not build
+# symmetries wider than one wire, and traces over I, which the random
+# corpus does not build
 _WIDE_SYMS = [
+    "tr[I: A|I -> A|I]{ b }",
+    "tr[A: I|I -> I|I]{ tr[I: A|I -> A|I]{ b } } (*) tr[I: I|I -> I|I]{ id[I] }",
     "f (*) b (*) g ; sym[B*A,C]",
     "sym[A,A*B] ; f (*) g (*) b",
     "tr[A*A: I|I -> I|I]{ p ; sym[A,A] }",
