@@ -230,12 +230,18 @@ class DiagramIndex:
         return tarjan(self.full)
 
     @cached_property
+    def full_acyclic(self) -> bool:
+        # no port leads to itself in one step: a cycle fills a component
+        return len(set(self.full_sccs[0])) == self.n_ports
+
+    @cached_property
     def unguarded_sccs(self) -> tuple[list[int], list[int]]:
-        return tarjan(self.unguarded)
+        # a subgraph of an acyclic graph has its single-port components,
+        # and its edges still lead only to earlier ones
+        return self.full_sccs if self.full_acyclic else tarjan(self.unguarded)
 
     @cached_property
     def unguarded_loop(self) -> bool:
-        # no port leads to itself in one step: a cycle fills a component
         return len(set(self.unguarded_sccs[0])) < self.n_ports
 
     def unguarded_reach_masks(self, bits: list[int]) -> list[int]:
@@ -449,28 +455,48 @@ def _typed(v, typ: type, what: str):
     return v
 
 
-def _word(text, shapes: dict) -> ObjectExpr:
-    if type(text) is not str or text not in shapes:
-        shapes[text] = parse_object(text)  # raises for a non-string
-    return shapes[text]
+_SIDES = ("unguarded_in", "guarded_out")
+_INT = {int}
+
+
+def _shape(d: dict) -> tuple | None:
+    """The texts of box signature ``d``'s two words and its two gate lists,
+    if they are strings and lists of ``int`` (``true`` and ``1.0`` equal
+    ``1`` as keys); else None."""
+    if type(d) is not dict:
+        return None
+    ins, outs = d.get("inputs"), d.get("outputs")
+    ui, go = d.get(_SIDES[0], []), d.get(_SIDES[1], [])
+    if type(ins) is str is type(outs) and type(ui) is list is type(go):
+        if _INT.issuperset(map(type, ui + go)):
+            return ins, outs, tuple(ui), tuple(go)
+    return None
 
 
 def _sig_from_json(d: dict, shapes: dict) -> BoxSig:
-    """``shapes``, one per import, holds the words and splits built so far."""
-    inputs, outputs = _word(d["inputs"], shapes), _word(d["outputs"], shapes)
-    ui, go = (
-        tuple(_typed(g, int, "gate index") for g in d.get(side, ()))
-        for side in ("unguarded_in", "guarded_out")
-    )
-    name, key = d["name"], (len(inputs), len(outputs), ui, go)
-    split = shapes.get(key)
+    """``shapes``, one per import, maps each box shape read so far (see
+    ``_shape``) to its words and split, and each gate layout to its split.
+    A box of no shape is read field by field, in the order that picks its
+    error."""
+    key = _shape(d)
+    shape = shapes.get(key)
+    if shape is not None:
+        return BoxSig(d["name"], *shape)
+    inputs, outputs = parse_object(d["inputs"]), parse_object(d["outputs"])
+    ui, go = (tuple(_typed(g, int, "gate index") for g in d.get(side, ())) for side in _SIDES)
+    name, layout = d["name"], (len(inputs), len(outputs), ui, go)
+    split = shapes.get(layout)
     if split is None:
-        split = shapes[key] = mk_split(*key)
+        split = shapes[layout] = mk_split(*layout)
+    if key is not None:
+        shapes[key] = inputs, outputs, split
     return BoxSig(name, inputs, outputs, split)
 
 
 def _port_from_json(v: list) -> Port:
     kind = v[0]
+    if kind in ("bin", "bout") and type(v[1]) is int is type(v[2]):
+        return kind, v[1], v[2]
     if kind in ("din", "dout"):
         return (kind, _typed(v[1], int, "port index"))
     if kind in ("bin", "bout"):

@@ -131,7 +131,8 @@ class Trace(MorphExpr):
     __match_args__ = ("loop", "body", "annotation")
 
     def __new__(cls, loop: ObjectExpr, body: MorphExpr, annotation: Split) -> Trace:
-        key = (loop, body, annotation)
+        s = annotation  # its data, which hashes without calling into Python
+        key = (loop, body, s.n_in, s.n_out, s.unguarded_in_mask, s.guarded_out_mask)
         x = cls._table.get(key, NoneType)()
         if x is not None:
             return x

@@ -98,10 +98,13 @@ def json_array(value, what: str):
 
 def json_floats(value, what: str) -> np.ndarray:
     """``value`` as a float array.  numpy would read a JSON boolean as 0
-    or 1, and raise OverflowError on an integer that no float holds."""
+    or 1, a string such as ``"0.5"`` as the number it spells, and raise
+    OverflowError on an integer that no float holds."""
     for v in np.asarray(value, dtype=object).flat:
         if type(v) is bool:
             raise EvalError(f"{what} holds a boolean, not a number")
+        if type(v) is str:
+            raise EvalError(f"{what} holds the string {v!r}, not a number")
         if type(v) is int:
             try:
                 float(v)

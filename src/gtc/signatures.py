@@ -40,10 +40,14 @@ class Interned:
     Each subclass has one weak table, ``cls._table``, from a key to an
     ``_Entry``; ``cls._table.get(key, NoneType)()`` is the instance or None,
     and a miss raises nothing, unlike one in a ``WeakValueDictionary``.
-    Inserts take one lock for all tables, so two threads building one value
-    get one object.  Instances are immutable; ``repr``, ``copy`` and
-    ``pickle`` use the constructor's arguments, named in ``__match_args__``
-    (``pickle`` recurses once per level, so not past the recursion limit)."""
+    Keys hash and compare in C (strings, ints, tuples, frozensets and
+    interned instances), so ``dict.setdefault`` on them runs no Python
+    code and cannot be interrupted: of two threads building one value, the
+    first insert wins and both get one object.  Replacing a dead entry, and
+    dropping one, take one lock for all tables.  Instances are immutable;
+    ``repr``, ``copy`` and ``pickle`` use the constructor's arguments, named
+    in ``__match_args__`` (``pickle`` recurses once per level, so not past
+    the recursion limit)."""
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
@@ -67,13 +71,16 @@ class Interned:
         x = object.__new__(cls)
         for name, value in zip(cls.__slots__, values):
             object.__setattr__(x, name, value)
-        with _INTERN_LOCK:
-            shared = cls._table.get(key, NoneType)()
-            if shared is not None:
-                return shared
-            entry = cls._table[key] = _Entry(x, cls._forget)
-            entry.key = key
-        return x
+        entry = _Entry(x, cls._forget)
+        entry.key = key
+        shared = cls._table.setdefault(key, entry)()
+        if shared is not None:  # this entry, or one that won the race
+            return shared
+        with _INTERN_LOCK:  # a dead entry whose callback has not dropped it yet
+            shared = cls._table.setdefault(key, entry)()
+            if shared is None:
+                cls._table[key], shared = entry, x
+        return shared
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, a) for a in self.__match_args__)

@@ -7,13 +7,17 @@ path to the claimed guarded outputs (not in U), and cut it.  Each cut
 removes a wire from a loop, so the loop terminates.  The acyclic rest is
 read off as a trace-free expression by topological slicing, and each cut
 is then closed with a trace node, the last cut innermost.
+
+``synthesize`` makes every cut on the input diagram's one index (see
+``_cuts``); ``compute_uv``, ``find_cut_wire`` and ``cut_wire`` answer the
+same questions for one diagram at a time.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from .diagrams import Diagram, Port
+from .diagrams import Diagram, Port, tarjan
 from .expressions import Comp, Id, MorphExpr, Sym, Tensor
 from .expressions import Box as BoxNode
 from .expressions import trace as mk_trace
@@ -127,11 +131,12 @@ def perm_to_expr(atoms: list[str], dest: list[int]) -> MorphExpr:
     n = len(atoms)
     if sorted(dest) != list(range(n)):
         raise ValueError(f"not a permutation: {dest}")
-    cur = list(range(n))
+    cur = list(range(n))  # the input now at each position
+    where = list(range(n))  # the position of each input
     cur_atoms = list(atoms)
     slices: list[MorphExpr] = []
     for pos in range(n):
-        q = cur.index(dest[pos])
+        q = where[dest[pos]]
         while q > pos:
             pieces: list[MorphExpr] = []
             if q - 1 > 0:
@@ -143,6 +148,7 @@ def perm_to_expr(atoms: list[str], dest: list[int]) -> MorphExpr:
                 pieces.append(Id(ObjectExpr(tuple(cur_atoms[q + 1 :]))))
             slices.append(reduce(Tensor, pieces))
             cur[q - 1], cur[q] = cur[q], cur[q - 1]
+            where[cur[q - 1]], where[cur[q]] = q - 1, q
             cur_atoms[q - 1], cur_atoms[q] = cur_atoms[q], cur_atoms[q - 1]
             q -= 1
     if not slices:
@@ -186,7 +192,7 @@ def _compose_opt(parts: list[MorphExpr]) -> MorphExpr:
 def acyclic_to_expr(d: Diagram) -> MorphExpr:
     """Read an acyclic diagram off as slices of boxes between explicit
     wire permutations."""
-    if loop_wires(d):
+    if not d.index.full_acyclic:
         raise SynthesisError("diagram is cyclic", witness=None)
 
     # longest-path layering of the boxes: the full graph is acyclic, so its
@@ -241,26 +247,128 @@ def synthesize(d: Diagram, claim: Split) -> MorphExpr:
     """Produce an annotated expression that checks under ``claim`` and
     elaborates back to ``d`` (up to diagram isomorphism)."""
     synthesis_preconditions(d, claim)
-    cuts = []
-    while loop_wires(d):
-        u_set, v_set = compute_uv(d, claim)
-        wire = find_cut_wire(d, u_set, v_set)
-        cuts.append((d, claim, wire))
-        d, claim = cut_wire(d, wire, claim)
-    expr = acyclic_to_expr(d)
-    for d, claim, wire in reversed(cuts):  # the last cut is the innermost trace
-        expr = _retrace(d, claim, wire, expr)
+    if d.index.full_acyclic:
+        return acyclic_to_expr(d)
+    ports = d.index.ports
+    cuts = [(ports[s], ports[t]) for s, t in _cuts(d, claim)]
+    atoms = [d.port_atom(s) for s, _ in cuts]
+    n_in, n_out = len(d.boundary_in), len(d.boundary_out)
+    opened = [(("din", n_in + k), t) for k, (_, t) in enumerate(cuts)]
+    opened += [(s, ("dout", n_out + k)) for k, (s, _) in enumerate(cuts)]
+    wires = d.wires.difference(cuts).union(opened)
+    expr = acyclic_to_expr(
+        Diagram(
+            d.boxes,
+            wires,
+            d.boundary_in + tuple((a, False) for a in atoms),
+            d.boundary_out + tuple((a, True) for a in atoms),
+        )
+    )
+    dom = [a for a, _ in d.boundary_in] + atoms
+    cod = [a for a, _ in d.boundary_out] + atoms
+    a_gates, b_gates, c_gates, d_gates = claim.corner_gates()
+    for k in reversed(range(len(cuts))):  # the last cut is the innermost trace
+        # before cut k, the k earlier cuts' loop inputs and outputs are
+        # claimed unguarded and guarded
+        corners = (
+            a_gates + list(range(n_in, n_in + k)),
+            b_gates,
+            c_gates,
+            d_gates + list(range(n_out, n_out + k)),
+        )
+        expr = _retrace(dom[: n_in + k], cod[: n_out + k], corners, atoms[k], expr)
     return expr
 
 
-def _retrace(d: Diagram, claim: Split, wire: tuple[Port, Port], inner: MorphExpr) -> MorphExpr:
-    """Close the loop of ``wire``, cut from ``d``, around ``inner``, the
-    expression of the cut diagram."""
-    atom = d.port_atom(wire[0])
-    corners = claim.corner_gates()
+def _cuts(d: Diagram, claim: Split) -> list[tuple[int, int]]:
+    """The wires that ``find_cut_wire`` picks, one cut after another, until
+    no loop is left: the ids of their ends, all read off ``d``'s index.
+
+    A cut adds no candidate: deleting a wire makes no new loop, and U and
+    V only grow, since a path through the cut wire now ends at its new
+    guarded output or starts at its new unguarded input.  So the
+    candidates are walked once in order, U grows by a backward and V by a
+    forward unguarded search from the cut wire's ends, and only the
+    component that held the wire is split again."""
+    ix = d.index
+    ports, succ, n = ix.ports, list(ix.full), ix.n_ports
+    pred: list = [[] for _ in range(n)]  # unguarded predecessors
+    for v, ws in enumerate(ix.unguarded):
+        for w in ws:
+            pred[w].append(v)
+    u_set: set[int] = set()
+    v_set: set[int] = set()
+    # ports with an unguarded path to a claimed-guarded output, from a
+    # claimed-unguarded input
+    to_out, from_in = bytearray(n), bytearray(n)
+
+    def grow(starts, adj, seen: bytearray, kind: str, boxes: set[int]) -> None:
+        todo = [v for v in starts if not seen[v]]
+        for v in todo:
+            seen[v] = 1
+        while todo:
+            v = todo.pop()
+            if ports[v][0] == kind:
+                boxes.add(ports[v][1])
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    todo.append(w)
+
+    grow([ix.n_in + j for j in claim.guarded_out], pred, to_out, "bin", u_set)
+    grow(claim.unguarded_in, ix.unguarded, from_in, "bout", v_set)  # an input's id is its position
+
+    comp = list(ix.full_sccs[0])
+    n_comps = max(comp) + 1
+    cyclic: dict[int, list[int]] = {}  # the components that hold a loop
+    for v, c in enumerate(comp):
+        cyclic.setdefault(c, []).append(v)
+    cyclic = {c: vs for c, vs in cyclic.items() if len(vs) > 1}
+    target = dict(zip(ix.src, ix.dst))
+    # a loop wire leaves an output gate, and ids follow (box, gate) order
+    candidates = sorted(s for s, t in target.items() if comp[s] == comp[t])
+    cuts: list[tuple[int, int]] = []
+    at = 0
+    while cyclic:
+        while at < len(candidates):
+            s = candidates[at]
+            t = target[s]
+            if comp[s] == comp[t] and ports[s][1] not in v_set and ports[t][1] not in u_set:
+                break
+            at += 1
+        else:
+            raise SynthesisError(
+                "no loop wire avoids U and V; hypotheses do not hold",
+                witness={"U": sorted(u_set), "V": sorted(v_set)},
+            )
+        at += 1
+        cuts.append((s, t))
+        succ[s] = ()
+        grow([s], pred, to_out, "bin", u_set)
+        grow([t], ix.unguarded, from_in, "bout", v_set)
+        nodes = cyclic.pop(comp[s])
+        local = {v: i for i, v in enumerate(nodes)}
+        sub = tarjan([[local[w] for w in succ[v] if w in local] for v in nodes])[0]
+        parts: dict[int, list[int]] = {}
+        for v, c in zip(nodes, sub):
+            comp[v] = n_comps + c
+            parts.setdefault(comp[v], []).append(v)
+        n_comps += len(parts)
+        cyclic.update((c, vs) for c, vs in parts.items() if len(vs) > 1)
+    return cuts
+
+
+def _retrace(
+    dom_atoms: list[str],
+    cod_atoms: list[str],
+    corners: tuple[list[int], list[int], list[int], list[int]],
+    atom: str,
+    inner: MorphExpr,
+) -> MorphExpr:
+    """Close the loop of a wire carrying ``atom``, cut from a diagram with
+    boundary ``dom_atoms -> cod_atoms`` and claim corners ``corners``,
+    around ``inner``, the expression of the cut diagram."""
     a_gates, b_gates, c_gates, d_gates = corners
-    dom_atoms = [a for a, _ in d.boundary_in]
-    cod_atoms = [a for a, _ in d.boundary_out]
     n_out = len(cod_atoms)
 
     # inner's boundary appends the fresh loop input and output to the

@@ -7,19 +7,32 @@ equal results.  ``infer_trace_annotations`` is the exhaustive annotation
 search that the one-fold inference replaced, and ``diagram_iso`` the
 backtracking search over box assignments that wire-following replaced.
 ``elaborate`` is the union-find flattening that the one top-down walk
-replaced.  ``relabel`` renumbers a diagram's boxes, to give the deciders
-work.
+replaced.  ``synthesize`` is the synthesis loop that built a new
+``Diagram`` and claim for every cut, and ``perm_to_expr`` the
+permutation builder that searched the current order for each position.
+``relabel`` renumbers a diagram's boxes, to give the deciders work.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import reduce
 
 from gtc.diagrams import Diagram, DiagramError, Port, check_fits
-from gtc.expressions import Box, Comp, Id, MorphExpr, Tensor, Trace, fold, trace
+from gtc.expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, Trace, fold, trace
 from gtc.guardedness import GeometricWitness, PortPath, check_annotated
-from gtc.signatures import BoxSig, Split, corner_split
+from gtc.signatures import BoxSig, ObjectExpr, Split, corner_split
+from gtc.synthesis import (
+    _compose_opt,
+    acyclic_to_expr,
+    compute_uv,
+    cut_wire,
+    find_cut_wire,
+    loop_perms,
+    synthesis_preconditions,
+)
+from gtc.synthesis import loop_wires as index_loop_wires
 
 
 def relabel(d: Diagram, perm: list[int]) -> Diagram:
@@ -373,3 +386,70 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
     bi = tuple((e.dom[i], i not in claim.unguarded_in) for i in range(n_in))
     bo = tuple((e.cod[j], j in claim.guarded_out) for j in range(n_out))
     return Diagram(tuple(sig for sig, _, _ in fr.boxes), frozenset(wires), bi, bo)
+
+
+def synthesize(d: Diagram, claim: Split) -> MorphExpr:
+    """Cut the least candidate wire of a new ``Diagram`` and claim until
+    no loop is left, then close the cuts around the acyclic rest, the
+    last cut innermost."""
+    synthesis_preconditions(d, claim)
+    cuts = []
+    while index_loop_wires(d):
+        u_set, v_set = compute_uv(d, claim)
+        wire = find_cut_wire(d, u_set, v_set)
+        cuts.append((d, claim, wire))
+        d, claim = cut_wire(d, wire, claim)
+    expr = acyclic_to_expr(d)
+    for d, claim, wire in reversed(cuts):
+        expr = _retrace(d, claim, wire, expr)
+    return expr
+
+
+def _retrace(d: Diagram, claim: Split, wire: tuple[Port, Port], inner: MorphExpr) -> MorphExpr:
+    atom = d.port_atom(wire[0])
+    corners = claim.corner_gates()
+    a_gates, b_gates, c_gates, d_gates = corners
+    dom_atoms = [a for a, _ in d.boundary_in]
+    cod_atoms = [a for a, _ in d.boundary_out]
+    n_out = len(cod_atoms)
+    perm_pre, perm_post = loop_perms(
+        dom_atoms + [atom], cod_atoms + [atom], len(dom_atoms), n_out, corners
+    )
+    body = _compose_opt([perm_pre, inner, perm_post])
+    traced = trace(ObjectExpr((atom,)), body, len(a_gates), len(c_gates))
+    outer_pre = perm_to_expr(dom_atoms, a_gates + b_gates)
+    out_pos = {g: pos for pos, g in enumerate(c_gates + d_gates)}
+    outer_post = perm_to_expr(
+        [cod_atoms[g] for g in c_gates] + [cod_atoms[g] for g in d_gates],
+        [out_pos[g] for g in range(n_out)],
+    )
+    return _compose_opt([outer_pre, traced, outer_post])
+
+
+def perm_to_expr(atoms: list[str], dest: list[int]) -> MorphExpr:
+    """Adjacent transpositions that bring ``dest[pos]`` to each position
+    in turn, found by scanning the current order."""
+    n = len(atoms)
+    if sorted(dest) != list(range(n)):
+        raise ValueError(f"not a permutation: {dest}")
+    cur = list(range(n))
+    cur_atoms = list(atoms)
+    slices: list[MorphExpr] = []
+    for pos in range(n):
+        q = cur.index(dest[pos])
+        while q > pos:
+            pieces: list[MorphExpr] = []
+            if q - 1 > 0:
+                pieces.append(Id(ObjectExpr(tuple(cur_atoms[: q - 1]))))
+            pieces.append(
+                Sym(ObjectExpr((cur_atoms[q - 1],)), ObjectExpr((cur_atoms[q],)))
+            )
+            if q + 1 < n:
+                pieces.append(Id(ObjectExpr(tuple(cur_atoms[q + 1 :]))))
+            slices.append(reduce(Tensor, pieces))
+            cur[q - 1], cur[q] = cur[q], cur[q - 1]
+            cur_atoms[q - 1], cur_atoms[q] = cur_atoms[q], cur_atoms[q - 1]
+            q -= 1
+    if not slices:
+        return Id(ObjectExpr(tuple(atoms)))
+    return reduce(Comp, slices)

@@ -690,13 +690,22 @@ _AVG_BOXES = '{"weight": [[0.5, 0.5], [0.9, 0.5]], "offset": [0.0, 0.0]}'
             "metric", _AVG, _FIX, _AVG_BOXES,
             '{"blocks": [[NaN]]}', "error: bad input point: NaN is not a JSON number",
         ),
+        # numpy reads a string as the number it spells
+        (
+            "metric", _AVG, _FIX, '{"weight": [["0.5", "0.5"], [0.9, 0.5]], "offset": [0.0, 0.0]}',
+            None, "error: weight holds the string '0.5', not a number",
+        ),
+        (
+            "metric", _AVG, _FIX, _AVG_BOXES, '{"blocks": [["1e400"]]}',
+            "error: bad input point: input block holds the string '1e400', not a number",
+        ),
     ],
     ids=[
         "metric-nan-contraction", "metric-infinity", "metric-minus-infinity",
         "metric-true-weight", "metric-false-offset", "hilbert-true-entry", "hilbert-nan",
         "hilbert-fractional-e-dim", "hilbert-true-witness", "metric-huge-weight",
         "metric-1e400-weight", "metric-huge-point", "hilbert-huge-point", "metric-1e400-point",
-        "metric-nan-point",
+        "metric-nan-point", "metric-string-weight", "metric-string-point",
     ],
 )
 def test_eval_non_finite_or_coerced_numbers_exit_2(

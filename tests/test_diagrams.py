@@ -405,9 +405,14 @@ def _payload_with(path: tuple, value) -> str:
         (("boxes", 0, "id"), 0.0, "bad box id 0.0"),
         (("boxes", 1, "id"), True, "bad box id True"),
         (("boxes", 0, "sig", "unguarded_in"), [True], "bad gate index True"),
+        (("wires", 0, 0), ["bout", True], "bad port index True"),  # before the missing gate
+        (("wires", 0, 0), ["bout", 0, True], "bad port index True"),
+        (("wires", 0, 0), ["bout", 0], "list index out of range"),
+        (("wires", 0, 0), ["box", 0, 0], "bad port ['box', 0, 0]"),
     ],
     ids=["float-port", "string-port", "string-flag", "integer-flag", "float-id", "boolean-id",
-         "boolean-gate"],
+         "boolean-gate", "boolean-box-short-port", "boolean-gate-port", "short-port",
+         "bad-port-kind"],
 )
 def test_import_rejects_values_of_the_wrong_json_type(path, value, message):
     with pytest.raises(DiagramError) as info:
@@ -430,9 +435,15 @@ SHAPE_JSON = {"name": "f", "inputs": "A*B", "outputs": "B", "unguarded_in": [1],
         ({"inputs": 5}, "object 5 is not a string"),
         ({"inputs": ["A", "B"]}, "object ['A', 'B'] is not a string"),
         ({"name": "let"}, "bad box name 'let'"),
+        ({"unguarded_in": 1}, "'int' object is not iterable"),
+        # the words are read before the gates
+        (
+            {"inputs": "A*", "unguarded_in": [True]},
+            "syntax error in object 'A*' near position 2: expected atom, got ''",
+        ),
     ],
     ids=["boolean-gate", "float-gate", "boolean-output-gate", "integer-word", "list-word",
-         "reserved-name"],
+         "reserved-name", "integer-gates", "bad-word-and-gate"],
 )
 def test_second_box_of_a_shape_fails_as_the_first_would(second, message):
     boxes = [{"id": 0, "sig": SHAPE_JSON}, {"id": 1, "sig": {**SHAPE_JSON, "name": "g", **second}}]

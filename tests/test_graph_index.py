@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import graph_reference as ref
+from gtc import diagrams
 from gtc.diagrams import Diagram, diagram_iso, elaborate, tarjan
 from gtc.expressions import parse_source
 from gtc.generators import rand_accepted_traced, rand_guarded_diagram, rand_trace_free_expr
 from gtc.guardedness import geometric_check, geometric_witness, unguarded_reach
 from gtc.signatures import BoxSig, mk_split, parse_box_decl
-from gtc.synthesis import compute_uv, loop_wires
+from gtc.synthesis import acyclic_to_expr, compute_uv, loop_wires
 
 MAX_WIDTH_ALL_CLAIMS = 8
 SAMPLED_CLAIMS = 64
@@ -56,10 +57,16 @@ def _claims(d, rng):
 )
 def test_index_matches_direct_traversals(make, verdicts):
     rng = np.random.default_rng(23)
-    loops = 0
+    corpus, loops = make(), 0
     kinds = Counter()
-    for d in make():
-        assert unguarded_reach(d) == ref.unguarded_reach(d)
+    for d in corpus:
+        reach = ref.unguarded_reach(d)
+        assert unguarded_reach(d) == reach
+        assert d.index.reach_out == [
+            sum(1 << j for j in range(len(d.boundary_out)) if ("dout", j) in reach[p] | {p})
+            for p in d.all_ports()
+        ]
+        assert d.index.unguarded_loop == (ref.find_unguarded_loop(d) is not None)
         assert loop_wires(d) == ref.loop_wires(d)
         loops += bool(loop_wires(d))
         for claim in _claims(d, rng):
@@ -69,8 +76,25 @@ def test_index_matches_direct_traversals(make, verdicts):
             assert geometric_check(d, claim) == (want is None)
             assert compute_uv(d, claim) == ref.compute_uv(d, claim)
             kinds[want and want.kind] += 1
-    # the corpus holds cyclic diagrams and the expected verdicts and witnesses
-    assert loops and set(kinds) == verdicts, kinds
+    # the corpus holds cyclic and acyclic diagrams and the expected verdicts
+    # and witnesses
+    assert 0 < loops < len(corpus) and set(kinds) == verdicts, kinds
+
+
+def test_acyclic_diagram_runs_tarjan_once(monkeypatch):
+    # the unguarded graph of an acyclic diagram is acyclic, and its
+    # components close in the full graph's order
+    calls = []
+    real = diagrams.tarjan
+    monkeypatch.setattr(diagrams, "tarjan", lambda adj: calls.append(adj) or real(adj))
+    rng = np.random.default_rng(28)
+    for _ in range(50):
+        e = rand_trace_free_expr(rng, max_boxes=8, n_atoms=4)
+        d = elaborate(e)
+        claim = mk_split(len(e.dom), len(e.cod), range(len(e.dom)), range(len(e.cod)))
+        geometric_witness(d, claim), loop_wires(d), unguarded_reach(d), acyclic_to_expr(d)
+        assert not d.index.unguarded_loop and len(calls) == 1
+        calls.clear()
 
 
 def test_tarjan_components_in_reverse_topological_order():

@@ -128,19 +128,43 @@ def _stack_depth() -> int:
     return depth
 
 
-def test_synthesis_of_100_loops_under_a_low_recursion_limit():
-    # one cut per loop: a recursive synthesis needs a frame per cut
+def _loops(n: int):
+    """``n`` independent loops, each through one black box, and their claim."""
     loop = "tr[U: I|I -> I|I]{ f }"
-    src = parse_source("box f : U | I -> I | U\nlet loops = " + " (*) ".join([loop] * 100) + "\n")
+    src = parse_source("box f : U | I -> I | U\nlet loops = " + " (*) ".join([loop] * n) + "\n")
     e = src.exprs["loops"]
     claim = parse_claim("I|I -> I|I", e.dom, e.cod)
-    d = elaborate(e, claim)
+    return elaborate(e, claim), claim
+
+
+def test_synthesis_of_100_loops_under_a_low_recursion_limit():
+    # one cut per loop: a recursive synthesis needs a frame per cut
+    d, claim = _loops(100)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 80)
     try:
         back = synthesize(d, claim)
     finally:
         sys.setrecursionlimit(limit)
+    assert check_annotated(back, claim).ok
+    assert diagram_iso(elaborate(back, claim), d)
+
+
+def test_400_loops_synthesize_and_recheck_in_under_a_second():
+    # 5.6 s when each cut built a new diagram and index
+    d, claim = _loops(400)
+    start = time.process_time()
+    back = synthesize(d, claim)
+    assert check_annotated(back, claim).ok
+    assert time.process_time() - start < 1.0
+
+
+def test_1500_loops_synthesize_in_under_10_seconds():
+    # the printed text grows as n², so this stays above linear
+    d, claim = _loops(1500)
+    start = time.process_time()
+    back = synthesize(d, claim)
+    assert time.process_time() - start < 10.0
     assert check_annotated(back, claim).ok
     assert diagram_iso(elaborate(back, claim), d)
 

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import graph_reference as ref
 from gtc.diagrams import Diagram, diagram_iso, elaborate
-from gtc.expressions import parse_expr
+from gtc.expressions import parse_expr, parse_source, print_expr
 from gtc.generators import rand_guarded_diagram
 from gtc.guardedness import check_annotated, unguarded_reach
 from gtc.signatures import mk_split, parse_box_decl
@@ -56,6 +59,7 @@ def test_perm_expr_realizes_permutation():
         atoms = [str(rng.choice(["A", "B"])) for _ in range(n)]
         dest = list(rng.permutation(n))
         e = perm_to_expr(atoms, dest)
+        assert e is ref.perm_to_expr(atoms, dest)
         d = elaborate(e)
         for j in range(n):
             assert (("din", dest[j]), ("dout", j)) in d.wires
@@ -170,6 +174,36 @@ def test_synthesis_round_trip_random():
         assert check_annotated(e, claim).ok
         assert diagram_iso(elaborate(e, claim), d)
         done += 1
+
+
+def _outcome(synth, d, claim) -> tuple:
+    try:
+        return "text", print_expr(synth(d, claim))
+    except SynthesisError as exc:
+        return "error", exc.reason, exc.witness
+
+
+def test_synthesize_matches_reference():
+    """The one-index loop gives the text, or the error reason and witness,
+    of the loop that built a new diagram per cut."""
+    loop = "tr[U: I|I -> I|I]{ f }"
+    family = parse_source(
+        "box f : U | I -> I | U\n"
+        + "".join(f"let loops{n} = " + " (*) ".join([loop] * n) + "\n" for n in (1, 2, 7, 40))
+        + "let mixed = tr[U: I|I -> I|I]{ f ; f } (*) (id[U] ; f) (*) tr[U: I|I -> I|I]{ f }\n"
+    ).exprs.values()
+    inputs = [(elaborate(e), mk_split(len(e.dom), len(e.cod))) for e in family]
+    for max_boxes, seed in ((14, 41), (48, 42)):
+        rng = np.random.default_rng(seed)
+        inputs += [rand_guarded_diagram(rng, max_boxes=max_boxes) for _ in range(200)]
+    outcomes = Counter()
+    for d, claim in inputs:
+        got = _outcome(synthesize, d, claim)
+        assert got == _outcome(ref.synthesize, d, claim)
+        outcomes[got[0], bool(loop_wires(d))] += 1
+    # texts of cyclic and acyclic diagrams, and errors
+    assert min(outcomes["text", True], outcomes["error", True]) > 100, outcomes
+    assert outcomes["text", False] > 10, outcomes
 
 
 def test_violations_are_reported_with_witness():
