@@ -38,7 +38,7 @@ from .models import (
     flat,
 )
 from .models.flatposet import product_elements
-from .models.hilbert import corner_perms
+from .models.hilbert import corner_perms, kron
 from .models.metric import affine
 from .models.trees import stagewise
 from .signatures import UNIT, BoxSig, ObjectExpr, Split, corner_split
@@ -430,7 +430,7 @@ def hilbert_bindings(instance: AxiomInstance, rng, max_dim: int = 2):
             e_dim = int(rng.integers(1, 3))
             g = rng.normal(size=(e_dim * dd, db)) / np.sqrt(max(db, 1))
             h = rng.normal(size=(dc, da * e_dim)) / np.sqrt(max(da * e_dim, 1))
-            grouped = np.kron(h, np.eye(dd)) @ np.kron(np.eye(da), g)
+            grouped = kron(h, np.eye(dd)) @ kron(np.eye(da), g)
             mat = grouped[np.ix_(np.argsort(out_idx), np.argsort(in_idx))]
             boxes[name] = HilbertMorphism(
                 in_dims, out_dims, mat, {"e_dim": e_dim, "g": g, "h": h}
@@ -507,8 +507,9 @@ def check_axiom(
         if instance.failing_side is not None:
             raise EvalError(f"{instance.failing_side} fails its guardedness check")
         eval_tol = min(tol, 1e-9) * 1e-3
-        lhs = eval_expr(instance.lhs, model, boxes, tol=eval_tol)
-        rhs = eval_expr(instance.rhs, model, boxes, tol=eval_tol)
+        checked: set[str] = set()  # both sides share the bindings: validate each once
+        lhs = eval_expr(instance.lhs, model, boxes, tol=eval_tol, checked=checked)
+        rhs = eval_expr(instance.rhs, model, boxes, tol=eval_tol, checked=checked)
         ok, dev = model.equal(lhs, rhs, tol=tol, rng=rng)
         report["verdict"] = "pass" if ok else "fail"
         report["max_dev"] = dev

@@ -143,6 +143,10 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    bad = _tol_error(args.tol)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return 2
     src, expr = _load_expr(args.file, args.name)
     if args.claim:
         claim = parse_claim(args.claim, expr.dom, expr.cod)
@@ -248,9 +252,13 @@ def _suite_arg_error(args) -> str | None:
         return f"--per-axiom must be at least 0, not {args.per_axiom}"
     if args.jobs < 1:
         return f"--jobs must be at least 1, not {args.jobs}"
-    if not args.tol > 0:
-        return f"--tol must be positive, not {args.tol}"
-    return None
+    return _tol_error(args.tol)
+
+
+def _tol_error(tol: float) -> str | None:
+    """What is wrong with a ``--tol`` value, if anything: NaN, zero and
+    negatives are not tolerances."""
+    return None if tol > 0 else f"--tol must be positive, not {tol}"
 
 
 def _oracle_block(seed: int, n_expr: int = 100) -> dict:

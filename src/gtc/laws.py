@@ -19,7 +19,10 @@ Three suites:
   and preserve the laws in both directions.
 
 Each law is a generator yielding one bool per instance (True where the
-law holds there), and ``_tally`` counts its instances and failures.
+law holds there), and ``_tally`` counts its instances and failures.  Laws
+checked on the same instances may share one generator of tuples, counted
+by ``_tallies``.  What a suite builds once for many instances lives in
+that suite's call and leaves with it.
 """
 
 from __future__ import annotations
@@ -51,6 +54,18 @@ def _tally(checks) -> dict:
         n += 1
         bad += not ok
     return {"instances": n, "failures": bad}
+
+
+def _tallies(checks, laws: int) -> list[dict]:
+    """``_tally`` for ``laws`` laws checked on the same instances, from
+    one tuple of bools per instance, in one pass."""
+    n = 0
+    bad = [0] * laws
+    for oks in checks:
+        n += 1
+        for i, ok in enumerate(oks):
+            bad[i] += not ok
+    return [{"instances": n, "failures": b} for b in bad]
 
 
 def _carrier(tag: str, size: int) -> tuple[str, ...]:
@@ -293,12 +308,16 @@ def _guarded_from_witness(dom_gates, x: StageObject, witness: tuple[dict, ...], 
     return maps
 
 
-def _tot_rec(model: ToposOfTreesModel, m: ToTMorphism) -> ToTMorphism:
+def _tot_rec(model: ToposOfTreesModel, m: ToTMorphism, dups: dict) -> ToTMorphism:
     """Recursion through the model's feedback for m: params x U -> U, the
     loop block U ending the domain: duplicate the output and trace the
-    copy."""
+    copy.  ``dups`` keeps each loop word's duplication, built on first
+    use, for the caller's later recursions."""
     loops = m.cod
-    dup = stagewise(loops, loops + loops, lambda n, x: x + x, len(m.maps))
+    key = (loops, len(m.maps))
+    dup = dups.get(key)
+    if dup is None:
+        dup = dups[key] = stagewise(loops, loops + loops, lambda n, x: x + x, len(m.maps))
     q = ObjectExpr(("q",) * len(loops))
     corners = (ObjectExpr(("q",) * (len(m.dom) - len(loops))), UNIT, UNIT, q)
     return model.trace(model.compose(m, dup), q, corners, None)
@@ -356,9 +375,10 @@ def tot_conway_suite() -> dict[str, dict]:
     depth = 3
     shapes = all_stage_objects(depth, 2)
     model = ToposOfTreesModel({})
+    dups: dict = {}
 
     def rec(m):
-        return _tot_rec(model, m)
+        return _tot_rec(model, m, dups)
 
     def after_fst(g, f):
         """g . <fst, f>"""
@@ -382,10 +402,12 @@ def tot_conway_suite() -> dict[str, dict]:
     endos = {o: list(natural((o,), o)) for o in shapes}
 
     def naturality():
-        # u ; rec f = rec((u x id) ; f)
+        # u ; rec f = rec((u x id) ; f), each u x id built once per carrier pair
+        uids: dict = {}
         for yo, xo, f, fd in family:
-            for u in endos[yo]:
-                uid = model.tensor(u, identity[xo])
+            if (yo, xo) not in uids:
+                uids[yo, xo] = [(u, model.tensor(u, identity[xo])) for u in endos[yo]]
+            for u, uid in uids[yo, xo]:
                 yield model.compose(u, fd) == rec(model.compose(uid, f))
 
     xo, yo = _small_objects()
@@ -454,12 +476,13 @@ def flat_transfer_suite(max_x: int = 3, max_b: int = 2) -> dict[str, dict]:
     ta, _ = lift(flat(_carrier("x", 2)))
     b1 = flat(_carrier("b", 1))
 
-    def fixpoint():
-        # rec f = f . <id, rec f>
+    def rec_tables():
+        # one pass over the tables, rec f computed once for both laws:
+        # round_trip_rec, rec f = rec1 f; fixpoint, rec f = f . <id, rec f>
         for b, _, tx in _flat_grid(max_x, max_b):
             for f in _monotone_tables_between(b, tx, tx):
                 r = rec(f, b, tx)
-                yield all(f[(bv, r[bv])] == r[bv] for bv in b.elements)
+                yield r == rec1(f, b, tx), all(f[(bv, r[bv])] == r[bv] for bv in b.elements)
 
     def naturality():
         # rec(f . (u x id)) = rec(f) . u
@@ -513,18 +536,15 @@ def flat_transfer_suite(max_x: int = 3, max_b: int = 2) -> dict[str, dict]:
                 res = grec(g, b, x)
                 yield all(g[(bv, res[bv])] == res[bv] for bv in b.elements)
 
+    round_trip_rec, fixpoint = _tallies(rec_tables(), 2)
     return {
-        "round_trip_rec": _tally(
-            rec(f, b, tx) == rec1(f, b, tx)
-            for b, _, tx in _flat_grid(max_x, max_b)
-            for f in _monotone_tables_between(b, tx, tx)
-        ),
+        "round_trip_rec": round_trip_rec,
         "round_trip_grec": _tally(
             grec(g, b, x) == grec1(g, b, x)
             for b, x, tx in _flat_grid(max_x, max_b)
             for g in _witnesses(b, x, tx)
         ),
-        "fixpoint": _tally(fixpoint()),
+        "fixpoint": fixpoint,
         "naturality": _tally(naturality()),
         "dinaturality": _tally(dinaturality()),
         "diagonal": _tally(diagonal()),

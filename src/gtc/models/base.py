@@ -2,8 +2,9 @@
 
 A backend supplies the categorical operations; this module folds an
 expression over them.  Box bindings are validated against their declared
-splits once per evaluation, in whatever sense the backend defines
-(image restrictions, contraction factors, stage delays, factorization
+splits once per evaluation, or once across evaluations that share their
+``checked`` set, in whatever sense the backend defines (image
+restrictions, contraction factors, stage delays, factorization
 witnesses).
 """
 
@@ -119,14 +120,19 @@ def untuple(s: str) -> tuple:
     return tuple(s.split("|")) if s else ()
 
 
-def eval_expr(e: MorphExpr, model, boxes: dict, tol: float | None = None):
+def eval_expr(
+    e: MorphExpr, model, boxes: dict, tol: float | None = None, checked: set | None = None
+):
     """Denotation of ``e`` in ``model`` under the given box bindings.
 
     ``tol`` is forwarded to backends that solve feedback numerically.
     The expression is assumed to have passed ``check_annotated``; this
-    routine still validates each binding against its declared split.
+    routine still validates each binding against its declared split, the
+    first time its box appears.  ``checked`` names the boxes already
+    validated; it is updated in place, so evaluations of several
+    expressions over the same bindings validate each binding once.
     """
-    checked: set[str] = set()
+    checked = set() if checked is None else checked
 
     def leaf(x: MorphExpr):
         if isinstance(x, Id):

@@ -238,12 +238,17 @@ def rec_to_grec(rec):
     over the lifted carrier by ``rec``, then finish with one g step.
 
     Witness tables index the lifted carrier by ``lift(x_poset)`` names.
+    The returned operator keeps the key set of Y x TX for each pair of
+    carriers it has seen.
     """
+    covers: dict = {}
 
     def grec(g: dict, y_poset: Poset, x_poset: Poset) -> dict:
         tx, _ = lift(x_poset)
-        want = {(yv, z) for yv in y_poset.elements for z in tx.elements}
-        if set(g) != want:
+        want = covers.get((y_poset, tx))
+        if want is None:
+            want = covers[y_poset, tx] = {(yv, z) for yv in y_poset.elements for z in tx.elements}
+        if g.keys() != want:
             raise EvalError("witness table does not cover Y x TX")
         # eta injects by name, so eta . g reuses the same table over TX
         z_star = rec(dict(g), y_poset, tx)
@@ -263,21 +268,11 @@ def grec_to_rec(grec):
             raise EvalError("recursion needs a pointed carrier")
         ta, bot = lift(a_poset)
         tta, bot2 = lift(ta)
-
-        def alg(t: str) -> str:  # structure map TA -> A
-            return bot_a if t == bot else t
-
-        def alg2(w: str) -> str:  # a . Ta : TTA -> A
-            if w == bot2:
-                return bot_a
-            return alg(w)
-
-        g = {
-            (bv, w): f[(bv, alg2(w))]
-            for bv in b_poset.elements
-            for w in tta.elements
-        }
+        # the structure map alg: TA -> A sends bot to bot_a and fixes the
+        # rest; alg2 = alg . T alg: TTA -> A also sends bot2 to bot_a
+        alg2 = [(w, bot_a if w == bot or w == bot2 else w) for w in tta.elements]
+        g = {(bv, w): f[(bv, a)] for bv in b_poset.elements for w, a in alg2}
         z = grec(g, b_poset, ta)
-        return {bv: alg(z[bv]) for bv in b_poset.elements}
+        return {bv: bot_a if z[bv] == bot else z[bv] for bv in b_poset.elements}
 
     return rec

@@ -29,6 +29,14 @@ def perm_index(dims: tuple[int, ...], perm: list[int]) -> np.ndarray:
     return np.arange(math.prod(dims)).reshape(dims).transpose(perm).ravel()
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two matrices, entry (i*p + k, j*q + l)
+    being a[i, j] * b[k, l]: the products ``np.kron`` takes, without its
+    handling of other ranks."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def kron_perm(dims: tuple[int, ...], perm: list[int]) -> np.ndarray:
     """``perm_index`` as a permutation matrix."""
     return np.eye(math.prod(dims))[perm_index(dims, perm)]
@@ -98,7 +106,7 @@ class HilbertModel(DimensionModel):
 
     def tensor(self, f: HilbertMorphism, g: HilbertMorphism) -> HilbertMorphism:
         in_dims, out_dims = f.in_dims + g.in_dims, f.out_dims + g.out_dims
-        return trusted(HilbertMorphism, in_dims, out_dims, np.kron(f.mat, g.mat), None)
+        return trusted(HilbertMorphism, in_dims, out_dims, kron(f.mat, g.mat), None)
 
     def trace(self, m: HilbertMorphism, loop, corners, tol=None) -> HilbertMorphism:
         a, b, c, d = corners
@@ -197,8 +205,10 @@ def check_witness(m: HilbertMorphism, split) -> None:
     h = np.asarray(w["h"], dtype=float)
     if g.shape != (e_dim * dd, db) or h.shape != (dc, da * e_dim):
         raise EvalError("witness matrices have the wrong shapes")
-    rebuilt = np.kron(h, np.eye(dd)) @ np.kron(np.eye(da), g)
-    if not np.allclose(rebuilt, grouped, atol=WITNESS_TOL, rtol=0):
+    rebuilt = kron(h, np.eye(dd)) @ kron(np.eye(da), g)
+    # grouped is finite (checked where the morphism was built), so this
+    # decides as np.allclose(rebuilt, grouped, atol=WITNESS_TOL, rtol=0)
+    if not np.all(np.abs(rebuilt - grouped) <= WITNESS_TOL):
         raise EvalError("witness does not recompose to the bound matrix")
 
 
@@ -238,7 +248,7 @@ def trace_witness(
     dw = dd * du
     e_dim = db * dw
     name = np.eye(dw).reshape(dw * dw, 1)
-    g = np.kron(np.eye(db), name)  # B -> (B x D x U) x (D x U)
+    g = kron(np.eye(db), name)  # B -> (B x D x U) x (D x U)
     six = mat.reshape(dc, dd, du, da, du, db)
     h = six.transpose(0, 3, 4, 5, 1, 2).reshape(dc, da * du * e_dim)
     return g, h, e_dim
@@ -252,6 +262,6 @@ def rotate_witness(
     rot = np.asarray(rot, dtype=float)
     if rot.shape != (e_dim, e_dim):
         raise EvalError("rotation must act on the middle space")
-    g2 = np.kron(rot, np.eye(dd * du)) @ g
-    h2 = h @ np.kron(np.eye(da * du), np.linalg.inv(rot))
+    g2 = kron(rot, np.eye(dd * du)) @ g
+    h2 = h @ kron(np.eye(da * du), np.linalg.inv(rot))
     return g2, h2

@@ -115,7 +115,7 @@ class MetricModel(DimensionModel):
     def trace(self, m: MetricMorphism, loop, corners, tol=None) -> MetricMorphism:
         a, b, c, d = corners
         n_a, n_c, n_d, k = len(a), len(c), len(d), len(loop)
-        tol = DEFAULT_TOL if tol is None else tol
+        tol = _positive(DEFAULT_TOL if tol is None else tol)
         in_dims = m.in_dims[:n_a] + m.in_dims[n_a + k :]
         out_dims = m.out_dims[: n_c + n_d]
         loop_dims = m.in_dims[n_a : n_a + k]
@@ -158,6 +158,13 @@ class MetricModel(DimensionModel):
             dev = np.max(np.abs(y1 - y2) / (1.0 + np.abs(y1)))
             worst = max(worst, float(dev))
         return worst <= tol, worst
+
+
+def _positive(tol: float) -> float:
+    """``tol`` if it is above zero; zero, a negative or NaN raises."""
+    if not tol > 0:
+        raise EvalError(f"tolerance must be positive, not {tol}")
+    return tol
 
 
 def _same_batch(xs):
@@ -211,9 +218,7 @@ def _iterate(m, a_blocks, b_blocks, n_a, k, n_cd, c_loop, tol):
         return m.fn(list(a_blocks) + list(cur) + list(b_blocks))
 
     def dist(xs, ys):
-        return max(
-            (float(np.max(np.abs(x - y))) for x, y in zip(xs, ys)), default=0.0
-        )
+        return max((float(np.abs(x - y).max()) for x, y in zip(xs, ys)), default=0.0)
 
     ys = step(u)
     u1 = ys[n_cd : n_cd + k]
@@ -243,8 +248,7 @@ def banach_rec(f: MetricMorphism, x: Sequence, tol: float):
     the U rows.  Returns (fixpoint blocks, iteration count); the residual
     satisfies d(y, f(x,y)) <= tol*(1-c) within the a-priori step bound.
     """
-    if tol <= 0:
-        raise EvalError("tolerance must be positive")
+    _positive(tol)
     k = len(f.out_dims)
     n_a = len(f.in_dims) - k
     if n_a < 0 or f.in_dims[n_a:] != f.out_dims:
@@ -270,6 +274,7 @@ def metric_trace(
     layout (A, U, B) -> (C, D, U), evaluated at one point.
 
     Returns (c_blocks, d_blocks)."""
+    _positive(tol)
     n_cd = len(m.out_dims) - n_u
     c_loop = _loop_contraction(m.lip, n_a, n_u, n_cd)
     if c_loop >= 1.0:

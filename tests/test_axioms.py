@@ -4,10 +4,14 @@ import pytest
 
 import gtc.axioms
 from gtc.axioms import AXIOMS, check_axiom, gen_axiom_instances, run_axiom_suite
+from gtc.expressions import Box, Id, fold
 from gtc.guardedness import check_annotated
-from gtc.models import MODEL_NAMES, MODELS, EvalError
+from gtc.models import MODEL_NAMES, MODELS, EvalError, ToposOfTreesModel
 from gtc.signatures import mk_split
 from gtc.laws import (
+    _tot_guarded,
+    _tot_rec,
+    all_stage_objects,
     finset_conway_suite,
     flat_transfer_suite,
     law_implication_report,
@@ -72,6 +76,75 @@ def test_failed_guardedness_check_raises_in_every_model():
     for model in MODEL_NAMES:
         with pytest.raises(EvalError, match="lhs fails its guardedness check"):
             check_axiom(bad, model, seed=0)
+
+
+def _box_names(e) -> set[str]:
+    names = set()
+
+    def leaf(x):
+        if isinstance(x, Box):
+            names.add(x.sig.name)
+
+    fold(e, leaf, lambda *_: None, lambda *_: None, lambda *_: None)
+    return names
+
+
+def _count_validations(monkeypatch, model_name: str) -> list[str]:
+    """The box names the model's ``validate_box`` is called with, from now on."""
+    cls, calls = MODELS[model_name], []
+    original = cls.validate_box
+
+    def counted(self, sig, m):
+        calls.append(sig.name)
+        return original(self, sig, m)
+
+    monkeypatch.setattr(cls, "validate_box", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model_name", MODEL_NAMES)
+def test_check_axiom_validates_each_bound_box_once(monkeypatch, model_name):
+    calls = _count_validations(monkeypatch, model_name)
+    checks = 0
+    for axiom in AXIOMS:
+        for inst in gen_axiom_instances(axiom, seed=1, count=10):
+            calls.clear()
+            assert check_axiom(inst, model_name, seed=1)["verdict"] == "pass"
+            assert sorted(calls) == sorted(_box_names(inst.lhs) | _box_names(inst.rhs))
+            checks += 1
+    assert checks == 10 * len(AXIOMS)
+
+
+@pytest.mark.parametrize("model_name", MODEL_NAMES)
+def test_a_bad_binding_only_on_the_right_side_is_still_reported(monkeypatch, model_name):
+    inst = gen_axiom_instances("sliding1", seed=1, count=1)[0]
+    bad = sorted(_box_names(inst.rhs))[0]
+    cls = MODELS[model_name]
+    original = cls.validate_box
+
+    def rejecting(self, sig, m):
+        if sig.name == bad:
+            raise EvalError(f"binding for {bad!r} rejected")
+        return original(self, sig, m)
+
+    monkeypatch.setattr(cls, "validate_box", rejecting)
+    message = f"sliding1[0] in {model_name}: binding for {bad!r} rejected"
+    rhs_only = dataclasses.replace(inst, lhs=Id(inst.lhs.dom))
+    assert bad not in _box_names(rhs_only.lhs)
+    for instance in (inst, rhs_only):
+        with pytest.raises(EvalError) as exc:
+            check_axiom(instance, model_name, seed=1)
+        assert str(exc.value) == message
+
+
+def test_tot_rec_with_shared_duplications_matches_fresh_ones():
+    model, dups = ToposOfTreesModel({}), {}
+    shapes = all_stage_objects(3, 2)
+    family = [f for xo in shapes for yo in shapes for f in _tot_guarded((yo,), xo)]
+    for f in family:
+        assert _tot_rec(model, f, dups) == _tot_rec(model, f, {})
+    assert len(family) == 190
+    assert len(dups) == len(shapes)  # one duplication per loop carrier
 
 
 def _assert_laws(suite, **instances):

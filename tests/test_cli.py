@@ -165,6 +165,28 @@ def test_eval_banach_closed_form(tmp_path, capsys):
     assert abs(out["blocks"][0][0] - 3.0) < 1e-9
 
 
+@pytest.mark.parametrize("with_inputs", [True, False], ids=["inputs", "no-inputs"])
+@pytest.mark.parametrize(
+    "tol, shown", [("nan", "nan"), ("0", "0.0"), ("-1", "-1.0")], ids=["nan", "zero", "negative"]
+)
+def test_eval_tolerance_that_is_not_positive_exit_2(tmp_path, capsys, tol, shown, with_inputs):
+    src = tmp_path / "m.gtc"
+    src.write_text("box avg2 : A*U | I -> U | U\nlet fix = tr[U: A|I -> U|I]{ avg2 }\n")
+    bind = tmp_path / "b.json"
+    bind.write_text(json.dumps({
+        "model": "metric",
+        "objects": {"A": 1, "U": 1},
+        "boxes": {"avg2": {"weight": [[0.5, 0.5], [0.9, 0.5]], "offset": [0.0, 0.0]}},
+    }))
+    inputs = tmp_path / "in.json"
+    inputs.write_text('{"blocks": [[1.0]]}')
+    argv = ["eval", str(src), "--name", "fix", "--model", "metric", "--bindings", str(bind)]
+    argv += ["--inputs", str(inputs)] if with_inputs else []
+    assert main([*argv, f"--tol={tol}"]) == 2
+    assert _error_line(capsys) == f"error: --tol must be positive, not {shown}"
+    assert main([*argv, "--tol=1e-9"]) == 0
+
+
 def test_eval_identity_finset(tmp_path, capsys):
     src = tmp_path / "f.gtc"
     src.write_text("box p : I | A -> A | I\nlet idA = id[A]\n")

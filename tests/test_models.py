@@ -36,7 +36,10 @@ from gtc.models import (
     rec_to_grec,
 )
 from gtc.models.hilbert import (
+    WITNESS_TOL,
+    check_witness,
     corner_perms,
+    kron,
     kron_perm,
     perm_index,
     rotate_witness,
@@ -194,6 +197,20 @@ def test_banach_wrong_factor_reported():
     f = MetricMorphism((1,), (1,), lambda xs: [2.0 * xs[0] + 1.0], np.array([[0.9]]))
     with pytest.raises(EvalError):
         banach_rec(f, [], 1e-10)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_metric_feedback_rejects_a_tolerance_that_is_not_positive(tol):
+    f = affine([1, 1], [1], np.array([[0.5, 0.5]]), np.zeros(1))
+    message = f"tolerance must be positive, not {tol}"
+    with pytest.raises(EvalError, match=message):
+        banach_rec(f, [np.array([1.0])], tol)
+    body = affine([1, 1], [1, 1], np.array([[0.5, 0.5], [0.5, 0.5]]), np.zeros(2))
+    with pytest.raises(EvalError, match=message):
+        metric_trace(body, 1, 1, 1, [np.array([1.0])], [], tol)
+    a, u = obj("A"), obj("U")
+    with pytest.raises(EvalError, match=message):
+        MetricModel({"A": 1, "U": 1}).trace(body, u, (a, UNIT, a, UNIT), tol)
 
 
 def test_metric_trace_no_loop_is_plain_evaluation():
@@ -400,6 +417,40 @@ def test_dagger_commutes_with_trace():
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
+def test_kron_equals_numpy_kron_bit_for_bit():
+    rng = np.random.default_rng(36)
+    for m, n, p, q in product(range(1, 5), repeat=4):
+        a, b = rng.normal(size=(m, n)), rng.normal(size=(p, q))
+        for x, y in ((a, b), (a, np.eye(p)), (np.eye(m), b)):
+            ours, theirs = kron(x, y), np.kron(x, y)
+            assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+
+
+def test_witness_check_agrees_with_allclose_around_the_tolerance():
+    # U | I -> I | U groups as A = U, B = I, C = I, D = U: the matrix is
+    # its own grouped form
+    split = parse_box_decl("box b : U | I -> I | U").split
+    rng = np.random.default_rng(37)
+    verdicts = set()
+    for scale in (1e-3, 1.0, 1e3):
+        g, h = rng.normal(size=(4, 1)), scale * rng.normal(size=(1, 4))
+        rebuilt = np.kron(h, np.eye(2)) @ np.kron(np.eye(2), g)
+        for factor in (0.5, 0.999, 1.001, 2.0):
+            for sign in (1.0, -1.0):
+                mat = rebuilt.copy()
+                mat[1, 0] += sign * factor * WITNESS_TOL
+                m = HilbertMorphism((2,), (2,), mat, {"e_dim": 2, "g": g, "h": h})
+                want = np.allclose(rebuilt, mat, atol=WITNESS_TOL, rtol=0)
+                try:
+                    check_witness(m, split)
+                    got = True
+                except EvalError:
+                    got = False
+                assert got == want, (scale, factor, sign)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_hilbert_box_requires_witness():
     sig = parse_box_decl("box b : U | I -> I | U")
     model = HilbertModel({"U": 2})
@@ -453,6 +504,20 @@ def test_one_point_carrier_forces_everything():
     assert rec2(f, b, tx) == {"b": "only"}
     g = {("b", bot): "only", ("b", "only"): "only"}
     assert grec(g, b, x) == {"b": "only"}
+
+
+def test_grec_rejects_a_witness_with_a_missing_or_an_extra_key():
+    grec = rec_to_grec(lfp_rec)
+    x, b = flat(["p", "q"]), flat(["b"])
+    tx, bot = lift(x)
+    g = {("b", z): "q" for z in tx.elements}
+    assert grec(g, b, x) == {"b": "q"}
+    missing = {k: v for k, v in g.items() if k != ("b", bot)}
+    extra = {**g, ("c", "p"): "p"}
+    for bad in (missing, extra):
+        with pytest.raises(EvalError, match="witness table does not cover Y x TX"):
+            grec(bad, b, x)
+    assert grec(g, b, x) == {"b": "q"}
 
 
 def test_lfp_needs_pointed_carrier():
