@@ -31,7 +31,8 @@ while True:
     if loop_wires(diagram):
         break
 
-print(f"diagram: {len(diagram.boxes)} boxes, {len(diagram.wires)} wires,")
+# every port carries one wire end, so the index counts the wires
+print(f"diagram: {len(diagram.boxes)} boxes, {diagram.index.n_ports // 2} wires,")
 print(f"         {len(loop_wires(diagram))} wires on loops")
 u_set, v_set = compute_uv(diagram, claim)
 print("boxes with unguarded paths to promised outputs (U):", sorted(u_set))

@@ -257,8 +257,10 @@ def _suite_arg_error(args) -> str | None:
 
 def _tol_error(tol: float) -> str | None:
     """What is wrong with a ``--tol`` value, if anything: NaN, zero and
-    negatives are not tolerances."""
-    return None if tol > 0 else f"--tol must be positive, not {tol}"
+    negatives are not tolerances, and infinity bounds no answer."""
+    if not tol > 0:
+        return f"--tol must be positive, not {tol}"
+    return None if np.isfinite(tol) else f"--tol must be finite, not {tol}"
 
 
 def _oracle_block(seed: int, n_expr: int = 100) -> dict:

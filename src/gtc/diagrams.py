@@ -1,7 +1,10 @@
 """Port-graph diagrams and elaboration of expressions into them.
 
 A diagram is a list of box instances plus a set of directed wires between
-ports.  Ports are small tuples:
+ports.  Ports are numbered, and the numbers are what a diagram stores:
+its ``DiagramIndex`` gives every port an integer id and holds each id's
+wire partner.  Port tuples are the view that JSON, DOT and witnesses
+show:
 
     ("din", i)        i-th diagram input
     ("dout", j)       j-th diagram output
@@ -12,6 +15,11 @@ Wires run from a source port (``din`` or ``bout``) to a target port
 (``dout`` or ``bin``); every port carries exactly one wire end.  Each wire
 carries a single atom, so tensor-typed connections appear as parallel
 wires.  Cycles are allowed.
+
+Data is checked once, where it enters: ``Diagram(...)`` and
+``import_json`` number each wire end with every check, while
+``elaborate``, ``with_claim`` and synthesis build their output's ids
+directly, since it is well-formed by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import itertools
 import json
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 
 from .expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, Trace
@@ -33,18 +41,70 @@ class DiagramError(ValueError):
     """Ill-formed diagram data."""
 
 
-@dataclass(frozen=True)
 class Diagram:
-    """A validated port graph.  Validating it builds ``index``, its
-    ``DiagramIndex``: an attribute, not a field, so ``==`` ignores it."""
+    """A validated port graph: box signatures, both boundaries, and
+    ``index``, the ``DiagramIndex`` that numbers the ports and stores the
+    wires.
 
-    boxes: tuple[BoxSig, ...]
-    wires: frozenset[tuple[Port, Port]]
-    boundary_in: tuple[tuple[str, bool], ...]  # (atom, guarded flag)
-    boundary_out: tuple[tuple[str, bool], ...]
+    ``Diagram(boxes, wires, boundary_in, boundary_out)`` takes the wires
+    as port-tuple pairs and checks them.  ``wires`` is a frozenset view
+    built on first read; a frozenset given to the constructor is kept as
+    that view.  ``==`` and ``hash`` compare the boxes, both boundaries
+    and each port's wire partner, which is to compare the wire sets.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", DiagramIndex(self))
+    def __init__(
+        self,
+        boxes: tuple[BoxSig, ...],
+        wires: frozenset[tuple[Port, Port]],
+        boundary_in: tuple[tuple[str, bool], ...],  # (atom, guarded flag)
+        boundary_out: tuple[tuple[str, bool], ...],
+    ) -> None:
+        index = DiagramIndex.checked(boxes, wires, boundary_in, boundary_out)
+        self.__dict__.update(
+            boxes=boxes, boundary_in=boundary_in, boundary_out=boundary_out, index=index
+        )
+        if type(wires) is frozenset:
+            self.__dict__["wires"] = wires
+
+    @classmethod
+    def _of(cls, boxes, boundary_in, boundary_out, index: DiagramIndex) -> Diagram:
+        """A diagram over ``index``, which a trusted producer built."""
+        d = object.__new__(cls)
+        d.__dict__.update(
+            boxes=boxes, boundary_in=boundary_in, boundary_out=boundary_out, index=index
+        )
+        return d
+
+    @cached_property
+    def wires(self) -> frozenset[tuple[Port, Port]]:
+        """The wires as port-tuple pairs, read off the ids."""
+        ix, ports = self.index, self.index.ports
+        return frozenset((ports[s], ports[ix.peer[s]]) for s in ix.sources)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.boxes == other.boxes
+            and self.boundary_in == other.boundary_in
+            and self.boundary_out == other.boundary_out
+            and self.index.peer == other.index.peer
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.boxes, self.boundary_in, self.boundary_out, tuple(self.index.peer)))
+
+    def __repr__(self) -> str:
+        return (
+            f"Diagram(boxes={self.boxes!r}, wires={self.wires!r}, "
+            f"boundary_in={self.boundary_in!r}, boundary_out={self.boundary_out!r})"
+        )
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     def port_atom(self, p: Port) -> str:
         if p[0] == "din":
@@ -75,7 +135,7 @@ class Diagram:
         )
 
     def with_claim(self, claim: Split) -> "Diagram":
-        """Same graph, boundary decorations replaced by ``claim``."""
+        """Same graph, and same index, boundary decorations replaced by ``claim``."""
         check_fits(claim, len(self.boundary_in), len(self.boundary_out))
         bi = tuple(
             (a, i not in claim.unguarded_in) for i, (a, _) in enumerate(self.boundary_in)
@@ -83,7 +143,7 @@ class Diagram:
         bo = tuple(
             (a, j in claim.guarded_out) for j, (a, _) in enumerate(self.boundary_out)
         )
-        return Diagram(self.boxes, self.wires, bi, bo)
+        return Diagram._of(self.boxes, bi, bo, self.index)
 
 
 def check_fits(claim: Split, n_in: int, n_out: int) -> None:
@@ -132,62 +192,87 @@ def tarjan(adj: list) -> tuple[list[int], list[int]]:
 
 
 class DiagramIndex:
-    """The port graphs of one diagram and the answers read off them, built
-    by its validation (``Diagram.index``); it refers to no ``Diagram``.
+    """The port graphs of one diagram and the answers read off them
+    (``Diagram.index``); it refers to no ``Diagram``.  Its ids are how a
+    diagram stores its wires, and ``ports`` is their port-tuple view.
 
-    Ports get integer ids in ``Diagram.all_ports`` order, box ``b``'s from
-    ``base[b]`` on; ``src`` and ``dst`` hold the wire ends' ids in ``wires``
-    order.  Every wire joins equal atoms, so a boundary atom wired to a box
-    is a word's; one wired to the boundary is checked as a word.  The full
-    graph has an edge for every wire and box passage, the unguarded graph
-    drops the guarded passages.  A port has one wire out at most and
-    passages keep output-gate order, so searches are deterministic.
+    Ports get integer ids in ``Diagram.all_ports`` order: the inputs, the
+    outputs, then box ``b``'s input and output gates from ``base[b]`` on.
+    ``peer[v]`` is the id at the other end of port ``v``'s wire.  The
+    constructor trusts its arguments; ``checked`` builds them from wires
+    given as port tuples.  Every wire joins equal atoms, so a boundary
+    atom wired to a box is a word's; one wired to the boundary is checked
+    as a word.  The full graph has an edge for every wire and box passage,
+    the unguarded graph drops the guarded passages.  A port has one wire
+    out at most and passages keep output-gate order, so searches are
+    deterministic.
     """
 
-    def __init__(self, d: Diagram) -> None:
-        boxes, bi, bo, as_int = d.boxes, d.boundary_in, d.boundary_out, operator.index
-        self.boxes, self.wires, self.n_in, self.n_out = boxes, d.wires, len(bi), len(bo)
-        *self.base, n = itertools.accumulate(
-            (sig.split.n_in + sig.split.n_out for sig in boxes), initial=len(bi) + len(bo)
-        )
-        base, seen, self.n_ports, self.src, self.dst = self.base, bytearray(n), n, [], []
+    def __init__(self, boxes: tuple, n_in: int, n_out: int, base: list[int], peer: list[int]):
+        self.boxes, self.n_in, self.n_out, self.base, self.peer = boxes, n_in, n_out, base, peer
+        self.n_ports = len(peer)
 
-        def number(p: Port, ids: list[int]) -> str:
-            """Give wire end ``p`` its id, once; its atom."""
-            atom = None
+    @classmethod
+    def checked(cls, boxes, wires, bi, bo) -> DiagramIndex:
+        """The index of ``wires``, pairs of ports given as tuples (or as
+        lists read from JSON), with every end checked and numbered once.
+        A wire met again is skipped, as a set holds it once."""
+        n_in, as_int = len(bi), operator.index
+        *base, n = itertools.accumulate(
+            (sig.split.n_in + sig.split.n_out for sig in boxes), initial=n_in + len(bo)
+        )
+        peer = [-1] * n
+        # per box, the first id of its inputs and of its outputs, and their atoms
+        sides = {
+            "bin": (base, [sig.inputs.factors for sig in boxes]),
+            "bout": (
+                [v + sig.split.n_in for v, sig in zip(base, boxes)],
+                [sig.outputs.factors for sig in boxes],
+            ),
+        }
+
+        def locate(p: Port) -> tuple[int | None, str | None]:
+            """Wire end ``p``'s id and atom; no atom if ``p`` is no port."""
             try:
-                at = as_int(p[1])
-                if p[0] in ("din", "dout"):
-                    side, v = (bi, at) if p[0] == "din" else (bo, len(bi) + at)
-                    atom = side[at][0] if len(p) == 2 and 0 <= at < len(side) else None
-                elif len(p) == 3 and 0 <= at < len(boxes):
-                    k, sig = as_int(p[2]), boxes[at]
-                    gates = (sig.inputs if p[0] == "bin" else sig.outputs).factors
-                    v = base[at] + k + (0 if p[0] == "bin" else sig.split.n_in)
-                    atom = gates[k] if 0 <= k < len(gates) else None
+                kind, at = p[0], as_int(p[1])
+                if kind in sides:
+                    (firsts, words), k = sides[kind], as_int(p[2])
+                    if len(p) == 3 and 0 <= at < len(words) and 0 <= k < len(words[at]):
+                        return firsts[at] + k, words[at][k]
+                elif len(p) == 2:
+                    side, v = (bi, at) if kind == "din" else (bo, n_in + at)
+                    if 0 <= at < len(side):
+                        return v, side[at][0]
             except (IndexError, TypeError):
                 pass
-            if atom is None:
-                raise DiagramError(f"wire end {p} is not a port of the diagram")
-            if seen[v]:
-                raise DiagramError(f"port {p} carries more than one wire")
-            seen[v] = 1
-            ids.append(v)
-            return atom
+            return None, None
 
-        for s, t in d.wires:
+        for s, t in wires:
             if s[0] not in ("din", "bout") or t[0] not in ("dout", "bin"):
-                raise DiagramError(f"wire {s} -> {t} has bad orientation")
-            a, b = number(s, self.src), number(t, self.dst)
+                raise DiagramError(f"wire {_shown(s)} -> {_shown(t)} has bad orientation")
+            (v, a), (w, b) = locate(s), locate(t)
+            if a is None:
+                raise DiagramError(f"wire end {_shown(s)} is not a port of the diagram")
+            if peer[v] >= 0:
+                if peer[v] == w:  # the same wire again
+                    continue
+                raise DiagramError(f"port {_shown(s)} carries more than one wire")
+            if b is None:
+                raise DiagramError(f"wire end {_shown(t)} is not a port of the diagram")
+            if peer[w] >= 0:
+                raise DiagramError(f"port {_shown(t)} carries more than one wire")
+            peer[v], peer[w] = w, v
             if a != b:
-                raise DiagramError(f"wire {s} -> {t} joins atoms {a} and {b}")
+                raise DiagramError(f"wire {_shown(s)} -> {_shown(t)} joins atoms {a} and {b}")
             if s[0] == "din" and t[0] == "dout":  # no box word has checked the atom
                 try:
                     ObjectExpr((a,))
                 except ValueError as exc:  # a bad atom name
                     raise DiagramError(str(exc)) from None
-        if 2 * len(self.src) < n:  # each wire numbered two ports
-            raise DiagramError(f"port {self.ports[seen.index(0)]} is not wired")
+        index = cls(boxes, n_in, len(bo), base, peer)
+        if -1 in peer:  # a port that no wire reached
+            raise DiagramError(f"port {index.ports[peer.index(-1)]} is not wired")
+        return index
 
     def gates(self, b: int) -> tuple[range, range]:
         """The ids of box ``b``'s input gates and of its output gates."""
@@ -195,11 +280,19 @@ class DiagramIndex:
         return range(v, v + split.n_in), range(v + split.n_in, v + split.n_in + split.n_out)
 
     @cached_property
+    def sources(self) -> list[int]:
+        """The wires' source ids: box outputs by box and gate, then the
+        diagram inputs, which is the order of ``sorted(Diagram.wires)``."""
+        out: list[int] = []
+        for v, sig in zip(self.base, self.boxes):
+            out += range(v + sig.split.n_in, v + sig.split.n_in + sig.split.n_out)
+        return out + list(range(self.n_in))
+
+    @cached_property
     def full(self) -> list:
         """Successor ids per port: its wire's target, or its box's outputs."""
-        succ: list = [()] * self.n_ports
-        for s, t in zip(self.src, self.dst):
-            succ[s] = (t,)
+        succ: list = [(w,) for w in self.peer]  # right for the sources
+        succ[self.n_in : self.n_in + self.n_out] = [()] * self.n_out
         for ins, outs in map(self.gates, range(len(self.boxes))):
             succ[ins.start : ins.stop] = [outs] * len(ins)
         return succ
@@ -217,7 +310,7 @@ class DiagramIndex:
 
     @cached_property
     def ports(self) -> list[Port]:
-        """Each id's port tuple."""
+        """Each id's port tuple, the view of the ids."""
         out: list[Port] = [("din", i) for i in range(self.n_in)]
         out += [("dout", j) for j in range(self.n_out)]
         for b, sig in enumerate(self.boxes):
@@ -269,6 +362,11 @@ class DiagramIndex:
         return self.reach_out[: self.n_in]
 
 
+def _shown(p) -> Port:
+    """Port ``p`` as an error text shows it: a JSON list as a tuple."""
+    return tuple(p) if type(p) is list else p
+
+
 # --- elaboration ------------------------------------------------------------
 
 
@@ -281,28 +379,34 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
     trace closes a wire that passes through no box at all, since such a
     loop has no ports to hang on to.
 
-    One top-down walk with an explicit stack hands each node the ports
-    that drive its inputs and takes back those that drive its outputs
-    (``fold`` is bottom-up, so it cannot hand a node its input drivers).
-    A trace feeds its body one placeholder, an int, per loop wire and
-    binds it to the body's loop output; the walk then resolves every
-    placeholder once, so nested traces cost one step per level.
+    One top-down walk with an explicit stack hands each node the ids of
+    the ports that drive its inputs and takes back those that drive its
+    outputs (``fold`` is bottom-up, so it cannot hand a node its input
+    drivers).  A box input holds its driver in ``peer`` until the end.  A
+    trace feeds its body one placeholder, a negative int, per loop wire
+    and binds it to the body's loop output; the walk then resolves every
+    placeholder once, so nested traces cost one step per level.  The
+    ids go straight into the index: nothing is checked again.
     """
+    n_in, n_out = len(e.dom), len(e.cod)
     boxes: list[BoxSig] = []
-    wires: list[tuple] = []  # (driver, consumer), the driver may be a placeholder
-    bound: list = []  # per placeholder, the driver bound to it
+    base: list[int] = []
+    peer: list[int] = [-1] * (n_in + n_out)  # a target's driver, until its wire's source
+    bound: list = []  # per placeholder ~p, the driver bound to it
     outs: list = []  # per node walked and not yet consumed, its output drivers
-    todo: list = [(e, [("din", i) for i in range(len(e.dom))])]
+    todo: list = [(e, list(range(n_in)))]
     while todo:
         x, ins = todo.pop()
         if ins is None:  # the second half of a ';' takes the first half's outputs
             ins = outs.pop()
         t = type(x)
         if t is Box:
-            b = len(boxes)
+            v = len(peer)
             boxes.append(x.sig)
-            wires += zip(ins, [("bin", b, k) for k in range(len(ins))])
-            outs.append([("bout", b, k) for k in range(len(x.cod))])
+            base.append(v)
+            peer += ins
+            peer += [-1] * x.sig.split.n_out
+            outs.append(list(range(v + len(ins), len(peer))))
         elif t is Comp:
             todo += ((x.second, None), (x.first, ins))
         elif t is Tensor:
@@ -314,7 +418,7 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
             outs.append(ins[len(x.left) :] + ins[: len(x.left)])
         elif t is Trace:
             a_len, p = len(x.corners[0]), len(bound)
-            loop = list(range(p, p + len(x.loop)))
+            loop = [~q for q in range(p, p + len(x.loop))]
             bound += loop
             todo += ((_BIND, loop), (x.body, ins[:a_len] + loop + ins[a_len:]))
         elif x is _JOIN:
@@ -323,16 +427,15 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
         else:  # _BIND: the body's trailing outputs drive its loop placeholders
             body, k = outs[-1], len(ins)  # k may be 0: a trace over I
             for p, d in zip(ins, body[len(body) - k :]):
-                bound[p] = d
+                bound[~p] = d
             outs[-1] = body[: len(body) - k]
-    top_outs = outs.pop()
-    wires += zip(top_outs, [("dout", j) for j in range(len(top_outs))])
+    peer[n_in : n_in + n_out] = outs.pop()
 
     for start in range(len(bound)):  # each placeholder is followed once
         chain, p = [], start
-        while type(bound[p]) is int:
+        while bound[p] is not None and bound[p] < 0:
             chain.append(p)
-            bound[p], p = None, bound[p]  # None: on the chain being followed
+            bound[p], p = None, ~bound[p]  # None: on the chain being followed
         if bound[p] is None:
             raise DiagramError(
                 "trace closes a wire through no box; the resulting bare loop "
@@ -341,14 +444,20 @@ def elaborate(e: MorphExpr, claim: Split | None = None) -> Diagram:
         for q in chain:
             bound[q] = bound[p]
 
-    n_in, n_out = len(e.dom), len(top_outs)
     if claim is None:
         claim = corner_split(n_in, n_out, n_in, n_out)
     check_fits(claim, n_in, n_out)
     bi = tuple((e.dom[i], i not in claim.unguarded_in) for i in range(n_in))
     bo = tuple((e.cod[j], j in claim.guarded_out) for j in range(n_out))
-    wires = frozenset((bound[s] if type(s) is int else s, t) for s, t in wires)
-    return Diagram(tuple(boxes), wires, bi, bo)
+    boxes = tuple(boxes)
+    targets = [range(n_in, n_in + n_out)]
+    targets += (range(v, v + sig.split.n_in) for v, sig in zip(base, boxes))
+    for t in itertools.chain.from_iterable(targets):
+        s = peer[t]
+        if s < 0:
+            s = peer[t] = bound[~s]
+        peer[s] = t
+    return Diagram._of(boxes, bi, bo, DiagramIndex(boxes, n_in, n_out, base, peer))
 
 
 _JOIN, _BIND = "join", "bind"  # work items that finish a tensor and a trace
@@ -405,10 +514,8 @@ def diagram_iso(d1: Diagram, d2: Diagram) -> bool:
 def _nodes(d: Diagram) -> tuple[list[int], list[int], tuple]:
     """Node ``k`` (0 the boundary, ``b + 1`` box ``b``) has signature ``sigs[k]``
     and the ids from ``cuts[k]`` below ``cuts[k + 1]``; ``peer[v]`` is id ``v``'s wire partner."""
-    peer = [0] * d.index.n_ports
-    for s, t in zip(d.index.src, d.index.dst):
-        peer[s], peer[t] = t, s
-    return [0, *d.index.base, d.index.n_ports], peer, ((d.boundary_in, d.boundary_out), *d.boxes)
+    ix = d.index
+    return [0, *ix.base, ix.n_ports], ix.peer, ((d.boundary_in, d.boundary_out), *d.boxes)
 
 
 # --- reversal ---------------------------------------------------------------
@@ -438,14 +545,20 @@ def reverse_diagram(d: Diagram) -> Diagram:
 # --- serialization ----------------------------------------------------------
 
 
-def _sig_to_json(sig: BoxSig) -> dict:
-    return {
-        "name": sig.name,
-        "inputs": str(sig.inputs),
-        "outputs": str(sig.outputs),
-        "unguarded_in": sorted(sig.split.unguarded_in),
-        "guarded_out": sorted(sig.split.guarded_out),
-    }
+def _box_json(b: int, sig: BoxSig, shapes: dict) -> str:
+    """Box ``b``'s JSON; ``shapes``, one per export, maps each box shape
+    to the text of its signature's fields after the name."""
+    key = sig.inputs, sig.outputs, sig.split
+    shape = shapes.get(key)
+    if shape is None:
+        shape = shapes[key] = json.dumps({
+            "inputs": str(sig.inputs),
+            "outputs": str(sig.outputs),
+            "unguarded_in": sorted(sig.split.unguarded_in),
+            "guarded_out": sorted(sig.split.guarded_out),
+        })[1:]
+    # a box name is atom-like, so JSON writes it as it is
+    return f'{{"id": {b}, "sig": {{"name": "{sig.name}", {shape}}}'
 
 
 def _typed(v, typ: type, what: str):
@@ -493,26 +606,38 @@ def _sig_from_json(d: dict, shapes: dict) -> BoxSig:
     return BoxSig(name, inputs, outputs, split)
 
 
-def _port_from_json(v: list) -> Port:
+def _check_port(v: list) -> None:
+    """Raise unless JSON port ``v``'s kind and indices are well typed;
+    drop any items past them."""
     kind = v[0]
     if kind in ("bin", "bout") and type(v[1]) is int is type(v[2]):
-        return kind, v[1], v[2]
-    if kind in ("din", "dout"):
-        return (kind, _typed(v[1], int, "port index"))
-    if kind in ("bin", "bout"):
-        return (kind, _typed(v[1], int, "port index"), _typed(v[2], int, "port index"))
-    raise DiagramError(f"bad port {v!r}")
+        del v[3:]
+    elif kind in ("din", "dout"):
+        _typed(v[1], int, "port index")
+        del v[2:]
+    elif kind in ("bin", "bout"):  # an index is no int
+        _typed(v[1], int, "port index")
+        _typed(v[2], int, "port index")
+    else:
+        raise DiagramError(f"bad port {v!r}")
 
 
 def export_json(d: Diagram) -> str:
-    """The diagram as one line of JSON (``json.tool`` pretty-prints it)."""
-    payload = {
-        "boxes": [{"id": b, "sig": _sig_to_json(sig)} for b, sig in enumerate(d.boxes)],
-        "wires": sorted([[list(s), list(t)] for s, t in d.wires]),
-        "in": [{"atom": a, "guarded": g} for a, g in d.boundary_in],
-        "out": [{"atom": a, "guarded": g} for a, g in d.boundary_out],
-    }
-    return json.dumps(payload)
+    """The diagram as one line of JSON (``json.tool`` pretty-prints it):
+    the text ``json.dumps`` writes for its payload, with the wires in
+    ``sorted`` order, written from the ids in ``DiagramIndex.sources``
+    order."""
+    ix, shapes = d.index, {}
+    end = [f'["din", {i}]' for i in range(ix.n_in)]  # each id's port, as JSON
+    end += [f'["dout", {j}]' for j in range(ix.n_out)]
+    for b, sig in enumerate(d.boxes):
+        end += [f'["bin", {b}, {k}]' for k in range(sig.split.n_in)]
+        end += [f'["bout", {b}, {k}]' for k in range(sig.split.n_out)]
+    wires = ", ".join(f"[{end[s]}, {end[ix.peer[s]]}]" for s in ix.sources)
+    boxes = ", ".join(_box_json(b, sig, shapes) for b, sig in enumerate(d.boxes))
+    bi = json.dumps([{"atom": a, "guarded": g} for a, g in d.boundary_in])
+    bo = json.dumps([{"atom": a, "guarded": g} for a, g in d.boundary_out])
+    return f'{{"boxes": [{boxes}], "wires": [{wires}], "in": {bi}, "out": {bo}}}'
 
 
 def import_json(text: str) -> Diagram:
@@ -523,9 +648,10 @@ def import_json(text: str) -> Diagram:
             raise DiagramError("box ids must be 0..n-1")
         shapes: dict = {}
         boxes = tuple(_sig_from_json(b["sig"], shapes) for b in boxes_raw)
-        wires = frozenset(
-            (_port_from_json(s), _port_from_json(t)) for s, t in payload["wires"]
-        )
+        wires = payload["wires"]
+        for s, t in wires:
+            _check_port(s)
+            _check_port(t)
         bi = tuple((p["atom"], _typed(p["guarded"], bool, "guarded flag")) for p in payload["in"])
         bo = tuple((p["atom"], _typed(p["guarded"], bool, "guarded flag")) for p in payload["out"])
         for atom, _ in bi + bo:
@@ -567,7 +693,8 @@ def export_dot(d: Diagram) -> str:
             return f"{p[0]}{p[1]}"
         return f"b{p[1]}:{'i' if p[0] == 'bin' else 'o'}{p[2]}"
 
-    for src, dst in sorted(d.wires):
-        lines.append(f"  {dot_ref(src)} -> {dot_ref(dst)};")
+    ports, peer = d.index.ports, d.index.peer
+    for s in d.index.sources:  # the order of sorted(d.wires)
+        lines.append(f"  {dot_ref(ports[s])} -> {dot_ref(ports[peer[s]])};")
     lines.append("}")
     return "\n".join(lines)

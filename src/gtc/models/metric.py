@@ -161,9 +161,12 @@ class MetricModel(DimensionModel):
 
 
 def _positive(tol: float) -> float:
-    """``tol`` if it is above zero; zero, a negative or NaN raises."""
+    """``tol`` if it is above zero and finite; zero, a negative, NaN or
+    infinity raises (an infinite one bounds no answer)."""
     if not tol > 0:
         raise EvalError(f"tolerance must be positive, not {tol}")
+    if not math.isfinite(tol):
+        raise EvalError(f"tolerance must be finite, not {tol}")
     return tol
 
 

@@ -127,8 +127,11 @@ class ObjectExpr(Interned):
                 raise SignatureError(f"bad atom name {a!r}")
         return cls._intern(factors, factors)
 
+    # a product or a slice of checked words needs no atom check
+
     def __mul__(self, other: "ObjectExpr") -> "ObjectExpr":
-        return ObjectExpr(self.factors + other.factors)
+        factors = self.factors + other.factors
+        return ObjectExpr._intern(factors, factors)
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -138,7 +141,7 @@ class ObjectExpr(Interned):
 
     def __getitem__(self, idx):
         got = self.factors[idx]
-        return ObjectExpr(got) if isinstance(idx, slice) else got
+        return ObjectExpr._intern(got, got) if isinstance(idx, slice) else got
 
     def __str__(self) -> str:
         return "*".join(self.factors) if self.factors else "I"
@@ -339,8 +342,21 @@ def mk_split(
 
 def corner_split(n_in: int, n_out: int, a_len: int, c_len: int) -> Split:
     """The canonical split of ``A|B -> C|D`` with ``len(A) == a_len`` and
-    ``len(C) == c_len``: unguarded inputs a prefix, guarded outputs a suffix."""
-    return mk_split(n_in, n_out, range(a_len), range(c_len, n_out))
+    ``len(C) == c_len``: unguarded inputs a prefix, guarded outputs a
+    suffix, so each mask is built with no walk over its gates."""
+    if n_in < 0 or n_out < 0:
+        raise SignatureError(f"negative gate count in {n_in} -> {n_out}")
+    if a_len > n_in:
+        raise SignatureError(f"unguarded inputs {list(range(a_len))} exceed range({n_in})")
+    if a_len < 0 or not 0 <= c_len <= n_out:
+        raise SignatureError(f"corner lengths {a_len}, {c_len} do not fit {n_in} -> {n_out}")
+    ui, uo = (1 << a_len) - 1, (1 << c_len) - 1
+    return Split(
+        unguarded_in=_gate_set(ui),
+        guarded_in=_gate_set(((1 << n_in) - 1) & ~ui),
+        unguarded_out=_gate_set(uo),
+        guarded_out=_gate_set(((1 << n_out) - 1) & ~uo),
+    )
 
 
 def weaken(s: Split, demote_in: Iterable[int] = (), demote_out: Iterable[int] = ()) -> Split:

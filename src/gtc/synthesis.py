@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .diagrams import Diagram, Port, tarjan
+from .diagrams import Diagram, DiagramError, DiagramIndex, Port, tarjan
 from .expressions import Comp, Id, MorphExpr, Sym, Tensor
 from .expressions import Box as BoxNode
 from .expressions import trace as mk_trace
@@ -73,8 +73,8 @@ def loop_wires(d: Diagram) -> list[tuple[Port, Port]]:
     """Wires lying on some directed cycle (box passages included): those
     whose two ends share a strongly connected component."""
     ix = d.index
-    comp = ix.full_sccs[0]
-    return [w for w, s, t in zip(ix.wires, ix.src, ix.dst) if comp[s] == comp[t]]
+    comp, ports, peer = ix.full_sccs[0], ix.ports, ix.peer
+    return [(ports[s], ports[peer[s]]) for s in ix.sources if comp[s] == comp[peer[s]]]
 
 
 def find_cut_wire(
@@ -100,19 +100,12 @@ def cut_wire(
 ) -> tuple[Diagram, Split]:
     """Open one wire into a fresh unguarded input and guarded output,
     appended at the end of the respective boundaries."""
-    src, dst = wire
-    atom = d.port_atom(src)
+    ids = {p: v for v, p in enumerate(d.index.ports)}
+    s, t = (ids.get(p) for p in wire)
+    if s is None or d.index.peer[s] != t:
+        raise DiagramError(f"wire {wire[0]} -> {wire[1]} is not in the diagram")
+    d2 = _opened(d, [(s, t)])
     n_in, n_out = len(d.boundary_in), len(d.boundary_out)
-    wires = (d.wires - {wire}) | {
-        (("din", n_in), dst),
-        (src, ("dout", n_out)),
-    }
-    d2 = Diagram(
-        d.boxes,
-        frozenset(wires),
-        d.boundary_in + ((atom, False),),
-        d.boundary_out + ((atom, True),),
-    )
     claim2 = mk_split(
         n_in + 1,
         n_out + 1,
@@ -198,7 +191,7 @@ def acyclic_to_expr(d: Diagram) -> MorphExpr:
     # longest-path layering of the boxes: the full graph is acyclic, so its
     # components are single ports, closed sinks first
     ix = d.index
-    ports, pred = ix.ports, dict(zip(ix.dst, ix.src))  # target id -> source id
+    ports, pred = ix.ports, ix.peer  # a target id's source id
     layer = [1] * len(d.boxes)
     for v in reversed(ix.full_sccs[1]):
         if ports[v][0] == "bin" and ports[pred[v]][0] == "bout":
@@ -249,23 +242,13 @@ def synthesize(d: Diagram, claim: Split) -> MorphExpr:
     synthesis_preconditions(d, claim)
     if d.index.full_acyclic:
         return acyclic_to_expr(d)
-    ports = d.index.ports
-    cuts = [(ports[s], ports[t]) for s, t in _cuts(d, claim)]
-    atoms = [d.port_atom(s) for s, _ in cuts]
+    cuts = _cuts(d, claim)
+    opened = _opened(d, cuts)
+    expr = acyclic_to_expr(opened)
     n_in, n_out = len(d.boundary_in), len(d.boundary_out)
-    opened = [(("din", n_in + k), t) for k, (_, t) in enumerate(cuts)]
-    opened += [(s, ("dout", n_out + k)) for k, (s, _) in enumerate(cuts)]
-    wires = d.wires.difference(cuts).union(opened)
-    expr = acyclic_to_expr(
-        Diagram(
-            d.boxes,
-            wires,
-            d.boundary_in + tuple((a, False) for a in atoms),
-            d.boundary_out + tuple((a, True) for a in atoms),
-        )
-    )
-    dom = [a for a, _ in d.boundary_in] + atoms
-    cod = [a for a, _ in d.boundary_out] + atoms
+    dom = [a for a, _ in opened.boundary_in]
+    cod = [a for a, _ in opened.boundary_out]
+    atoms = dom[n_in:]
     a_gates, b_gates, c_gates, d_gates = claim.corner_gates()
     for k in reversed(range(len(cuts))):  # the last cut is the innermost trace
         # before cut k, the k earlier cuts' loop inputs and outputs are
@@ -278,6 +261,35 @@ def synthesize(d: Diagram, claim: Split) -> MorphExpr:
         )
         expr = _retrace(dom[: n_in + k], cod[: n_out + k], corners, atoms[k], expr)
     return expr
+
+
+def _opened(d: Diagram, cuts: list[tuple[int, int]]) -> Diagram:
+    """``d`` with cut wire ``k``, ``(s, t)`` by the ids of its ends, opened
+    into a new unguarded input ``n_in + k`` that drives ``t`` and a new
+    guarded output ``n_out + k`` that ``s`` drives.  The new ports move
+    the outputs' ids up by ``len(cuts)`` and the boxes' by twice that,
+    and the targets are re-pointed: nothing is checked again."""
+    ix, k = d.index, len(cuts)
+    n_in, n_out = ix.n_in, ix.n_out
+    m = n_in + n_out
+
+    def move(v: int) -> int:
+        return v if v < n_in else v + k if v < m else v + 2 * k
+
+    peer = [move(w) for w in ix.peer]
+    peer[m:m] = range(k)  # the new outputs, filled below
+    peer[n_in:n_in] = range(k)  # the new inputs
+    for c, (s, t) in enumerate(cuts):
+        s, t, i, j = move(s), move(t), n_in + c, m + k + c
+        peer[i], peer[t], peer[s], peer[j] = t, i, j, s
+    base = [v + 2 * k for v in ix.base]
+    atoms = [d.port_atom(ix.ports[s]) for s, _ in cuts]
+    return Diagram._of(
+        d.boxes,
+        d.boundary_in + tuple((a, False) for a in atoms),
+        d.boundary_out + tuple((a, True) for a in atoms),
+        DiagramIndex(ix.boxes, n_in + k, n_out + k, base, peer),
+    )
 
 
 def _cuts(d: Diagram, claim: Split) -> list[tuple[int, int]]:
@@ -324,15 +336,15 @@ def _cuts(d: Diagram, claim: Split) -> list[tuple[int, int]]:
     for v, c in enumerate(comp):
         cyclic.setdefault(c, []).append(v)
     cyclic = {c: vs for c, vs in cyclic.items() if len(vs) > 1}
-    target = dict(zip(ix.src, ix.dst))
+    peer = ix.peer
     # a loop wire leaves an output gate, and ids follow (box, gate) order
-    candidates = sorted(s for s, t in target.items() if comp[s] == comp[t])
+    candidates = [s for s in ix.sources if comp[s] == comp[peer[s]]]
     cuts: list[tuple[int, int]] = []
     at = 0
     while cyclic:
         while at < len(candidates):
             s = candidates[at]
-            t = target[s]
+            t = peer[s]
             if comp[s] == comp[t] and ports[s][1] not in v_set and ports[t][1] not in u_set:
                 break
             at += 1

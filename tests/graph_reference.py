@@ -11,11 +11,17 @@ replaced.  ``synthesize`` is the synthesis loop that built a new
 ``Diagram`` and claim for every cut, and ``perm_to_expr`` the
 permutation builder that searched the current order for each position.
 ``relabel`` renumbers a diagram's boxes, to give the deciders work.
+``export_json``, ``equal`` and ``number_wires`` are the JSON export,
+the ``==`` and the checked numbering of the design that stored a
+diagram's wires as a frozenset of port tuples, before the ids became
+the storage.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import operator
 from collections import Counter
 from functools import reduce
 
@@ -453,3 +459,88 @@ def perm_to_expr(atoms: list[str], dest: list[int]) -> MorphExpr:
     if not slices:
         return Id(ObjectExpr(tuple(atoms)))
     return reduce(Comp, slices)
+
+
+# --- wires as a frozenset of port tuples -------------------------------------
+
+
+def export_json(d: Diagram) -> str:
+    """The payload built as dicts and lists, its wires sorted as lists."""
+    payload = {
+        "boxes": [
+            {
+                "id": b,
+                "sig": {
+                    "name": sig.name,
+                    "inputs": str(sig.inputs),
+                    "outputs": str(sig.outputs),
+                    "unguarded_in": sorted(sig.split.unguarded_in),
+                    "guarded_out": sorted(sig.split.guarded_out),
+                },
+            }
+            for b, sig in enumerate(d.boxes)
+        ],
+        "wires": sorted([[list(s), list(t)] for s, t in d.wires]),
+        "in": [{"atom": a, "guarded": g} for a, g in d.boundary_in],
+        "out": [{"atom": a, "guarded": g} for a, g in d.boundary_out],
+    }
+    return json.dumps(payload)
+
+
+def equal(d1: Diagram, d2: Diagram) -> bool:
+    """``==`` of the frozen dataclass whose fields were the boxes, the
+    wire frozenset and both boundaries."""
+    return (d1.boxes, d1.wires, d1.boundary_in, d1.boundary_out) == (
+        d2.boxes, d2.wires, d2.boundary_in, d2.boundary_out
+    )
+
+
+def number_wires(boxes, wires, bi, bo) -> tuple[list[int], list[int]]:
+    """The ids of the wires' sources and targets, in ``wires`` order,
+    each end checked and numbered by its own call of ``number``."""
+    as_int = operator.index
+    *base, n = itertools.accumulate(
+        (sig.split.n_in + sig.split.n_out for sig in boxes), initial=len(bi) + len(bo)
+    )
+    seen, src, dst = bytearray(n), [], []
+
+    def number(p: Port, ids: list[int]) -> str:
+        atom = None
+        try:
+            at = as_int(p[1])
+            if p[0] in ("din", "dout"):
+                side, v = (bi, at) if p[0] == "din" else (bo, len(bi) + at)
+                atom = side[at][0] if len(p) == 2 and 0 <= at < len(side) else None
+            elif len(p) == 3 and 0 <= at < len(boxes):
+                k, sig = as_int(p[2]), boxes[at]
+                gates = (sig.inputs if p[0] == "bin" else sig.outputs).factors
+                v = base[at] + k + (0 if p[0] == "bin" else sig.split.n_in)
+                atom = gates[k] if 0 <= k < len(gates) else None
+        except (IndexError, TypeError):
+            pass
+        if atom is None:
+            raise DiagramError(f"wire end {p} is not a port of the diagram")
+        if seen[v]:
+            raise DiagramError(f"port {p} carries more than one wire")
+        seen[v] = 1
+        ids.append(v)
+        return atom
+
+    for s, t in wires:
+        if s[0] not in ("din", "bout") or t[0] not in ("dout", "bin"):
+            raise DiagramError(f"wire {s} -> {t} has bad orientation")
+        a, b = number(s, src), number(t, dst)
+        if a != b:
+            raise DiagramError(f"wire {s} -> {t} joins atoms {a} and {b}")
+        if s[0] == "din" and t[0] == "dout":
+            try:
+                ObjectExpr((a,))
+            except ValueError as exc:
+                raise DiagramError(str(exc)) from None
+    if 2 * len(src) < n:
+        ports = [("din", i) for i in range(len(bi))] + [("dout", j) for j in range(len(bo))]
+        for b, sig in enumerate(boxes):
+            ports += [("bin", b, k) for k in range(len(sig.inputs))]
+            ports += [("bout", b, k) for k in range(len(sig.outputs))]
+        raise DiagramError(f"port {ports[seen.index(0)]} is not wired")
+    return src, dst

@@ -187,6 +187,21 @@ def test_eval_tolerance_that_is_not_positive_exit_2(tmp_path, capsys, tol, shown
     assert main([*argv, "--tol=1e-9"]) == 0
 
 
+@pytest.mark.parametrize("command", ["eval", "suite"])
+def test_infinite_tolerance_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # an infinite tolerance stops the fixpoint iteration after one step,
+    # so the answer would carry no bound; a huge finite one still runs
+    import gtc.axioms
+    import gtc.cli
+
+    monkeypatch.setattr(gtc.cli, "_load_expr", lambda *a: pytest.fail("work was done"))
+    monkeypatch.setattr(gtc.axioms, "run_axiom_suite", lambda **k: pytest.fail("work was done"))
+    argv = ["eval", str(tmp_path / "m.gtc"), "--name", "fix", "--model", "metric",
+            "--bindings", str(tmp_path / "b.json")] if command == "eval" else ["suite"]
+    assert main([*argv, "--tol=inf"]) == 2
+    assert capsys.readouterr().err == "error: --tol must be finite, not inf\n"
+
+
 def test_eval_identity_finset(tmp_path, capsys):
     src = tmp_path / "f.gtc"
     src.write_text("box p : I | A -> A | I\nlet idA = id[A]\n")

@@ -182,3 +182,18 @@ def test_10000_nested_yanking_traces_elaborate_to_one_wire():
     d = elaborate(e)
     assert time.process_time() - start < 1.0
     assert d.boxes == () and d.wires == frozenset({(("din", 0), ("dout", 0))})
+
+
+def test_20000_box_pipeline_through_json_and_back_quickly():
+    # elaborate and import_json hand the index its ids, export_json writes
+    # from them, and == compares them: no step builds the port tuples
+    src = parse_source(DECLS + "let main = " + " ; ".join(["w (*) b"] * 10000) + "\n")
+    e = src.exprs["main"]
+    claim = parse_claim("X*Y | I -> X | Y", e.dom, e.cod)
+    start = time.process_time()
+    d = elaborate(e, claim)
+    back = import_json(export_json(d))
+    assert back == d
+    assert time.process_time() - start < 2.0
+    assert len(back.boxes) == 20000
+    assert not any("ports" in vars(x.index) or "wires" in vars(x) for x in (d, back))

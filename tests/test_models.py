@@ -199,10 +199,18 @@ def test_banach_wrong_factor_reported():
         banach_rec(f, [], 1e-10)
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, -math.inf])
 def test_metric_feedback_rejects_a_tolerance_that_is_not_positive(tol):
+    _rejects_tolerance(tol, f"tolerance must be positive, not {tol}")
+
+
+def test_metric_feedback_rejects_an_infinite_tolerance():
+    # an infinite tolerance would stop the iteration after its first step
+    _rejects_tolerance(math.inf, "tolerance must be finite, not inf")
+
+
+def _rejects_tolerance(tol, message):
     f = affine([1, 1], [1], np.array([[0.5, 0.5]]), np.zeros(1))
-    message = f"tolerance must be positive, not {tol}"
     with pytest.raises(EvalError, match=message):
         banach_rec(f, [np.array([1.0])], tol)
     body = affine([1, 1], [1, 1], np.array([[0.5, 0.5], [0.5, 0.5]]), np.zeros(2))

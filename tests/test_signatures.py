@@ -327,6 +327,45 @@ def test_corner_layout_of_every_small_split():
                         assert corner_split(n_in, n_out, a_len, c_len) == s
 
 
+def test_corner_split_equals_mk_split_of_its_two_ranges():
+    for n_in in range(9):
+        for n_out in range(9):
+            for a_len in range(n_in + 1):
+                for c_len in range(n_out + 1):
+                    want = mk_split(n_in, n_out, range(a_len), range(c_len, n_out))
+                    got = corner_split(n_in, n_out, a_len, c_len)
+                    assert got == want and str(got) == str(want)
+                    assert (got.n_in, got.n_out) == (n_in, n_out)
+                    assert got.unguarded_in_mask == want.unguarded_in_mask
+                    assert got.guarded_out_mask == want.guarded_out_mask
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, 1, 3, 0), "unguarded inputs [0, 1, 2] exceed range(2)"),  # as mk_split says
+        ((2, 1, 0, 3), "corner lengths 0, 3 do not fit 2 -> 1"),
+        ((2, 1, -1, 0), "corner lengths -1, 0 do not fit 2 -> 1"),
+        ((2, 1, 0, -1), "corner lengths 0, -1 do not fit 2 -> 1"),
+        ((-1, 1, 0, 0), "negative gate count in -1 -> 1"),
+    ],
+)
+def test_corner_split_rejects_a_corner_outside_its_side(args, message):
+    with pytest.raises(SignatureError) as info:
+        corner_split(*args)
+    assert str(info.value) == message
+
+
+def test_slices_and_products_of_words_run_no_atom_check(monkeypatch):
+    import gtc.signatures as signatures
+
+    ab, word = obj("A", "B"), obj("Ka", "Kb", "Kc")
+    monkeypatch.setattr(signatures, "_ATOM_RE", None)  # any atom check would fail
+    assert (ab * word).factors == ("A", "B", "Ka", "Kb", "Kc")
+    assert word[1:].factors == ("Kb", "Kc") and word[:0] is UNIT and word[:] is word
+    assert (ab * word)[1:3].factors == ("B", "Ka")
+
+
 def _gates(mask: int) -> list[int]:
     return [g for g in range(mask.bit_length()) if mask >> g & 1]
 

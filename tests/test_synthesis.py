@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import graph_reference as ref
-from gtc.diagrams import Diagram, diagram_iso, elaborate
+from gtc.diagrams import Diagram, DiagramError, diagram_iso, elaborate
 from gtc.expressions import parse_expr, parse_source, print_expr
 from gtc.generators import rand_guarded_diagram
 from gtc.guardedness import check_annotated, unguarded_reach
@@ -100,6 +100,9 @@ def test_cut_wire_surgery():
     assert not loop_wires(d2)
     assert claim2.unguarded_in == frozenset({0, 1})
     assert claim2.guarded_out == frozenset({0, 1})
+    for wire in [(("bout", 0, 0), ("bin", 0, 1)), (("bout", 0, 1), ("bin", 0, 2))]:
+        with pytest.raises(DiagramError, match=r"^wire \('bout', 0, \d\) -> .* is not in the diagram$"):
+            cut_wire(d, wire, claim)
 
 
 def test_cut_diagram_four_path_cases_guarded():
