@@ -7,6 +7,16 @@ expressions wrap a trace around a derivable promise of a trace-free
 core, so they are accepted by construction.  Diagrams are built by
 matching box gates and boundary ports atom by atom, which freely
 produces cycles and bare wires.
+
+The draws are part of the contract: a seed names the same samples on
+every version (``tests/test_generators.py`` pins them), so benchmark
+inputs and sampled tests stay comparable.  Two rules keep the stream
+while skipping numpy's per-call overhead:
+
+* pick an atom as ``atoms[int(rng.integers(0, len(atoms)))]``, the draw
+  ``Generator.choice`` makes, not by ``choice`` itself;
+* draw a split's masks bit by bit, in gate order (``_rand_mask``), and
+  build it with ``Split._of``.
 """
 
 from __future__ import annotations
@@ -24,13 +34,24 @@ ATOMS = ("A", "B", "C", "D")
 
 def rand_word(rng, atoms, lo: int, hi: int) -> ObjectExpr:
     k = int(rng.integers(lo, hi + 1))
-    return ObjectExpr(tuple(str(rng.choice(atoms)) for _ in range(k)))
+    n = len(atoms)
+    return ObjectExpr(tuple(atoms[int(rng.integers(0, n))] for _ in range(k)))
+
+
+def _rand_mask(rng, n: int, p: float) -> int:
+    """A mask of ``n`` gates, each set with probability ``p``: one draw
+    per gate, in gate order."""
+    m = 0
+    for g in range(n):
+        if rng.random() < p:
+            m |= 1 << g
+    return m
 
 
 def rand_split(rng, n_in: int, n_out: int) -> Split:
-    ui = [i for i in range(n_in) if rng.random() < 0.5]
-    go = [j for j in range(n_out) if rng.random() < 0.5]
-    return mk_split(n_in, n_out, ui, go)
+    ui = _rand_mask(rng, n_in, 0.5)
+    go = _rand_mask(rng, n_out, 0.5)
+    return Split._of(n_in, n_out, ui, go)
 
 
 def rand_trace_free_expr(
@@ -187,12 +208,9 @@ def rand_guarded_diagram(
         for s, t in zip([src[int(o)] for o in order], dst):
             wires.add((s, t))
 
-    claim = mk_split(
-        len(boundary_in),
-        len(boundary_out),
-        unguarded_in=[i for i in range(len(boundary_in)) if rng.random() < 0.5],
-        guarded_out=[j for j in range(len(boundary_out)) if rng.random() < 0.4],
-    )
-    bi = tuple((a, i not in claim.unguarded_in) for i, a in enumerate(boundary_in))
-    bo = tuple((a, j in claim.guarded_out) for j, a in enumerate(boundary_out))
+    ui = _rand_mask(rng, len(boundary_in), 0.5)
+    go = _rand_mask(rng, len(boundary_out), 0.4)
+    claim = Split._of(len(boundary_in), len(boundary_out), ui, go)
+    bi = tuple((a, not ui >> i & 1) for i, a in enumerate(boundary_in))
+    bo = tuple((a, go >> j & 1 == 1) for j, a in enumerate(boundary_out))
     return Diagram(tuple(boxes), frozenset(wires), bi, bo), claim

@@ -195,11 +195,11 @@ def _traced_lip(lip, n_a: int, k: int, n_cd: int, c_loop: float) -> np.ndarray:
     keep_in = list(range(n_a)) + list(range(n_a + k, n_in))
     amplify = 1.0 / (1.0 - c_loop) if k else 0.0
     out = np.empty((len(keep_in), n_cd))
+    from_loop = [float(np.sum(lip[n_a : n_a + k, j])) if k else 0.0 for j in range(n_cd)]
     for row, i in enumerate(keep_in):
         to_loop = float(np.sum(lip[i, n_cd:])) if k else 0.0
         for j in range(n_cd):
-            from_loop = float(np.sum(lip[n_a : n_a + k, j])) if k else 0.0
-            out[row, j] = lip[i, j] + to_loop * amplify * from_loop
+            out[row, j] = lip[i, j] + to_loop * amplify * from_loop[j]
     return out
 
 

@@ -29,6 +29,12 @@ class SignatureError(ValueError):
 _INTERN_LOCK = threading.RLock()
 
 
+def _slot_setters(cls) -> tuple:
+    """The member-descriptor setter of each name in ``cls.__slots__``, in
+    slot order; calling one sets the slot past a frozen ``__setattr__``."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
 class _Entry(weakref.ref):  # a table's weak reference, holding its key
     __slots__ = ("key",)
 
@@ -61,6 +67,7 @@ class Interned:
                     del table[entry.key]
 
         cls._table, cls._forget = table, staticmethod(forget)
+        cls._setters = _slot_setters(cls)
 
     @classmethod
     def _intern(cls, key, *values):
@@ -69,8 +76,8 @@ class Interned:
         if shared is not None:
             return shared
         x = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(x, name, value)
+        for set_slot, value in zip(cls._setters, values):
+            set_slot(x, value)
         entry = _Entry(x, cls._forget)
         entry.key = key
         shared = cls._table.setdefault(key, entry)()
@@ -274,6 +281,25 @@ class Split:
         object.__setattr__(self, "unguarded_in_mask", m_ui)
         object.__setattr__(self, "guarded_out_mask", m_go)
 
+    @classmethod
+    def _of(cls, n_in: int, n_out: int, unguarded_in_mask: int, guarded_out_mask: int) -> Split:
+        """The split ``mk_split`` builds from these masks, trusted: each
+        mask must lie within its side's ``n`` gates."""
+        ui, go = unguarded_in_mask, guarded_out_mask
+        s = object.__new__(cls)
+        for set_slot, value in zip(_SPLIT_SETTERS, (
+            _gate_set(ui),
+            _gate_set(((1 << n_in) - 1) & ~ui),
+            _gate_set(((1 << n_out) - 1) & ~go),
+            _gate_set(go),
+            n_in,
+            n_out,
+            ui,
+            go,
+        )):
+            set_slot(s, value)
+        return s
+
     def passage_guarded(self, i: int, j: int) -> bool:
         """A box passage input ``i`` -> output ``j`` introduces guardedness
         exactly when it enters unguarded and exits guarded."""
@@ -310,6 +336,9 @@ class Split:
             f"{fmt(self.unguarded_in)}|{fmt(self.guarded_in)} -> "
             f"{fmt(self.unguarded_out)}|{fmt(self.guarded_out)}"
         )
+
+
+_SPLIT_SETTERS = _slot_setters(Split)
 
 
 def _range_mask(gates: Iterable[int], n: int, what: str) -> int:
@@ -350,13 +379,7 @@ def corner_split(n_in: int, n_out: int, a_len: int, c_len: int) -> Split:
         raise SignatureError(f"unguarded inputs {list(range(a_len))} exceed range({n_in})")
     if a_len < 0 or not 0 <= c_len <= n_out:
         raise SignatureError(f"corner lengths {a_len}, {c_len} do not fit {n_in} -> {n_out}")
-    ui, uo = (1 << a_len) - 1, (1 << c_len) - 1
-    return Split(
-        unguarded_in=_gate_set(ui),
-        guarded_in=_gate_set(((1 << n_in) - 1) & ~ui),
-        unguarded_out=_gate_set(uo),
-        guarded_out=_gate_set(((1 << n_out) - 1) & ~uo),
-    )
+    return Split._of(n_in, n_out, (1 << a_len) - 1, ((1 << n_out) - 1) & ~((1 << c_len) - 1))
 
 
 def weaken(s: Split, demote_in: Iterable[int] = (), demote_out: Iterable[int] = ()) -> Split:

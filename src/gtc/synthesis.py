@@ -191,12 +191,21 @@ def acyclic_to_expr(d: Diagram) -> MorphExpr:
     # longest-path layering of the boxes: the full graph is acyclic, so its
     # components are single ports, closed sinks first
     ix = d.index
-    ports, pred = ix.ports, ix.peer  # a target id's source id
+    pred = ix.peer  # a target id's source id
+    # per id, the box whose input (output) gate it is, else -1; per source
+    # id, its atom
+    in_box, out_box = [-1] * ix.n_ports, [-1] * ix.n_ports
+    atom = [a for a, _ in d.boundary_in] + [""] * (ix.n_ports - ix.n_in)
+    for b, sig in enumerate(d.boxes):
+        ins, outs = ix.gates(b)
+        in_box[ins.start : ins.stop] = [b] * len(ins)
+        out_box[outs.start : outs.stop] = [b] * len(outs)
+        atom[outs.start : outs.stop] = sig.outputs.factors
     layer = [1] * len(d.boxes)
     for v in reversed(ix.full_sccs[1]):
-        if ports[v][0] == "bin" and ports[pred[v]][0] == "bout":
-            b = ports[v][1]
-            layer[b] = max(layer[b], layer[ports[pred[v]][1]] + 1)
+        b, b_src = in_box[v], out_box[pred[v]]
+        if b >= 0 and b_src >= 0:
+            layer[b] = max(layer[b], layer[b_src] + 1)
     by_level: dict[int, list[int]] = {}
     for b, lv in enumerate(layer):
         by_level.setdefault(lv, []).append(b)
@@ -205,7 +214,7 @@ def acyclic_to_expr(d: Diagram) -> MorphExpr:
     parts: list[MorphExpr] = []
 
     def atoms(wires: list[int]) -> list[str]:
-        return [d.port_atom(ports[w]) for w in wires]
+        return [atom[w] for w in wires]
 
     def rearrange(desired: list[int]) -> None:
         nonlocal alive
