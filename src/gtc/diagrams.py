@@ -191,6 +191,31 @@ def tarjan(adj: list) -> tuple[list[int], list[int]]:
     return comp, closed
 
 
+def sccs(adj: list) -> tuple[list[int], list[int]]:
+    """``tarjan(adj)``'s ``(comp, closed)`` contract, with Tarjan run only
+    on a cyclic graph.  One topological pass (Kahn 1962) comes first; if
+    it orders every node, the graph is acyclic and its components are the
+    single nodes, numbered in reverse topological order."""
+    n = len(adj)
+    indeg = [0] * n
+    for succ in adj:
+        for w in succ:
+            indeg[w] += 1
+    order = [v for v in range(n) if not indeg[v]]
+    for v in order:  # the order grows while it is read
+        for w in adj[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    if len(order) < n:  # the nodes left over lie on or behind a cycle
+        return tarjan(adj)
+    order.reverse()
+    comp = [0] * n
+    for c, v in enumerate(order):
+        comp[v] = c
+    return comp, order
+
+
 class DiagramIndex:
     """The port graphs of one diagram and the answers read off them
     (``Diagram.index``); it refers to no ``Diagram``.  Its ids are how a
@@ -205,7 +230,8 @@ class DiagramIndex:
     as a word.  The full graph has an edge for every wire and box passage,
     the unguarded graph drops the guarded passages.  A port has one wire
     out at most and passages keep output-gate order, so searches are
-    deterministic.
+    deterministic.  The components of either graph come from ``sccs``: a
+    topological pass, and Tarjan only when that finds a cycle.
     """
 
     def __init__(self, boxes: tuple, n_in: int, n_out: int, base: list[int], peer: list[int]):
@@ -293,19 +319,23 @@ class DiagramIndex:
         """Successor ids per port: its wire's target, or its box's outputs."""
         succ: list = [(w,) for w in self.peer]  # right for the sources
         succ[self.n_in : self.n_in + self.n_out] = [()] * self.n_out
-        for ins, outs in map(self.gates, range(len(self.boxes))):
-            succ[ins.start : ins.stop] = [outs] * len(ins)
+        for v, sig in zip(self.base, self.boxes):
+            n_in, w = sig.split.n_in, v + sig.split.n_in
+            succ[v:w] = [range(w, w + sig.split.n_out)] * n_in
         return succ
 
     @cached_property
     def unguarded(self) -> list:
         """``full`` less the passages from unguarded inputs to guarded outputs."""
         succ = list(self.full)
-        for b, sig in enumerate(self.boxes):
-            ins, outs = self.gates(b)
+        for v, sig in zip(self.base, self.boxes):
             ui, go = sig.split.unguarded_in_mask, sig.split.guarded_out_mask
-            free = [t for j, t in enumerate(outs) if not go >> j & 1]
-            succ[ins.start : ins.stop] = [free if ui >> i & 1 else outs for i in range(len(ins))]
+            if ui and go:  # else the box guards no passage
+                outs = succ[v]
+                free = [t for j, t in enumerate(outs) if not go >> j & 1]
+                succ[v : v + sig.split.n_in] = [
+                    free if ui >> i & 1 else outs for i in range(sig.split.n_in)
+                ]
         return succ
 
     @cached_property
@@ -320,7 +350,7 @@ class DiagramIndex:
 
     @cached_property
     def full_sccs(self) -> tuple[list[int], list[int]]:
-        return tarjan(self.full)
+        return sccs(self.full)
 
     @cached_property
     def full_acyclic(self) -> bool:
@@ -331,7 +361,7 @@ class DiagramIndex:
     def unguarded_sccs(self) -> tuple[list[int], list[int]]:
         # a subgraph of an acyclic graph has its single-port components,
         # and its edges still lead only to earlier ones
-        return self.full_sccs if self.full_acyclic else tarjan(self.unguarded)
+        return self.full_sccs if self.full_acyclic else sccs(self.unguarded)
 
     @cached_property
     def unguarded_loop(self) -> bool:
@@ -341,11 +371,12 @@ class DiagramIndex:
         """Per port, the union of ``bits`` over the ports it reaches along
         unguarded paths of zero or more steps."""
         comp, closed = self.unguarded_sccs
-        mask = [0] * len(comp)  # per component
+        succ, mask = self.unguarded, [0] * len(comp)  # per component
         for v in closed:
-            mask[comp[v]] |= bits[v]
-            for w in self.unguarded[v]:
-                mask[comp[v]] |= mask[comp[w]]
+            m = bits[v]
+            for w in succ[v]:
+                m |= mask[comp[w]]
+            mask[comp[v]] |= m
         return [mask[c] for c in comp]
 
     @cached_property
@@ -594,7 +625,7 @@ def _sig_from_json(d: dict, shapes: dict) -> BoxSig:
     key = _shape(d)
     shape = shapes.get(key)
     if shape is not None:
-        return BoxSig(d["name"], *shape)
+        return BoxSig._of(d["name"], *shape)
     inputs, outputs = parse_object(d["inputs"]), parse_object(d["outputs"])
     ui, go = (tuple(_typed(g, int, "gate index") for g in d.get(side, ())) for side in _SIDES)
     name, layout = d["name"], (len(inputs), len(outputs), ui, go)

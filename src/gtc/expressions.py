@@ -73,7 +73,10 @@ class Box(MorphExpr):
         # sig's data, which hashes without calling into Python
         s = sig.split
         key = (sig.name, sig.inputs, sig.outputs, s.unguarded_in_mask, s.guarded_out_mask)
-        return cls._intern(key, sig, sig.inputs, sig.outputs)
+        x = cls._table.get(key, NoneType)()
+        if x is not None:
+            return x
+        return cls._insert(key, sig, sig.inputs, sig.outputs)
 
 
 class Id(MorphExpr):
@@ -89,7 +92,11 @@ class Sym(MorphExpr):
     __match_args__ = ("left", "right")
 
     def __new__(cls, left: ObjectExpr, right: ObjectExpr) -> Sym:
-        return cls._intern((left, right), left, right, left * right, right * left)
+        key = (left, right)
+        x = cls._table.get(key, NoneType)()
+        if x is not None:
+            return x
+        return cls._insert(key, left, right, left * right, right * left)
 
 
 class Comp(MorphExpr):
@@ -108,7 +115,7 @@ class Comp(MorphExpr):
                 f"cannot compose: left produces {first.cod}, right consumes {second.dom}"
             )
         # the children hold their profiles, so no access walks a chain
-        return cls._intern(key, first, second, first.dom, second.cod)
+        return cls._insert(key, first, second, first.dom, second.cod)
 
 
 class Tensor(MorphExpr):
@@ -120,7 +127,7 @@ class Tensor(MorphExpr):
         x = cls._table.get(key, NoneType)()
         if x is not None:
             return x
-        return cls._intern(key, top, bottom, top.dom * bottom.dom, top.cod * bottom.cod)
+        return cls._insert(key, top, bottom, top.dom * bottom.dom, top.cod * bottom.cod)
 
 
 class Trace(MorphExpr):
@@ -137,7 +144,7 @@ class Trace(MorphExpr):
         if x is not None:
             return x
         a, b, c, d = corners = _check_trace_shape(loop, body, annotation)
-        return cls._intern(key, loop, body, annotation, corners, a * b, c * d)
+        return cls._insert(key, loop, body, annotation, corners, a * b, c * d)
 
     def conclusion_split(self) -> Split:
         a, _, c, _ = self.corners
@@ -266,16 +273,15 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+    pos = 0  # where the next token's match must start
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:  # no token starts at pos
+            break
         kind = m.lastgroup
         toks.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
+    if text[pos:].strip():
+        raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
     toks.append(("eof", "", len(text)))
     return toks
 

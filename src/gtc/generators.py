@@ -22,8 +22,9 @@ while skipping numpy's per-call overhead:
 from __future__ import annotations
 
 from functools import reduce
+from itertools import accumulate
 
-from .diagrams import Diagram
+from .diagrams import Diagram, DiagramIndex
 from .expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, trace as mk_trace
 from .guardedness import derivable_splits
 from .signatures import BoxSig, ObjectExpr, Split, corner_split, mk_split
@@ -165,7 +166,8 @@ def rand_guarded_diagram(
 ) -> tuple[Diagram, Split]:
     """A random diagram of white/black boxes with a random claim; no
     filtering, so callers sort into hypothesis-satisfying and violating
-    populations themselves."""
+    populations themselves.  Atoms and gates match by construction, so
+    the diagram is built from ids, as ``elaborate`` builds its own."""
     atoms = ATOMS[:n_atoms]
     n_boxes = int(rng.integers(1, max_boxes + 1))
     boxes = []
@@ -176,15 +178,21 @@ def rand_guarded_diagram(
             split = corner_split(len(dom), len(cod), len(dom), 0)
         else:
             split = corner_split(len(dom), len(cod), 0, len(cod))
-        boxes.append(BoxSig(f"n{k}", dom, cod, split))
+        boxes.append(BoxSig._of(f"n{k}", dom, cod, split))
 
+    # a port is ("box", offset) from the first box gate's id, or a
+    # boundary port ("din", i) or ("dout", j): its id once the boundary
+    # is known
     sinks: dict[str, list] = {a: [] for a in atoms}
     sources: dict[str, list] = {a: [] for a in atoms}
-    for b, sig in enumerate(boxes):
-        for k, a in enumerate(sig.inputs):
-            sinks[a].append(("bin", b, k))
-        for k, a in enumerate(sig.outputs):
-            sources[a].append(("bout", b, k))
+    at = 0
+    for sig in boxes:
+        for a in sig.inputs:
+            sinks[a].append(("box", at))
+            at += 1
+        for a in sig.outputs:
+            sources[a].append(("box", at))
+            at += 1
 
     boundary_in: list[str] = []  # atoms; the guard flags come from the claim
     boundary_out: list[str] = []
@@ -200,17 +208,22 @@ def rand_guarded_diagram(
             sinks[a].append(("dout", len(boundary_out)))
             boundary_out.append(a)
 
-    wires = set()
+    n_in, n_out = len(boundary_in), len(boundary_out)
+    first = {"din": 0, "dout": n_in, "box": n_in + n_out}
+    peer = [-1] * (n_in + n_out + at)
     for a in atoms:
         src = list(sources[a])
         dst = list(sinks[a])
         order = rng.permutation(len(src))
-        for s, t in zip([src[int(o)] for o in order], dst):
-            wires.add((s, t))
+        for (s, i), (t, j) in zip([src[int(o)] for o in order], dst):
+            v, w = first[s] + i, first[t] + j
+            peer[v], peer[w] = w, v
 
-    ui = _rand_mask(rng, len(boundary_in), 0.5)
-    go = _rand_mask(rng, len(boundary_out), 0.4)
-    claim = Split._of(len(boundary_in), len(boundary_out), ui, go)
+    ui = _rand_mask(rng, n_in, 0.5)
+    go = _rand_mask(rng, n_out, 0.4)
+    claim = Split._of(n_in, n_out, ui, go)
     bi = tuple((a, not ui >> i & 1) for i, a in enumerate(boundary_in))
     bo = tuple((a, go >> j & 1 == 1) for j, a in enumerate(boundary_out))
-    return Diagram(tuple(boxes), frozenset(wires), bi, bo), claim
+    boxes = tuple(boxes)
+    *base, _ = accumulate((len(s.inputs) + len(s.outputs) for s in boxes), initial=n_in + n_out)
+    return Diagram._of(boxes, bi, bo, DiagramIndex(boxes, n_in, n_out, base, peer)), claim

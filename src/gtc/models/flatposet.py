@@ -52,7 +52,7 @@ class Poset(Interned):
                 raise EvalError("order not antisymmetric")
         up = {a: frozenset(s) for a, s in up.items()}
         bottom = next((a for a in elements if len(up[a]) == len(elements)), None)
-        return cls._intern(key, elements, leq, up, all(a == b for a, b in leq), bottom, None)
+        return cls._insert(key, elements, leq, up, all(a == b for a, b in leq), bottom, None)
 
     def le(self, a: str, b: str) -> bool:
         return (a, b) in self.leq

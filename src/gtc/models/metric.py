@@ -97,15 +97,17 @@ class MetricModel(DimensionModel):
     def compose(self, f: MetricMorphism, g: MetricMorphism) -> MetricMorphism:
         if f.out_dims != g.in_dims:
             raise EvalError("composition mismatch")
+        first, second = f.fn, g.fn
         return trusted(
-            MetricMorphism, f.in_dims, g.out_dims, lambda xs: g.fn(f.fn(xs)), f.lip @ g.lip
+            MetricMorphism, f.in_dims, g.out_dims, lambda xs: second(first(xs)), f.lip @ g.lip
         )
 
     def tensor(self, f: MetricMorphism, g: MetricMorphism) -> MetricMorphism:
         ni, no = len(f.in_dims), len(f.out_dims)
+        top, bottom = f.fn, g.fn
 
         def fn(xs: Blocks) -> Blocks:
-            return f.fn(xs[:ni]) + g.fn(xs[ni:])
+            return top(xs[:ni]) + bottom(xs[ni:])
 
         lip = np.zeros((ni + len(g.in_dims), no + len(g.out_dims)))
         lip[:ni, :no] = f.lip
@@ -171,10 +173,9 @@ def _positive(tol: float) -> float:
 
 
 def _same_batch(xs):
-    """Broadcast single-point blocks (constants) to the common batch size."""
+    """Broadcast single-point blocks (constants) to the common batch size;
+    the blocks' sizes must differ."""
     sizes = {x.shape[0] for x in xs}
-    if len(sizes) <= 1:
-        return list(xs)
     n = max(sizes)
     if sizes - {1, n}:
         raise EvalError("mismatched batch sizes in metric evaluation")
@@ -216,9 +217,10 @@ def _iterate(m, a_blocks, b_blocks, n_a, k, n_cd, c_loop, tol):
     )
     loop_dims = m.in_dims[n_a : n_a + k]
     u = [np.zeros((n_points, dim)) for dim in loop_dims]
+    fn, head, tail = m.fn, list(a_blocks), list(b_blocks)
 
     def step(cur):
-        return m.fn(list(a_blocks) + list(cur) + list(b_blocks))
+        return fn(head + list(cur) + tail)
 
     def dist(xs, ys):
         return max((float(np.abs(x - y).max()) for x, y in zip(xs, ys)), default=0.0)
@@ -310,15 +312,19 @@ def affine(
 
     in_ofs = np.cumsum((0,) + in_dims)
     out_ofs = np.cumsum((0,) + out_dims)
+    weight_t = weight.T
+    out_cols = [slice(out_ofs[j], out_ofs[j + 1]) for j in range(len(out_dims))]
 
     def fn(xs: Blocks) -> Blocks:
-        xs = _same_batch(xs)
-        if xs:
-            flat = np.concatenate(xs, axis=1)
-        else:
+        if not xs:
             flat = np.zeros((1, 0))
-        y = flat @ weight.T + offset
-        return [y[:, out_ofs[j] : out_ofs[j + 1]] for j in range(len(out_dims))]
+        else:
+            n = xs[0].shape[0]
+            if any(x.shape[0] != n for x in xs):
+                xs = _same_batch(xs)
+            flat = np.concatenate(xs, axis=1)
+        y = flat @ weight_t + offset
+        return [y[:, cols] for cols in out_cols]
 
     lip = np.zeros((len(in_dims), len(out_dims)))
     for i in range(len(in_dims)):

@@ -72,7 +72,7 @@ class StageObject(Interned):
         # _words: tables of the words this object starts, keyed by the
         # serials of the rest of the word; serials, not objects, so no word
         # keeps a carrier alive or forms a cycle through it
-        return cls._intern(
+        return cls._insert(
             key, stages, restr, tuple(section), tuple(fibers), next(_SERIALS), {}
         )
 

@@ -10,8 +10,8 @@ never changes a split's meaning.
 from __future__ import annotations
 
 import re
-import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from types import NoneType
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator
@@ -23,10 +23,6 @@ RESERVED_WORDS = frozenset({"I", "id", "sym", "tr", "box", "let"})
 
 class SignatureError(ValueError):
     """Malformed object text, split data, or signature declaration."""
-
-
-# reentrant: an instance can die, and leave its table, while its thread holds it
-_INTERN_LOCK = threading.RLock()
 
 
 def _slot_setters(cls) -> tuple:
@@ -49,22 +45,24 @@ class Interned:
     Keys hash and compare in C (strings, ints, tuples, frozensets and
     interned instances), so ``dict.setdefault`` on them runs no Python
     code and cannot be interrupted: of two threads building one value, the
-    first insert wins and both get one object.  Replacing a dead entry, and
-    dropping one, take one lock for all tables.  Instances are immutable;
-    ``repr``, ``copy`` and ``pickle`` use the constructor's arguments, named
-    in ``__match_args__`` (``pickle`` recurses once per level, so not past
-    the recursion limit)."""
+    first insert wins and both get one object.  No lock is taken: a dead
+    entry is dropped, by its callback or by an insert that finds it, with
+    ``_remove_dead_weakref``, the C helper of ``WeakValueDictionary``,
+    which deletes a key only while its entry is dead.  Instances are
+    immutable; ``repr``, ``copy`` and ``pickle`` use the constructor's
+    arguments, named in ``__match_args__`` (``pickle`` recurses once per
+    level, so not past the recursion limit)."""
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        table, lock = {}, _INTERN_LOCK  # the callback may run at exit
+        # bound here, not read as globals: the callback may run at exit,
+        # after the module's globals are cleared
+        table, remove = {}, _remove_dead_weakref
 
         def forget(entry: _Entry) -> None:  # unless a new instance took the key
-            with lock:
-                if table.get(entry.key) is entry:
-                    del table[entry.key]
+            remove(table, entry.key)
 
         cls._table, cls._forget = table, staticmethod(forget)
         cls._setters = _slot_setters(cls)
@@ -75,19 +73,22 @@ class Interned:
         shared = cls._table.get(key, NoneType)()
         if shared is not None:
             return shared
+        return cls._insert(key, *values)
+
+    @classmethod
+    def _insert(cls, key, *values):
+        """``_intern`` after a lookup of ``key`` missed."""
         x = object.__new__(cls)
         for set_slot, value in zip(cls._setters, values):
             set_slot(x, value)
         entry = _Entry(x, cls._forget)
         entry.key = key
-        shared = cls._table.setdefault(key, entry)()
-        if shared is not None:  # this entry, or one that won the race
-            return shared
-        with _INTERN_LOCK:  # a dead entry whose callback has not dropped it yet
-            shared = cls._table.setdefault(key, entry)()
-            if shared is None:
-                cls._table[key], shared = entry, x
-        return shared
+        table = cls._table
+        while True:
+            shared = table.setdefault(key, entry)()
+            if shared is not None:  # this entry, or one that won the race
+                return shared
+            _remove_dead_weakref(table, key)  # a dead entry whose callback has not run yet
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, a) for a in self.__match_args__)
@@ -426,14 +427,20 @@ MIXED = "mixed"
 def split_kind(s: Split) -> str:
     """white: nothing promised (all inputs guarded, all outputs unguarded);
     black: everything promised (all inputs unguarded, all outputs guarded)."""
-    if not s.unguarded_in and not s.guarded_out:
+    ui, go = s.unguarded_in_mask, s.guarded_out_mask
+    if not ui and not go:
         return WHITE
-    if not s.guarded_in and not s.unguarded_out:
+    if ui == (1 << s.n_in) - 1 and go == (1 << s.n_out) - 1:
         return BLACK
     return MIXED
 
 
-@dataclass(frozen=True)
+def _check_box_name(name: str) -> None:
+    if not _ATOM_RE.fullmatch(name) or name in RESERVED_WORDS:
+        raise SignatureError(f"bad box name {name!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class BoxSig:
     """A named box with its profile and declared split."""
 
@@ -443,13 +450,24 @@ class BoxSig:
     split: Split
 
     def __post_init__(self) -> None:
-        if not _ATOM_RE.fullmatch(self.name) or self.name in RESERVED_WORDS:
-            raise SignatureError(f"bad box name {self.name!r}")
+        _check_box_name(self.name)
         if self.split.n_in != len(self.inputs) or self.split.n_out != len(self.outputs):
             raise SignatureError(
                 f"split of box {self.name!r} does not match profile "
                 f"{self.inputs} -> {self.outputs}"
             )
+
+    @classmethod
+    def _of(cls, name: str, inputs: ObjectExpr, outputs: ObjectExpr, split: Split) -> BoxSig:
+        """``BoxSig(name, inputs, outputs, split)`` of a checked shape:
+        ``split`` must fit the two words, so only the name is checked."""
+        _check_box_name(name)
+        sig = object.__new__(cls)
+        _SET_NAME(sig, name)
+        _SET_INPUTS(sig, inputs)
+        _SET_OUTPUTS(sig, outputs)
+        _SET_SPLIT(sig, split)
+        return sig
 
     @property
     def kind(self) -> str:
@@ -463,6 +481,9 @@ class BoxSig:
         # a declaration puts unguarded inputs first and guarded outputs last;
         # any other split is spelled out, which parse_box_decl rejects
         return f"box {self.name} : {self.inputs} -> {self.outputs} split {self.split}"
+
+
+_SET_NAME, _SET_INPUTS, _SET_OUTPUTS, _SET_SPLIT = _slot_setters(BoxSig)
 
 
 _BOX_RE = re.compile(
@@ -485,10 +506,11 @@ def parse_box_decl(line: str, shapes: dict | None = None) -> BoxSig:
     corners = m.group("ui", "gi", "uo", "go")
     shapes = {} if shapes is None else shapes
     shape = shapes.get(corners)
-    if shape is None:
-        ui, gi, uo, go = map(parse_object, corners)
-        split = corner_split(len(ui) + len(gi), len(uo) + len(go), len(ui), len(uo))
-        shape = shapes[corners] = (ui * gi, uo * go, split)
+    if shape is not None:
+        return BoxSig._of(m.group("name"), *shape)
+    ui, gi, uo, go = map(parse_object, corners)
+    split = corner_split(len(ui) + len(gi), len(uo) + len(go), len(ui), len(uo))
+    shape = shapes[corners] = (ui * gi, uo * go, split)
     return BoxSig(m.group("name"), *shape)
 
 

@@ -192,15 +192,18 @@ def acyclic_to_expr(d: Diagram) -> MorphExpr:
     # components are single ports, closed sinks first
     ix = d.index
     pred = ix.peer  # a target id's source id
-    # per id, the box whose input (output) gate it is, else -1; per source
-    # id, its atom
+    # per box, the ids of its input and of its output gates; per id, the
+    # box whose input (output) gate it is, else -1; per source id, its atom
+    ins_of, outs_of = [], []
     in_box, out_box = [-1] * ix.n_ports, [-1] * ix.n_ports
     atom = [a for a, _ in d.boundary_in] + [""] * (ix.n_ports - ix.n_in)
-    for b, sig in enumerate(d.boxes):
-        ins, outs = ix.gates(b)
-        in_box[ins.start : ins.stop] = [b] * len(ins)
-        out_box[outs.start : outs.stop] = [b] * len(outs)
-        atom[outs.start : outs.stop] = sig.outputs.factors
+    for b, (v, sig) in enumerate(zip(ix.base, d.boxes)):
+        w, n_out = v + sig.split.n_in, sig.split.n_out
+        ins_of.append(range(v, w))
+        outs_of.append(range(w, w + n_out))
+        in_box[v:w] = [b] * (w - v)
+        out_box[w : w + n_out] = [b] * n_out
+        atom[w : w + n_out] = sig.outputs.factors
     layer = [1] * len(d.boxes)
     for v in reversed(ix.full_sccs[1]):
         b, b_src = in_box[v], out_box[pred[v]]
@@ -226,15 +229,16 @@ def acyclic_to_expr(d: Diagram) -> MorphExpr:
 
     for lv in sorted(by_level):
         boxes = by_level[lv]
-        needed = [pred[v] for b in boxes for v in ix.gates(b)[0]]
+        needed = [pred[v] for b in boxes for v in ins_of[b]]
         needed_set = set(needed)
         rest = [w for w in alive if w not in needed_set]
         rearrange(needed + rest)
         pieces: list[MorphExpr] = [BoxNode(d.boxes[b]) for b in boxes]
-        if rest:
-            pieces.append(Id(ObjectExpr(tuple(atoms(rest)))))
+        if rest:  # atoms of checked words, so the word needs no check
+            word = tuple(atoms(rest))
+            pieces.append(Id(ObjectExpr._intern(word, word)))
         parts.append(reduce(Tensor, pieces))
-        alive = [v for b in boxes for v in ix.gates(b)[1]] + rest
+        alive = [v for b in boxes for v in outs_of[b]] + rest
 
     rearrange([pred[ix.n_in + j] for j in range(ix.n_out)])
     if not parts:

@@ -10,7 +10,7 @@ import pytest
 
 import graph_reference as ref
 from gtc import diagrams
-from gtc.diagrams import Diagram, diagram_iso, elaborate, tarjan
+from gtc.diagrams import Diagram, diagram_iso, elaborate, sccs, tarjan
 from gtc.expressions import parse_source
 from gtc.generators import rand_accepted_traced, rand_guarded_diagram, rand_trace_free_expr
 from gtc.guardedness import geometric_check, geometric_witness, unguarded_reach
@@ -81,9 +81,9 @@ def test_index_matches_direct_traversals(make, verdicts):
     assert 0 < loops < len(corpus) and set(kinds) == verdicts, kinds
 
 
-def test_acyclic_diagram_runs_tarjan_once(monkeypatch):
-    # the unguarded graph of an acyclic diagram is acyclic, and its
-    # components close in the full graph's order
+def test_acyclic_diagram_runs_no_tarjan(monkeypatch):
+    # the topological pass orders an acyclic diagram's full graph, and its
+    # unguarded graph, a subgraph, closes in the same order
     calls = []
     real = diagrams.tarjan
     monkeypatch.setattr(diagrams, "tarjan", lambda adj: calls.append(adj) or real(adj))
@@ -93,8 +93,45 @@ def test_acyclic_diagram_runs_tarjan_once(monkeypatch):
         d = elaborate(e)
         claim = mk_split(len(e.dom), len(e.cod), range(len(e.dom)), range(len(e.cod)))
         geometric_witness(d, claim), loop_wires(d), unguarded_reach(d), acyclic_to_expr(d)
-        assert not d.index.unguarded_loop and len(calls) == 1
-        calls.clear()
+        assert not d.index.unguarded_loop and calls == []
+
+
+def _random_graphs():
+    """Adjacency lists: random ones, with and without back edges, and the
+    full and unguarded graphs of elaborated and generated diagrams."""
+    rng = np.random.default_rng(29)
+    graphs = []
+    for _ in range(200):
+        n = int(rng.integers(0, 30))
+        relabel = [int(v) for v in rng.permutation(n)]
+        adj = [[] for _ in range(n)]
+        for _ in range(int(rng.integers(0, 2 * n + 1))):
+            v, w = sorted(int(x) for x in rng.integers(0, n, 2))
+            if v < w or rng.random() < 0.1:  # forward edges, a few back edges and loops
+                adj[relabel[v]].append(relabel[w])
+        graphs.append(adj)
+    for _ in range(60):
+        d = elaborate(rand_trace_free_expr(rng, max_boxes=8, n_atoms=4))
+        graphs += [d.index.full, d.index.unguarded]
+        d = rand_guarded_diagram(rng, max_boxes=12)[0]
+        graphs += [d.index.full, d.index.unguarded]
+    return graphs
+
+
+def test_sccs_orders_acyclic_graphs_and_defers_cycles_to_tarjan():
+    acyclic = cyclic = 0
+    for adj in _random_graphs():
+        comp, closed = sccs(adj)
+        if len(set(tarjan(adj)[0])) < len(adj) or any(v in adj[v] for v in range(len(adj))):
+            cyclic += 1
+            assert (comp, closed) == tarjan(adj)
+            continue
+        acyclic += 1
+        assert sorted(closed) == list(range(len(adj)))
+        assert all(comp[v] == c for c, v in enumerate(closed))
+        for v, succ in enumerate(adj):
+            assert all(comp[w] < comp[v] for w in succ)
+    assert acyclic > 200 and cyclic > 50, (acyclic, cyclic)
 
 
 def test_tarjan_components_in_reverse_topological_order():

@@ -1,8 +1,14 @@
 import copy
 import dataclasses
 import gc
+import importlib.util
+import itertools
+import json
+import operator
 import os
 import pickle
+import re
+import subprocess
 import sys
 import threading
 import time
@@ -12,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gtc.expressions import ParseError, parse_source
+from gtc.diagrams import DiagramError, import_json
+from gtc.expressions import Box, Comp, Id, ParseError, Sym, Tensor, parse_source
 from gtc.generators import rand_split
 from gtc.signatures import (
     _GATE_MASKS,
@@ -32,6 +39,8 @@ from gtc.signatures import (
     split_kind,
     weaken,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_parse_object_unit():
@@ -462,3 +471,164 @@ def test_words_and_splits_built_from_many_threads():
     # the gate-set tables still map each shared set and its mask both ways
     for m, fs in list(_GATE_SETS.items()):
         assert _mask(fs) == m and _GATE_MASKS[fs] == m
+
+
+def test_split_kind_reads_the_masks():
+    # the masks say what the four gate sets say
+    for n_in, n_out in itertools.product(range(4), repeat=2):
+        for ui, go in itertools.product(range(1 << n_in), range(1 << n_out)):
+            s = Split._of(n_in, n_out, ui, go)
+            want = (
+                "white" if not s.unguarded_in and not s.guarded_out
+                else "black" if not s.guarded_in and not s.unguarded_out
+                else "mixed"
+            )
+            assert split_kind(s) == want
+
+
+def test_interned_values_built_and_dropped_from_many_threads():
+    # more threads than cores, switching often, each building the same
+    # fresh words and nodes and dropping them again, so dead entries are
+    # replaced while other threads insert: two equal values alive at once
+    # must be one object, and every table must end as it started
+    n_threads = 4 * (os.cpu_count() or 1)
+    atoms = [f"Zt{i}" for i in range(3)]
+    tables = (ObjectExpr, Id, Sym, Comp, Tensor)
+    gc.collect()
+    sizes = [len(cls._table) for cls in tables]
+    seen: dict = {}  # key -> weak reference to the last value built for it
+    deadline = time.monotonic() + 1.0
+    errors: list[BaseException] = []
+    rounds: list[int] = []
+
+    def build(key):
+        a, b = obj(*key[:2]), obj(*key[2:])
+        return a, b, Sym(a, b), Comp(Id(a * b), Sym(a, b)), Tensor(Id(a), Id(b))
+
+    def work(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        n = 0
+        try:
+            while time.monotonic() < deadline:
+                key = tuple(atoms[int(i)] for i in rng.integers(0, len(atoms), 3))
+                values = build(key)
+                for i, x in enumerate(values):
+                    other = seen.get((key, i), weakref.ref(x))()
+                    assert other is None or other is x
+                    seen[key, i] = weakref.ref(x)
+                assert build(key) == values and all(map(operator.is_, build(key), values))
+                del values, x, other
+                n += 1
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+        rounds.append(n)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert len(rounds) == n_threads and sum(rounds) > n_threads
+    gc.collect()
+    assert [len(cls._table) for cls in tables] == sizes
+
+
+def test_exit_with_interned_values_alive_prints_nothing():
+    # ``os`` lives to the end of the exit and is cleared after every newer
+    # module, so the values it keeps die after gtc's globals are cleared,
+    # while stderr still works; the tables' callbacks must still run
+    src = os.path.join(ROOT, "src")
+    code = (
+        "import os\n"
+        "import numpy as np\n"
+        "import gtc.signatures\n"
+        "from gtc.expressions import parse_source\n"
+        "from gtc.generators import rand_accepted_traced\n"
+        "rng = np.random.default_rng(0)\n"
+        "os.kept = [gtc.signatures] + [rand_accepted_traced(rng) for _ in range(20)]\n"
+        "os.kept.append(parse_source('box f : A | I -> I | A\\nlet m = tr[A: I|I -> I|I]{ f }'))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
+def _roundtrip_inputs(seed: int) -> list:
+    """The benchmark's ``roundtrip`` inputs: pipeline sources and diagram JSON."""
+    path = os.path.join(ROOT, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.roundtrip_inputs(seed)
+
+
+def test_box_signatures_of_known_shapes_match_checked_ones(monkeypatch):
+    # a source or JSON text checks each box shape once; every other box of
+    # that shape is built by BoxSig._of and equals the checked BoxSig
+    checks = []
+    post_init = BoxSig.__post_init__
+    monkeypatch.setattr(BoxSig, "__post_init__", lambda s: checks.append(s) or post_init(s))
+    n_checks = n_boxes = 0
+    for kind, text, _, _ in _roundtrip_inputs(1):
+        checks.clear()
+        if kind == "pipeline":
+            boxes = list(parse_source(text).sigs.values())
+        else:
+            boxes = import_json(text).boxes
+        shapes = {(sig.inputs, sig.outputs, sig.split) for sig in boxes}
+        assert len(checks) <= len(shapes)
+        n_checks, n_boxes = n_checks + len(checks), n_boxes + len(boxes)
+        for sig in boxes:
+            checked = BoxSig(sig.name, sig.inputs, sig.outputs, sig.split)
+            assert sig == checked and hash(sig) == hash(checked) and repr(sig) == repr(checked)
+    assert n_boxes > 10 * n_checks > 0
+
+
+@pytest.mark.parametrize("name", ["tr", "I", "let", "box", "fé", "a-b", "", 5])
+def test_bad_box_name_of_a_known_shape_raises_as_before(name):
+    # the first box of a shape is checked in full, the next by BoxSig._of;
+    # a bad name raises the same error text in either place
+    decl = f"box {name} : A | I -> I | A"
+    if isinstance(name, str) and re.fullmatch(r"\w+", name):
+        for lines, lineno in (([decl], 1), (["box f : A | I -> I | A", decl], 2)):
+            with pytest.raises(ParseError) as exc:
+                parse_source("\n".join(lines))
+            assert str(exc.value) == f"line {lineno}: bad box name {name!r}"
+    shape = {"inputs": "A", "outputs": "A", "unguarded_in": [0], "guarded_out": []}
+    errors = []
+    for names in ([name], ["f", name]):
+        text = json.dumps({
+            "boxes": [{"id": b, "sig": dict(shape, name=n)} for b, n in enumerate(names)],
+            "wires": [], "in": [], "out": [],
+        })
+        with pytest.raises(DiagramError) as exc:
+            import_json(text)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    if isinstance(name, str):
+        assert errors[0] == f"bad diagram JSON: bad box name {name!r}"
+
+
+def test_slotted_box_signature_pickles_and_copies():
+    sig = parse_source("box f : A | I -> I | A\nbox g : A | I -> I | A").sigs["g"]
+    assert not hasattr(sig, "__dict__")
+    for back in (pickle.loads(pickle.dumps(sig)), copy.copy(sig), copy.deepcopy(sig)):
+        assert back == sig and hash(back) == hash(sig) and repr(back) == repr(sig)
+    node = Box(sig)
+    for back in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+        assert back is node
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sig.name = "h"
