@@ -45,7 +45,6 @@ from .guardedness import (
     geometric_witness,
     infer_trace_annotations,
     split_derivable,
-    unguarded_reach,
 )
 from .signatures import (
     UNIT,

@@ -48,33 +48,6 @@ class PortPath:
             if not (wire_step or passage):
                 raise ValueError(f"ports {a} and {b} are not incident")
 
-    def passages(self) -> list[tuple[int, int, int]]:
-        """(box, input gate, output gate) for each box crossing."""
-        out = []
-        for a, b in zip(self.ports, self.ports[1:]):
-            if a[0] == "bin":
-                out.append((a[1], a[2], b[2]))
-        return out
-
-    def is_guarded(self, d: Diagram) -> bool:
-        return any(
-            d.boxes[b].split.passage_guarded(i, j) for b, i, j in self.passages()
-        )
-
-
-def unguarded_reach(d: Diagram) -> dict[Port, frozenset[Port]]:
-    """For every port, the set of ports reachable along unguarded paths
-    of at least one step."""
-    ix = d.index
-    zero_or_more = ix.unguarded_reach_masks([1 << v for v in range(ix.n_ports)])
-    reach: dict[Port, frozenset[Port]] = {}
-    for v, p in enumerate(ix.ports):
-        m = 0
-        for w in ix.unguarded[v]:
-            m |= zero_or_more[w]
-        reach[p] = frozenset(q for w, q in enumerate(ix.ports) if m >> w & 1)
-    return reach
-
 
 def _first_unguarded_loop(ix: DiagramIndex) -> list[Port]:
     """The cycle a depth-first search of the unguarded graph closes

@@ -1,22 +1,24 @@
 """Exhaustive small-instance checking of the iteration/recursion laws.
 
-Three suites:
+Iteration (the co-Cartesian case) and recursion (the Cartesian case) are
+dual, so ``_conway_laws`` writes the six guarded Conway laws (fixpoint,
+naturality, dinaturality, (co)diagonal, squaring, uniformity) once, and
+two suites run them:
 
 * finset: the iteration operator (strip the feedback summand) over all
-  carriers of size at most two, checked against fixpoint, naturality,
-  dinaturality, codiagonal, squaring, and uniformity with respect to
+  carriers of size at most two, with uniformity with respect to
   coproduct injections.  Uniformity is checked as a property, not baked
   into the operator, so the implication chain (codiagonal + uniformity
   gives squaring; squaring + injection uniformity gives dinaturality)
   can be reported from independently verified facts.
 
 * trees: the stage-delayed recursion operator (via the model's own
-  feedback), same law set with naturality in the parameter and
-  uniformity with respect to product projections.
+  feedback), with naturality in the parameter, the diagonal for the
+  codiagonal, and uniformity with respect to product projections.
 
-* flatposet: the least-fixpoint operator on lifted carriers, its laws,
-  and the two transport constructions, which must be mutually inverse
-  and preserve the laws in both directions.
+A third suite, flatposet, checks the least-fixpoint operator on lifted
+carriers, its laws, and the two transport constructions, which must be
+mutually inverse and preserve the laws in both directions.
 
 Each law is a generator yielding one bool per instance (True where the
 law holds there), and ``_tally`` counts its instances and failures.  Laws
@@ -68,6 +70,45 @@ def _tallies(checks, laws: int) -> list[dict]:
     return [{"instances": n, "failures": b} for b in bad]
 
 
+def _conway_laws(op, then, copair, guarded, natural, dinatural, codiagonal, uniform, names):
+    """The six guarded Conway laws of ``op``, read as iteration: ``then(f,
+    g)`` runs f and then g, and ``copair(g)`` is [inl, g]; for recursion
+    they are compose with its arguments swapped and <fst, g>.  The families
+    hold the instances: ``guarded`` (f, op f) for fixpoint and squaring,
+    ``natural`` (f, op f, g, g + id), ``dinatural`` (g, h), ``codiagonal``
+    (f, fold), and ``uniform`` (inj, id + inj, fs, gs), checked on the pairs
+    of fs x gs that meet the premise.  ``names`` names the (co)diagonal and
+    the uniformity law, which differ between the two readings."""
+    codiagonal_name, uniformity_name = names
+
+    def uniformity():
+        # f . inj = (id + inj) . g implies op(f) . inj = op(g)
+        for inj, id_inj, fs, gs in uniform:
+            gs = [(g, then(g, id_inj)) for g in gs]
+            for f in fs:
+                f_inj = then(inj, f)
+                for g, g_inj in gs:
+                    if f_inj == g_inj:
+                        yield then(inj, op(f)) == op(g)
+
+    return {
+        # f^ = [id, f^] . f
+        "fixpoint": _tally(then(f, copair(fd)) == fd for f, fd in guarded),
+        # g . f^ = ((g + id) . f)^
+        "naturality": _tally(then(fd, g) == op(then(f, gid)) for f, fd, g, gid in natural),
+        # ([inl, h] . g)^ = [id, ([inl, g] . h)^] . g
+        "dinaturality": _tally(
+            op(then(g, copair(h))) == then(g, copair(op(then(h, copair(g)))))
+            for g, h in dinatural
+        ),
+        # ([inl, inr, inr] . f)^ = f^^
+        codiagonal_name: _tally(op(then(f, fold)) == op(op(f)) for f, fold in codiagonal),
+        # f^ = ([inl, f] . f)^
+        "squaring": _tally(fd == op(then(f, copair(f))) for f, fd in guarded),
+        uniformity_name: _tally(uniformity()),
+    }
+
+
 def _carrier(tag: str, size: int) -> tuple[str, ...]:
     return tuple(f"{tag}{i}" for i in range(size))
 
@@ -102,104 +143,67 @@ def _maps(dom, cod, reach=None):
         yield _fs(dom, cod, t)
 
 
-def _case(parts, dom_gates, cod) -> FinSetMorphism:
-    """[p, q, ...]: gatewise cotupling into a shared codomain."""
-    table = {}
-    ofs = 0
-    for p in parts:
-        for (g, e), v in p.table.items():
-            table[(g + ofs, e)] = v
-        ofs += len(p.dom)
-    return _fs(dom_gates, cod, table)
+def _copair(g: FinSetMorphism) -> FinSetMorphism:
+    """[inl, g]: Y + Z -> Y + X for g: Z -> Y + X."""
+    y = g.cod[0]
+    table = {(0, e): (0, e) for e in y}
+    table.update({(gate + 1, e): v for (gate, e), v in g.table.items()})
+    return _fs((y,) + g.dom, g.cod, table)
 
 
-def _renumber(m: FinSetMorphism, cod_gates, gate_map) -> FinSetMorphism:
-    """Post-compose with a summand renumbering (an injection pattern)."""
-    table = {k: (gate_map[g], e) for k, (g, e) in m.table.items()}
-    return _fs(m.dom, cod_gates, table)
-
-
-def _identity(gates) -> FinSetMorphism:
-    return _fs(gates, gates, {(g, e): (g, e) for g, c in enumerate(gates) for e in c})
+def _inject(dom, cod, gates) -> FinSetMorphism:
+    """The map sending each summand dom[i] onto the summand cod[gates[i]]."""
+    return _fs(dom, cod, {(g, e): (gates[g], e) for g, c in enumerate(dom) for e in c})
 
 
 def finset_conway_suite(max_size: int = 2) -> dict[str, dict]:
     sizes = range(max_size + 1)
-
-    def fixpoint():
-        # iterate f = [id, iterate f] . f
-        for x, y in _carriers(sizes, "xy"):
-            for f in _maps((x,), (y, x)):
-                try:
-                    fd = finset_iter(f)
-                except Exception:
-                    continue  # not guarded
-                yield _FS.compose(f, _case([_identity((y,)), fd], (y, x), (y,))) == fd
-
-    def naturality():
-        # g . iterate f = iterate((g + id) . f)
-        for x, y, z in _carriers(sizes, "xyz"):
-            for f in _maps((x,), (y, x), 1):
-                fd = finset_iter(f)
-                for g in _maps((y,), (z,)):
-                    gid = _FS.tensor(g, _identity((x,)))
-                    yield _FS.compose(fd, g) == finset_iter(_FS.compose(f, gid))
-
-    def dinaturality():
-        # ([inl,h].g)^ = [id, ([inl,g].h)^] . g, with g guarded or h guarded
-        for x, y, z in _carriers(sizes, "xyz"):
-            inl_yx = _renumber(_identity((y,)), (y, x), {0: 0})
-            inl_yz = _renumber(_identity((y,)), (y, z), {0: 0})
-            for g_reach, h_reach in ((1, None), (None, 1)):
-                for g in _maps((x,), (y, z), g_reach):
-                    for h in _maps((z,), (y, x), h_reach):
-                        yield _dinat_holds(g, h, x, y, z, inl_yx, inl_yz)
-
-    def codiagonal():
-        # iterate([id,inr] . f) = iterate(iterate f)
-        for x, y in _carriers(sizes, "xy"):
-            fold = _renumber(_identity((y, x, x)), (y, x), {0: 0, 1: 1, 2: 1})
-            for f in _maps((x,), (y, x, x), 1):
-                yield finset_iter(_FS.compose(f, fold)) == finset_iter(finset_iter(f))
-
-    def squaring():
-        # iterate f = iterate([inl, f] . f)
-        for x, y in _carriers(sizes, "xy"):
-            inl = _renumber(_identity((y,)), (y, x), {0: 0})
-            for f in _maps((x,), (y, x), 1):
-                square = _case([inl, f], (y, x), (y, x))
-                yield finset_iter(f) == finset_iter(_FS.compose(f, square))
-
-    def uniformity_injections():
-        # uniformity w.r.t. coproduct injections inj: Y -> Y + W
-        for y, w, z in _carriers(sizes, "ywz"):
-            inj = _renumber(_identity((y,)), (y, w), {0: 0})
-            for f in _maps((y, w), (z, y, w), 1):  # guarded: X -> Z + X, X = Y+W
-                f_inj = _FS.compose(inj, f)
-                for g in _maps((y,), (z, y), 1):
-                    # premise: f . inj = (id_Z + inj) . g
-                    if f_inj == _renumber(g, (z, y, w), {0: 0, 1: 1}):
-                        yield _FS.compose(inj, finset_iter(f)) == finset_iter(g)
-
-    return {
-        "fixpoint": _tally(fixpoint()),
-        "naturality": _tally(naturality()),
-        "dinaturality": _tally(dinaturality()),
-        "codiagonal": _tally(codiagonal()),
-        "squaring": _tally(squaring()),
-        "uniformity_injections": _tally(uniformity_injections()),
+    # every guarded f: X -> Y + X over the pairs of carriers, with iterate f
+    by_carriers = {
+        (x, y): [(f, finset_iter(f)) for f in _maps((x,), (y, x), 1)]
+        for x, y in _carriers(sizes, "xy")
     }
 
+    def natural():
+        # g: Y -> Z, with g + id built once per g and carriers
+        for x, y, z in _carriers(sizes, "xyz"):
+            gs = [(g, _FS.tensor(g, _inject((x,), (x,), (0,)))) for g in _maps((y,), (z,))]
+            for f, fd in by_carriers[x, y]:
+                for g, gid in gs:
+                    yield f, fd, g, gid
 
-def _dinat_holds(g, h, x, y, z, inl_yx, inl_yz) -> bool:
-    left_map = _case([inl_yx, h], (y, z), (y, x))
-    try:
-        lhs = finset_iter(_FS.compose(g, left_map))
-        inner = finset_iter(_FS.compose(h, _case([inl_yz, g], (y, x), (y, z))))
-    except Exception:
-        return True  # a side is not guarded; nothing to check
-    rhs = _FS.compose(g, _case([_identity((y,)), inner], (y, z), (y,)))
-    return lhs == rhs
+    def dinatural():
+        # g: X -> Y + Z and h: Z -> Y + X, g guarded or h guarded
+        for x, y, z in _carriers(sizes, "xyz"):
+            for g_reach, h_reach in ((1, None), (None, 1)):
+                yield from iproduct(_maps((x,), (y, z), g_reach), _maps((z,), (y, x), h_reach))
+
+    def codiagonal():
+        # f: X -> Y + X + X guarded, folded by [inl, inr, inr]
+        for x, y in _carriers(sizes, "xy"):
+            fold = _inject((y, x, x), (y, x), (0, 1, 1))
+            for f in _maps((x,), (y, x, x), 1):
+                yield f, fold
+
+    def uniform():
+        # the coproduct injection inj: Y -> Y + W, with guarded
+        # f: Y + W -> Z + Y + W and g: Y -> Z + Y
+        for y, w, z in _carriers(sizes, "ywz"):
+            inj = _inject((y,), (y, w), (0,))
+            id_inj = _inject((z, y), (z, y, w), (0, 1))
+            yield inj, id_inj, _maps((y, w), (z, y, w), 1), _maps((y,), (z, y), 1)
+
+    return _conway_laws(
+        finset_iter,
+        _FS.compose,
+        _copair,
+        [p for pairs in by_carriers.values() for p in pairs],
+        natural(),
+        dinatural(),
+        codiagonal(),
+        uniform(),
+        ("codiagonal", "uniformity_injections"),
+    )
 
 
 def law_implication_report(suite: dict[str, dict]) -> dict:
@@ -214,12 +218,7 @@ def law_implication_report(suite: dict[str, dict]) -> dict:
             not (ok["squaring"] and ok["uniformity_injections"]) or ok["dinaturality"]
         ),
         "conway_implies_uniformity": (
-            not (
-                ok["fixpoint"]
-                and ok["naturality"]
-                and ok["dinaturality"]
-                and ok["codiagonal"]
-            )
+            not all(ok[law] for law in ("fixpoint", "naturality", "dinaturality", "codiagonal"))
             or ok["uniformity_injections"]
         ),
     }
@@ -380,77 +379,56 @@ def tot_conway_suite() -> dict[str, dict]:
     def rec(m):
         return _tot_rec(model, m, dups)
 
-    def after_fst(g, f):
-        """g . <fst, f>"""
-        pair = stagewise(f.dom, f.dom[:1] + f.cod, lambda s, x: x[:1] + f.maps[s][x], depth)
-        return model.compose(pair, g)
+    def pair_fst(g):
+        # <fst, g>: Y x Z -> Y x X for g: Y x Z -> X
+        return stagewise(g.dom, g.dom[:1] + g.cod, lambda s, x: x[:1] + g.maps[s][x], depth)
 
     def natural(dom, cod):
         for w in _enumerate_natural(dom, cod):
             yield stagewise(dom, (cod,), lambda s, x: (w[s][x],), depth)
 
-    # every guarded f: Y x X -> X over the pairs of carriers, with rec f;
-    # built once for the three laws that walk it
-    family = [
-        (yo, xo, f, rec(f))
+    # every guarded f: Y x X -> X over the pairs of carriers, with rec f
+    by_carriers = {
+        (yo, xo): [(f, rec(f)) for f in _tot_guarded((yo,), xo)]
         for xo in shapes
         for yo in shapes
-        for f in _tot_guarded((yo,), xo)
-    ]
-
+    }
     identity = {o: stagewise((o,), (o,), lambda s, x: x, depth) for o in shapes}
     endos = {o: list(natural((o,), o)) for o in shapes}
 
-    def naturality():
-        # u ; rec f = rec((u x id) ; f), each u x id built once per carrier pair
-        uids: dict = {}
-        for yo, xo, f, fd in family:
-            if (yo, xo) not in uids:
-                uids[yo, xo] = [(u, model.tensor(u, identity[xo])) for u in endos[yo]]
-            for u, uid in uids[yo, xo]:
-                yield model.compose(u, fd) == rec(model.compose(uid, f))
+    def naturals():
+        # u: Y -> Y, with u x id built once per carrier pair
+        for (yo, xo), pairs in by_carriers.items():
+            uids = [(u, model.tensor(u, identity[xo])) for u in endos[yo]]
+            for f, fd in pairs:
+                for u, uid in uids:
+                    yield f, fd, u, uid
 
     xo, yo = _small_objects()
-
-    def dinaturality():
+    # f: Y x X x X -> X delayed in both copies, with the diagonal
+    dup = stagewise((yo, xo), (yo, xo, xo), lambda s, x: x + x[1:], depth)
+    # the product projection fst: X x W -> X, W = Y, with guarded
+    # g: Y x X x W -> X x W and f: Y x X -> X
+    loops = (xo, yo)
+    proj = stagewise(loops, (xo,), lambda s, x: x[:1], depth)
+    idproj = stagewise((yo,) + loops, (yo, xo), lambda s, x: x[:2], depth)
+    gs = [
+        stagewise((yo,) + loops, loops, lambda s, x: gx.maps[s][x] + gw.maps[s][x], depth)
+        for gx in _tot_guarded((yo,), xo, loops)
+        for gw in _tot_guarded((yo,), yo, loops)
+    ]
+    return _conway_laws(
+        rec,
+        lambda f, g: model.compose(g, f),
+        pair_fst,
+        [p for pairs in by_carriers.values() for p in pairs],
+        naturals(),
         # g: Y x X -> X delayed in X, h: Y x X -> X
-        for g in _tot_guarded((yo,), xo):
-            for h in natural((yo, xo), xo):
-                yield rec(after_fst(g, h)) == after_fst(g, rec(after_fst(h, g)))
-
-    def diagonal():
-        # f: Y x X x X -> X delayed in both copies
-        dup = stagewise((yo, xo), (yo, xo, xo), lambda s, x: x + x[1:], depth)
-        for f in _tot_guarded((yo,), xo, (xo, xo)):
-            yield rec(model.compose(dup, f)) == rec(rec(f))
-
-    def uniformity_projections():
-        # uniformity w.r.t. the product projection fst: X x W -> X, W = Y
-        loops = (xo, yo)
-        proj = stagewise(loops, (xo,), lambda s, x: x[:1], depth)
-        idproj = stagewise((yo,) + loops, (yo, xo), lambda s, x: x[:2], depth)
-        gs = [
-            stagewise((yo,) + loops, loops, lambda s, x: gx.maps[s][x] + gw.maps[s][x], depth)
-            for gx in _tot_guarded((yo,), xo, loops)
-            for gw in _tot_guarded((yo,), yo, loops)
-        ]
-        for f in _tot_guarded((yo,), xo):
-            f_proj = model.compose(idproj, f)
-            for g in gs:
-                # premise: proj . g = f . (id_Y x proj)
-                if model.compose(g, proj) == f_proj:
-                    yield model.compose(rec(g), proj) == rec(f)
-
-    return {
-        # rec f = f . <fst, rec f>
-        "fixpoint": _tally(after_fst(f, fd) == fd for _, _, f, fd in family),
-        "naturality": _tally(naturality()),
-        "dinaturality": _tally(dinaturality()),
-        "diagonal": _tally(diagonal()),
-        # rec f = rec(f . <fst, f>)
-        "squaring": _tally(fd == rec(after_fst(f, f)) for _, _, f, fd in family),
-        "uniformity_projections": _tally(uniformity_projections()),
-    }
+        iproduct(_tot_guarded((yo,), xo), natural((yo, xo), xo)),
+        ((f, dup) for f in _tot_guarded((yo,), xo, (xo, xo))),
+        [(proj, idproj, gs, _tot_guarded((yo,), xo))],
+        ("diagonal", "uniformity_projections"),
+    )
 
 
 # --- flat posets ---------------------------------------------------------------

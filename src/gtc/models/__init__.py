@@ -34,8 +34,8 @@ from .hilbert import (
     hs_sum_trace,
     kron_perm,
 )
-from .metric import MetricModel, MetricMorphism, banach_rec, metric_trace
-from .trees import StageObject, ToposOfTreesModel, ToTMorphism, tot_fixpoint
+from .metric import MetricModel, MetricMorphism, banach_rec
+from .trees import StageObject, ToposOfTreesModel, ToTMorphism
 
 # the backends by name, in the order check_axiom's seeds number them
 MODELS = {
@@ -54,11 +54,9 @@ __all__ = [
     "MetricModel",
     "MetricMorphism",
     "banach_rec",
-    "metric_trace",
     "StageObject",
     "ToposOfTreesModel",
     "ToTMorphism",
-    "tot_fixpoint",
     "HilbertModel",
     "HilbertMorphism",
     "hs_factored_trace",

@@ -266,33 +266,6 @@ def banach_rec(f: MetricMorphism, x: Sequence, tol: float):
     return [b[0] if b.shape[0] == 1 else b for b in u], count
 
 
-def metric_trace(
-    m: MetricMorphism,
-    n_a: int,
-    n_u: int,
-    n_c: int,
-    a: Sequence,
-    b: Sequence,
-    tol: float,
-):
-    """Feedback the trailing ``n_u`` blocks of a morphism with block
-    layout (A, U, B) -> (C, D, U), evaluated at one point.
-
-    Returns (c_blocks, d_blocks)."""
-    _positive(tol)
-    n_cd = len(m.out_dims) - n_u
-    c_loop = _loop_contraction(m.lip, n_a, n_u, n_cd)
-    if c_loop >= 1.0:
-        raise EvalError(f"declared bounds give loop contraction {c_loop} >= 1")
-    a_blocks = [np.atleast_2d(np.asarray(v, dtype=float)) for v in a]
-    b_blocks = [np.atleast_2d(np.asarray(v, dtype=float)) for v in b]
-    u, _, ys = _iterate(m, a_blocks, b_blocks, n_a, n_u, n_cd, c_loop, tol)
-    if ys is None:
-        ys = m.fn(a_blocks + u + b_blocks)
-    outs = [y[0] for y in ys[:n_cd]]
-    return outs[:n_c], outs[n_c:]
-
-
 def affine(
     in_dims: Sequence[int],
     out_dims: Sequence[int],

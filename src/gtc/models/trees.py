@@ -277,31 +277,3 @@ def _same_depth(f: ToTMorphism, g: ToTMorphism) -> None:
     maps; a result must have one map per stage of its carriers."""
     if len(f.maps) != len(g.maps):
         raise EvalError("need one stage map per carrier stage")
-
-
-def tot_fixpoint(f: ToTMorphism, witness: tuple[dict, ...], y: list[tuple]):
-    """Solve x = f(y, x) stage by stage for f: Y x X -> X with a delayed
-    witness g: the stage-1 value ignores x, later stages read the previous
-    stage's x.
-
-    ``witness[n]`` maps (y stage-(n+1) tuple, previous x or "*") to x;
-    ``y`` is a compatible family of stage tuples for the parameter gates.
-    Returns the x family and asserts the fixpoint property.
-    """
-    depth = len(f.maps)
-    if len(f.cod) != 1 or f.dom[-1] != f.cod[0]:
-        raise EvalError("fixpoint needs a morphism of shape Y x X -> X")
-    ys = [tuple(v) for v in y]
-    if len(ys) != depth:
-        raise EvalError("parameter family must cover every stage")
-    xs: list = []
-    for n in range(depth):
-        prev = xs[n - 1] if n else "*"
-        try:
-            xs.append(witness[n][(ys[n], prev)])
-        except KeyError:
-            raise EvalError("witness does not cover the needed arguments") from None
-    for n in range(depth):
-        if f.maps[n][ys[n] + (xs[n],)] != (xs[n],):
-            raise EvalError("witness disagrees with the morphism: not a fixpoint")
-    return xs

@@ -3,10 +3,12 @@ import dataclasses
 import pytest
 
 import gtc.axioms
+import gtc.laws
 from gtc.axioms import AXIOMS, check_axiom, gen_axiom_instances, run_axiom_suite
 from gtc.expressions import Box, Id, fold
 from gtc.guardedness import check_annotated
-from gtc.models import MODEL_NAMES, MODELS, EvalError, ToposOfTreesModel
+from gtc.models import MODEL_NAMES, MODELS, EvalError, FinSetMorphism, ToposOfTreesModel
+from gtc.models.trees import stagewise
 from gtc.signatures import mk_split
 from gtc.laws import (
     _tot_guarded,
@@ -181,6 +183,44 @@ def test_tot_law_suite_green():
         squaring=190,
         uniformity_projections=32,
     )
+
+
+def _constant_iter(f):
+    """A wrong iteration: every point goes to the first element of Y."""
+    y = f.cod[: len(f.cod) - len(f.dom)]
+    return FinSetMorphism(f.dom, y, {x: (0, y[0][0]) for x in f.table})
+
+
+def _constant_rec(model, m, dups):
+    """A wrong recursion: the constant at one global element of each loop
+    carrier, its first top-stage element and that element's restrictions."""
+    points = []
+    for o in m.cod:
+        point = [o.stages[-1][0]]
+        for r in reversed(o.restr):
+            point.append(r[point[-1]])
+        points.append(point[::-1])
+    params = m.dom[: len(m.dom) - len(m.cod)]
+    return stagewise(params, m.cod, lambda n, x: tuple(p[n] for p in points), len(m.maps))
+
+
+@pytest.mark.parametrize(
+    "suite,patch,wrong,broken",
+    [
+        (finset_conway_suite, "finset_iter", _constant_iter,
+         {"fixpoint", "naturality", "dinaturality"}),
+        (tot_conway_suite, "_tot_rec", _constant_rec, {"fixpoint", "dinaturality"}),
+    ],
+)
+def test_law_suite_reports_a_wrong_operator(monkeypatch, suite, patch, wrong, broken):
+    # the shared law core compares what the operator gives: a constant
+    # operator breaks the laws that compare it with something else, and
+    # passes those that compare it only with itself
+    want = {law: d["instances"] for law, d in suite().items()}
+    monkeypatch.setattr(gtc.laws, patch, wrong)
+    got = suite()
+    assert {law: d["instances"] for law, d in got.items()} == want
+    assert {law for law, d in got.items() if d["failures"] > 0} == broken
 
 
 def test_flat_transfer_suite_green():

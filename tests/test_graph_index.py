@@ -13,7 +13,7 @@ from gtc import diagrams
 from gtc.diagrams import Diagram, diagram_iso, elaborate, sccs, tarjan
 from gtc.expressions import parse_source
 from gtc.generators import rand_accepted_traced, rand_guarded_diagram, rand_trace_free_expr
-from gtc.guardedness import geometric_check, geometric_witness, unguarded_reach
+from gtc.guardedness import geometric_check, geometric_witness
 from gtc.signatures import BoxSig, mk_split, parse_box_decl
 from gtc.synthesis import acyclic_to_expr, compute_uv, loop_wires
 
@@ -61,7 +61,6 @@ def test_index_matches_direct_traversals(make, verdicts):
     kinds = Counter()
     for d in corpus:
         reach = ref.unguarded_reach(d)
-        assert unguarded_reach(d) == reach
         assert d.index.reach_out == [
             sum(1 << j for j in range(len(d.boundary_out)) if ("dout", j) in reach[p] | {p})
             for p in d.all_ports()
@@ -92,7 +91,7 @@ def test_acyclic_diagram_runs_no_tarjan(monkeypatch):
         e = rand_trace_free_expr(rng, max_boxes=8, n_atoms=4)
         d = elaborate(e)
         claim = mk_split(len(e.dom), len(e.cod), range(len(e.dom)), range(len(e.cod)))
-        geometric_witness(d, claim), loop_wires(d), unguarded_reach(d), acyclic_to_expr(d)
+        geometric_witness(d, claim), loop_wires(d), d.index.reach_out, acyclic_to_expr(d)
         assert not d.index.unguarded_loop and calls == []
 
 

@@ -29,7 +29,6 @@ from gtc.guardedness import (
     reach_table,
     split_derivable,
     structural_reach,
-    unguarded_reach,
 )
 from gtc.synthesis import SynthesisError, synthesize
 from gtc.expressions import Box, Comp, Id, Sym, Tensor, Trace, fold, trace
@@ -49,21 +48,21 @@ SIGS = {
 
 def test_reach_black_box():
     d = elaborate(parse_expr("blk", SIGS))
-    reach = unguarded_reach(d)
+    reach = graph_reference.unguarded_reach(d)
     assert ("bout", 0, 0) not in reach[("bin", 0, 0)]
     assert ("dout", 0) not in reach[("din", 0)]
 
 
 def test_reach_white_box():
     d = elaborate(parse_expr("wht", SIGS))
-    reach = unguarded_reach(d)
+    reach = graph_reference.unguarded_reach(d)
     assert ("bout", 0, 0) in reach[("bin", 0, 0)]
     assert ("dout", 0) in reach[("din", 0)]
 
 
 def test_reach_white_then_black_chain():
     d = elaborate(parse_expr("wht ; blk", SIGS))
-    reach = unguarded_reach(d)
+    reach = graph_reference.unguarded_reach(d)
     assert ("bin", 1, 0) in reach[("din", 0)]  # reaches the middle wire
     assert ("dout", 0) not in reach[("din", 0)]  # but not the final output
 
@@ -413,6 +412,24 @@ def test_certificates_match_golden_digest():
         digest.update(json.dumps(cert).encode())
     assert failures == 295
     assert digest.hexdigest() == "2404d63f6f0771db05c119cf13ff1ee86476aa1f8badeb92ac170e0a43fbe10d"
+
+
+def test_synthesized_text_matches_golden_digest():
+    # pins the `gtc synthesize` text: the texts of the diagrams whose claim
+    # synthesis accepts, in order, many of them with loops
+    rng = np.random.default_rng(303)
+    digest, texts, traced = hashlib.sha256(), 0, 0
+    for _ in range(300):
+        d, claim = rand_guarded_diagram(rng, max_boxes=14)
+        try:
+            text = print_expr(synthesize(d, claim))
+        except SynthesisError:
+            continue
+        texts += 1
+        traced += "tr[" in text
+        digest.update(text.encode() + b"\n")
+    assert (texts, traced) == (162, 138)
+    assert digest.hexdigest() == "62b37524ea4eb829b848f0e5430298cc1c60aa97efd8f2242dee3f5f7b5ac849"
 
 
 def test_every_traced_layer_decides_alike_structurally_and_geometrically():

@@ -32,7 +32,6 @@ from gtc.models import (
     hs_sum_trace,
     lfp_rec,
     lift,
-    metric_trace,
     rec_to_grec,
 )
 from gtc.models.hilbert import (
@@ -48,7 +47,7 @@ from gtc.models.hilbert import (
 )
 from gtc.models.io import load_bindings
 from gtc.models.metric import MetricModel, _iterate, affine, named_function
-from gtc.models.trees import StageObject, ToTMorphism, ToposOfTreesModel, tot_fixpoint
+from gtc.models.trees import StageObject, ToTMorphism, ToposOfTreesModel, stagewise
 from gtc.signatures import UNIT, mk_split, obj, parse_box_decl
 
 # --- finset -------------------------------------------------------------------
@@ -214,16 +213,19 @@ def _rejects_tolerance(tol, message):
     with pytest.raises(EvalError, match=message):
         banach_rec(f, [np.array([1.0])], tol)
     body = affine([1, 1], [1, 1], np.array([[0.5, 0.5], [0.5, 0.5]]), np.zeros(2))
-    with pytest.raises(EvalError, match=message):
-        metric_trace(body, 1, 1, 1, [np.array([1.0])], [], tol)
     a, u = obj("A"), obj("U")
     with pytest.raises(EvalError, match=message):
         MetricModel({"A": 1, "U": 1}).trace(body, u, (a, UNIT, a, UNIT), tol)
 
 
+def _metric_trace(m, loop, corners):
+    return MetricModel({"A": 1, "U": 1}).trace(m, loop, corners, 1e-12)
+
+
 def test_metric_trace_no_loop_is_plain_evaluation():
+    a = obj("A")
     f = affine([1, 1], [1, 1], np.eye(2), np.zeros(2))
-    c_out, d_out = metric_trace(f, 2, 0, 1, [np.array([1.5]), np.array([-2.0])], [], 1e-12)
+    c_out, d_out = _metric_trace(f, UNIT, (a * a, UNIT, a, a)).apply([[1.5], [-2.0]])
     assert abs(float(c_out[0][0]) - 1.5) < 1e-12
     assert abs(float(d_out[0][0]) + 2.0) < 1e-12
 
@@ -232,7 +234,7 @@ def test_metric_trace_solves_loop():
     # (A, U) -> (C, U'): C copies the loop value, U' = (a + u)/2
     w = np.array([[0.0, 1.0], [0.5, 0.5]])
     f = affine([1, 1], [1, 1], w, np.zeros(2))
-    c_out, _ = metric_trace(f, 1, 1, 1, [np.array([4.0])], [], 1e-12)
+    (c_out,) = _metric_trace(f, obj("U"), (obj("A"), UNIT, obj("A"), UNIT)).apply([[4.0]])
     assert abs(float(c_out[0][0]) - 4.0) < 1e-9
 
 
@@ -255,14 +257,10 @@ def test_metric_trace_evaluates_the_body_once_per_iterate():
     ys = traced.apply(xs)
     assert len(calls) == count + 1 and np.array_equal(ys[0], at_fixpoint)
 
-    calls.clear()
-    c_out, d_out = metric_trace(body, 1, 1, 1, [np.array([4.0])], [], 1e-12)
-    assert len(calls) == count + 1 and c_out[0][0] == at_fixpoint[0][0] and d_out == []
-
     calls.clear()  # no loop blocks: the one evaluation is the answer
-    no_loop = MetricMorphism(f.in_dims, f.out_dims, counted, f.lip)
-    c_out, _ = metric_trace(no_loop, 2, 0, 1, [np.array([1.5]), np.array([-2.0])], [], 1e-12)
-    assert len(calls) == 1 and c_out[0][0] == f.fn([np.array([[1.5]]), np.array([[-2.0]])])[0][0, 0]
+    a = obj("A")
+    c_out, _ = _metric_trace(body, UNIT, (a * a, UNIT, a, a)).apply([[1.5], [-2.0]])
+    assert len(calls) == 1 and c_out[0, 0] == f.fn([np.array([[1.5]]), np.array([[-2.0]])])[0][0, 0]
 
 
 # --- trees --------------------------------------------------------------------
@@ -278,6 +276,16 @@ def _simple_objects():
         ({"y0": "y0", "y1": "y0"}, {"y0": "y0", "y1": "y1"}),
     )
     return x, y
+
+
+def _tot_fixpoint(f, y_family):
+    """The x family solving x = f(y, x) at the compatible y family, read
+    off the model's feedback: duplicate f's output and trace the copy."""
+    model = ToposOfTreesModel({})
+    dup = stagewise(f.cod, f.cod * 2, lambda n, v: v + v, len(f.maps))
+    x = obj("X")
+    rec = model.trace(model.compose(f, dup), x, (obj("Y"), UNIT, UNIT, x))
+    return [rec.maps[n][(v,)][0] for n, v in enumerate(y_family)]
 
 
 def test_tot_fixpoint_constant_witness():
@@ -297,8 +305,7 @@ def test_tot_fixpoint_constant_witness():
                 table[(yv, xv)] = (witness[n][((yv,), prev)],)
         maps.append(table)
     f = ToTMorphism((y, x), (x,), tuple(maps))
-    xs = tot_fixpoint(f, witness, [("y0",), ("y1",), ("y1",)])
-    assert xs == ["x0", "x0", "x0"]
+    assert _tot_fixpoint(f, ["y0", "y1", "y1"]) == ["x0", "x0", "x0"]
 
 
 def test_tot_fixpoint_is_unique():
@@ -329,17 +336,13 @@ def test_tot_fixpoint_is_unique():
     for w in _enumerate_natural((y, _later(x)), x):
         maps = _guarded_from_witness((y, x), x, w, {1})
         f = ToTMorphism((y, x), (x,), tuple(maps))
-        witness = tuple(
-            {((yv,), pv): w[n][(yv, pv)] for (yv, pv) in w[n]} for n in range(3)
-        )
         for yf in y_families:
             solutions = [
                 xf
                 for xf in families
                 if all(f.maps[n][(yf[n], xf[n])] == (xf[n],) for n in range(3))
             ]
-            computed = tot_fixpoint(f, witness, [(v,) for v in yf])
-            assert solutions == [computed]
+            assert solutions == [_tot_fixpoint(f, yf)]
             count += 1
     assert count > 0
 

@@ -7,7 +7,7 @@ import graph_reference as ref
 from gtc.diagrams import Diagram, DiagramError, diagram_iso, elaborate
 from gtc.expressions import parse_expr, parse_source, print_expr
 from gtc.generators import rand_guarded_diagram
-from gtc.guardedness import check_annotated, unguarded_reach
+from gtc.guardedness import check_annotated
 from gtc.signatures import mk_split, parse_box_decl
 from gtc.synthesis import (
     SynthesisError,
@@ -121,7 +121,7 @@ def test_cut_diagram_four_path_cases_guarded():
         u, v = compute_uv(d, claim)
         wire = find_cut_wire(d, u, v)
         d2, claim2 = cut_wire(d, wire, claim)
-        reach = unguarded_reach(d2)
+        reach = ref.unguarded_reach(d2)
         n_in, n_out = len(d.boundary_in), len(d.boundary_out)
         old_a = [("din", i) for i in sorted(claim.unguarded_in)]
         old_d = {("dout", j) for j in sorted(claim.guarded_out)}
