@@ -43,8 +43,6 @@ from .guardedness import (
     derivable_splits,
     geometric_check,
     geometric_witness,
-    infer_trace_annotations,
-    split_derivable,
 )
 from .signatures import (
     UNIT,

@@ -18,17 +18,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from .diagrams import DiagramError, diagram_iso, elaborate, export_dot, export_json, import_json
 from .expressions import ParseError, TypingError, parse_source, print_expr
 from .generators import rand_guarded_diagram, rand_trace_free_expr
 from .guardedness import check_annotated, geometric_reach_table, reach_table, structural_reach
-from .models import MODEL_NAMES, EvalError, eval_expr
-from .models.io import load_bindings, read_json
+from .model_names import MODEL_NAMES, EvalError
 from .signatures import SignatureError, parse_claim
 from .synthesis import SynthesisError, synthesis_preconditions, synthesize
 
@@ -143,6 +141,11 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    import numpy as np
+
+    from .models import eval_expr
+    from .models.io import load_bindings, read_json
+
     bad = _tol_error(args.tol)
     if bad:
         print(f"error: {bad}", file=sys.stderr)
@@ -260,12 +263,14 @@ def _tol_error(tol: float) -> str | None:
     negatives are not tolerances, and infinity bounds no answer."""
     if not tol > 0:
         return f"--tol must be positive, not {tol}"
-    return None if np.isfinite(tol) else f"--tol must be finite, not {tol}"
+    return None if math.isfinite(tol) else f"--tol must be finite, not {tol}"
 
 
 def _oracle_block(seed: int, n_expr: int = 100) -> dict:
     """Sampled agreement of the structural and geometric deciders, on
     every claim of each expression as a pair of masks."""
+    import numpy as np
+
     rng = np.random.default_rng([seed, 91])
     checked = failures = 0
     for _ in range(n_expr):
@@ -281,6 +286,8 @@ def _oracle_block(seed: int, n_expr: int = 100) -> dict:
 
 
 def _synthesis_block(seed: int, n_good: int = 50, n_bad: int = 10) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng([seed, 92])
     good = bad = good_fail = bad_fail = 0
     while good < n_good or bad < n_bad:

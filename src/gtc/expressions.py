@@ -230,183 +230,183 @@ def leaf_boxes(e: MorphExpr) -> list[BoxSig]:
 
 # --- printer ---------------------------------------------------------------
 
-# precedence of a printed subterm: a ';' chain, a '(*)' chain, or an atom
-_COMP, _TENSOR, _ATOM = range(3)
-
 
 def print_expr(e: MorphExpr) -> str:
     """Render with minimal parentheses; both binary operators print as
-    left-associated chains, so right-nested children get parenthesized."""
+    left-associated chains, so right-nested children get parenthesized.
 
-    def paren(sub: tuple[str, int], level: int) -> str:
-        return sub[0] if sub[1] >= level else f"({sub[0]})"
-
-    def leaf(x: MorphExpr) -> tuple[str, int]:
-        if isinstance(x, Box):
-            return x.sig.name, _ATOM
-        if isinstance(x, Id):
-            return f"id[{x.obj}]", _ATOM
-        return f"sym[{x.left},{x.right}]", _ATOM
-
-    def trace(x: Trace, body: tuple[str, int]) -> tuple[str, int]:
-        a, b, c, d = x.corners
-        return f"tr[{x.loop}: {a}|{b} -> {c}|{d}]{{ {body[0]} }}", _ATOM
-
-    return fold(
-        e,
-        leaf,
-        lambda x, f, g: (f"{f[0]} ; {paren(g, _TENSOR)}", _COMP),
-        lambda x, f, g: (f"{paren(f, _TENSOR)} (*) {paren(g, _ATOM)}", _TENSOR),
-        trace,
-    )[0]
+    One top-down walk with its own stack of nodes and literal texts, not a
+    ``fold``: a parent decides its children's parentheses before they are
+    visited, so each token is appended once and the text joined once."""
+    out: list[str] = []
+    todo: list = [e]
+    while todo:
+        x = todo.pop()
+        t = type(x)
+        if t is str:
+            out.append(x)
+        elif t is Comp:
+            g = x.second
+            todo += (")", g, "(") if type(g) is Comp else (g,)
+            todo += (" ; ", x.first)
+        elif t is Tensor:
+            g = x.bottom
+            todo += (")", g, "(") if type(g) is Comp or type(g) is Tensor else (g,)
+            f = x.top
+            todo += (" (*) ", ")", f, "(") if type(f) is Comp else (" (*) ", f)
+        elif t is Box:
+            out.append(x.sig.name)
+        elif t is Trace:
+            a, b, c, d = x.corners
+            todo += (" }", x.body, f"tr[{x.loop}: {a}|{b} -> {c}|{d}]{{ ")
+        elif t is Id:
+            out.append(f"id[{x.obj}]")
+        else:
+            out.append(f"sym[{x.left},{x.right}]")
+    return "".join(out)
 
 
 # --- parser ----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<tensor>\(\*\))|(?P<lpar>\()|(?P<rpar>\))|(?P<semi>;)"
-    r"|(?P<lbrak>\[)|(?P<rbrak>\])|(?P<lbrace>\{)|(?P<rbrace>\})"
-    r"|(?P<arrow>->)|(?P<colon>:)|(?P<comma>,)|(?P<pipe>\|)|(?P<star>\*)"
-    r"|(?P<name>[A-Za-z0-9_]+))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    pos = 0  # where the next token's match must start
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:  # no token starts at pos
-            break
-        kind = m.lastgroup
-        toks.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-    toks.append(("eof", "", len(text)))
-    return toks
+# each token's text: an operator, a name, or a character no token starts with
+_TOKEN_RE = re.compile(r"\(\*\)|->|[A-Za-z0-9_]+|\S")
+# a character no token starts with ('-' and '>' only start and end "->")
+_BAD_RE = re.compile(r"[^\sA-Za-z0-9_()*;\[\]{}:,|>-]|-(?!>)|(?<!-)>")
+# the operator tokens, by the kind that error messages name
+_KINDS = {
+    "(*)": "tensor", "(": "lpar", ")": "rpar", ";": "semi", "[": "lbrak", "]": "rbrak",
+    "{": "lbrace", "}": "rbrace", "->": "arrow", ":": "colon", ",": "comma", "|": "pipe",
+    "*": "star", "": "eof",
+}  # fmt: skip
+_TRACE_SEPARATORS = (":", "|", "->", "|", "]")  # after each word of tr[U: A|B -> C|D]
 
 
 class _Parser:
+    """One expression's tokens, ``""`` last for the end of the text.  A bad
+    character is reported before any other error, at the end of the token
+    before it; token positions are found only for an error message."""
+
     def __init__(self, text: str, sigs: dict[str, BoxSig]):
+        bad = _BAD_RE.search(text)
+        if bad:
+            pos = len(text[: bad.start()].rstrip())
+            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
         self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
+        self.toks = _TOKEN_RE.findall(text)
+        self.toks.append("")
         self.sigs = sigs
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.i]
+    def at(self, i: int) -> int:
+        """The position of token ``i`` in the text."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        return starts[i] if i < len(starts) else len(self.text)
 
-    def take(self, kind: str) -> str:
-        k, v, p = self.toks[self.i]
-        if k != kind:
-            raise ParseError(f"expected {kind} at position {p}, got {v!r}")
-        self.i += 1
-        return v
+    def expect(self, i: int, tok: str) -> int:
+        got = self.toks[i]
+        if got != tok:
+            raise ParseError(f"expected {_KINDS[tok]} at position {self.at(i)}, got {got!r}")
+        return i + 1
 
-    def at(self, kind: str) -> bool:
-        return self.toks[self.i][0] == kind
-
-    # object words are re-assembled from name/star tokens
-    def parse_obj(self) -> ObjectExpr:
-        k, v, p = self.peek()
-        if k != "name":
-            raise ParseError(f"expected object at position {p}, got {v!r}")
-        parts = [self.take("name")]
-        while self.at("star"):
-            self.take("star")
-            parts.append(self.take("name"))
-        try:
-            return parse_object("*".join(parts))
+    def word(self, i: int) -> tuple[ObjectExpr, int]:
+        """The object word ``name (* name)*`` at token ``i``, and the index past it."""
+        toks = self.toks
+        if toks[i] in _KINDS:
+            raise ParseError(f"expected object at position {self.at(i)}, got {toks[i]!r}")
+        j = i + 1
+        while toks[j] == "*":
+            j += 2
+            if toks[j - 1] in _KINDS:
+                raise ParseError(f"expected name at position {self.at(j - 1)}, got {toks[j - 1]!r}")
+        atoms = toks[i:j:2]
+        if "I" not in atoms:  # names all, so a word
+            return ObjectExpr(tuple(atoms)), j
+        try:  # the unit, or an error message
+            return parse_object("".join(toks[i:j])), j
         except SignatureError as exc:
-            raise ParseError(f"bad object at position {p}: {exc}") from None
+            raise ParseError(f"bad object at position {self.at(i)}: {exc}") from None
 
-    def parse_expr(self) -> MorphExpr:
-        e = self.parse_tensor()
-        while self.at("semi"):
-            self.take("semi")
-            rhs = self.parse_tensor()
-            try:
-                e = Comp(e, rhs)
-            except TypingError as exc:
-                raise ParseError(str(exc)) from None
-        return e
+    def parse(self) -> MorphExpr:
+        """``e := t (';' t)*``, ``t := a ('(*)' a)*`` in one loop: each open
+        ``(`` or ``tr[...]{`` pushes the enclosing expression's ``;`` chain
+        and ``(*)`` chain so far, and its closer pops them back."""
+        toks, sigs = self.toks, self.sigs
+        stack: list = []  # (closer, chain, tensor, trace words or None)
+        chain = tensor = None
+        i = 0
+        while True:
+            tok = toks[i]  # an atom starts here
+            if tok == "(":
+                stack.append((")", chain, tensor, None))
+                chain = tensor = None
+                i += 1
+                continue
+            if tok in _KINDS:
+                raise ParseError(f"expected expression at position {self.at(i)}, got {tok!r}")
+            if tok == "tr":
+                words = []
+                i = self.expect(i + 1, "[")
+                for sep in _TRACE_SEPARATORS:
+                    w, i = self.word(i)
+                    words.append(w)
+                    i = self.expect(i, sep)
+                stack.append(("}", chain, tensor, words))
+                chain = tensor = None
+                i = self.expect(i, "{")
+                continue
+            if tok == "id":
+                o, i = self.word(self.expect(i + 1, "["))
+                i = self.expect(i, "]")
+                x = Id(o)
+            elif tok == "sym":
+                left, i = self.word(self.expect(i + 1, "["))
+                right, i = self.word(self.expect(i, ","))
+                i = self.expect(i, "]")
+                x = Sym(left, right)
+            elif tok in sigs:
+                x = Box(sigs[tok])
+                i += 1
+            else:
+                raise ParseError(f"unknown box {tok!r} at position {self.at(i)}")
+            while True:  # x is an atom that ends before token i
+                tensor = x if tensor is None else Tensor(tensor, x)
+                if toks[i] == "(*)":
+                    break
+                try:
+                    chain = tensor if chain is None else Comp(chain, tensor)
+                except TypingError as exc:
+                    raise ParseError(str(exc)) from None
+                tensor = None
+                if toks[i] == ";":
+                    break
+                if not stack:  # the whole expression ends here
+                    if toks[i]:
+                        raise ParseError(f"trailing input at position {self.at(i)}: {toks[i]!r}")
+                    return chain
+                closer, outer_chain, outer_tensor, words = stack.pop()
+                i = self.expect(i, closer)
+                x = chain if words is None else _parsed_trace(chain, *words)
+                chain, tensor = outer_chain, outer_tensor
+            i += 1  # past '(*)' or ';'
 
-    def parse_tensor(self) -> MorphExpr:
-        e = self.parse_atom()
-        while self.at("tensor"):
-            self.take("tensor")
-            e = Tensor(e, self.parse_atom())
-        return e
 
-    def parse_atom(self) -> MorphExpr:
-        k, v, p = self.peek()
-        if k == "lpar":
-            self.take("lpar")
-            e = self.parse_expr()
-            self.take("rpar")
-            return e
-        if k != "name":
-            raise ParseError(f"expected expression at position {p}, got {v!r}")
-        if v == "id":
-            self.take("name")
-            self.take("lbrak")
-            o = self.parse_obj()
-            self.take("rbrak")
-            return Id(o)
-        if v == "sym":
-            self.take("name")
-            self.take("lbrak")
-            left = self.parse_obj()
-            self.take("comma")
-            right = self.parse_obj()
-            self.take("rbrak")
-            return Sym(left, right)
-        if v == "tr":
-            return self.parse_trace()
-        self.take("name")
-        if v not in self.sigs:
-            raise ParseError(f"unknown box {v!r} at position {p}")
-        return Box(self.sigs[v])
-
-    def parse_trace(self) -> MorphExpr:
-        self.take("name")  # 'tr'
-        self.take("lbrak")
-        loop = self.parse_obj()
-        self.take("colon")
-        a = self.parse_obj()
-        self.take("pipe")
-        b = self.parse_obj()
-        self.take("arrow")
-        c = self.parse_obj()
-        self.take("pipe")
-        d = self.parse_obj()
-        self.take("rbrak")
-        self.take("lbrace")
-        body = self.parse_expr()
-        self.take("rbrace")
-        want_dom, want_cod = a * loop * b, c * d * loop
-        if body.dom != want_dom or body.cod != want_cod:
-            raise ParseError(
-                f"trace body has profile {body.dom} -> {body.cod}, "
-                f"annotation requires {want_dom} -> {want_cod}"
-            )
-        try:
-            return trace(loop, body, len(a), len(c))
-        except TypingError as exc:
-            raise ParseError(str(exc)) from None
+def _parsed_trace(body: MorphExpr, loop, a, b, c, d) -> Trace:
+    want_dom, want_cod = a * loop * b, c * d * loop
+    if body.dom != want_dom or body.cod != want_cod:
+        raise ParseError(
+            f"trace body has profile {body.dom} -> {body.cod}, "
+            f"annotation requires {want_dom} -> {want_cod}"
+        )
+    try:
+        return trace(loop, body, len(a), len(c))
+    except TypingError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_expr(text: str, sigs: dict[str, BoxSig]) -> MorphExpr:
-    """Parse a single expression against a signature registry."""
-    p = _Parser(text, sigs)
-    try:
-        e = p.parse_expr()
-    except RecursionError:
-        raise ParseError("expression nested too deeply for the parser") from None
-    k, v, pos = p.peek()
-    if k != "eof":
-        raise ParseError(f"trailing input at position {pos}: {v!r}")
-    return e
+    """Parse a single expression against a signature registry.  The parser
+    keeps its open parentheses and traces on a list, so the nesting depth
+    is not limited by Python's recursion limit."""
+    return _Parser(text, sigs).parse()
 
 
 # --- .gtc files -------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagrams import Diagram, DiagramIndex, Port, check_fits, elaborate
-from .expressions import Box, Comp, MorphExpr, Sym, Tensor, Trace, fold, trace as mk_trace
+from .expressions import Box, Comp, MorphExpr, Sym, Tensor, Trace, fold
 from .signatures import BoxSig, SignatureError, Split, _gate_set
 
 
@@ -252,12 +252,6 @@ def claim_derivable(
     return False
 
 
-def split_derivable(e: MorphExpr, claim: Split) -> bool:
-    """Is the claim derivable for this trace-free expression?"""
-    check_fits(claim, len(e.dom), len(e.cod))
-    return _derives(structural_reach(e), claim)
-
-
 # --- syntax-directed checking of annotated traced expressions ---------------
 
 
@@ -322,27 +316,3 @@ def check_annotated(e: MorphExpr, claim: Split) -> CheckResult:
             entry = {"node": f"tr_{idx}", "loop": str(tr.loop), "corners": f"{a}|{b} -> {c}|{d}"}
             layers.append((tr.body, tr.annotation, entry))
     return result
-
-
-def infer_trace_annotations(e: MorphExpr, claim: Split) -> MorphExpr | None:
-    """Annotate every trace node as strongly as its body allows.
-
-    The loop word and its position are part of each trace node (they fix
-    the feedback wiring), so the only annotation freedom left is how many
-    body outputs are claimed unguarded ahead of the guarded block.  Bottom
-    up, each node claims the fewest that its re-annotated body derives.  A
-    stronger inner conclusion never makes an outer body derive less, so if
-    any choice checks, this one does.  Returns the re-annotated expression
-    if it checks under ``claim``, else None.
-    """
-
-    def retrace(x: Trace, body: MorphExpr) -> MorphExpr:
-        reach, a_len = structural_reach(body, []), len(x.corners[0])
-        for c_len in range(len(body.cod) - len(x.loop) + 1):
-            candidate = mk_trace(x.loop, body, a_len, c_len)
-            if _derives(reach, candidate.annotation):
-                return candidate
-        return candidate  # no promise holds: the check below fails
-
-    candidate = fold(e, lambda x: x, _rebuild_comp, _rebuild_tensor, retrace)
-    return candidate if check_annotated(candidate, claim).ok else None

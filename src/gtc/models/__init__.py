@@ -15,6 +15,7 @@ interpretation routine (``eval_expr``):
                fixpoints over lifted carriers
 """
 
+from ..model_names import MODEL_NAMES
 from .base import EvalError, Model, eval_expr
 from .finset import FinSetModel, FinSetMorphism, finset_iter
 from .flatposet import (
@@ -37,12 +38,11 @@ from .hilbert import (
 from .metric import MetricModel, MetricMorphism, banach_rec
 from .trees import StageObject, ToposOfTreesModel, ToTMorphism
 
-# the backends by name, in the order check_axiom's seeds number them
+# the backends by name, in MODEL_NAMES' order
 MODELS = {
     m.name: m
     for m in (FinSetModel, MetricModel, ToposOfTreesModel, HilbertModel, FlatPosetModel)
 }
-MODEL_NAMES = tuple(MODELS)
 
 __all__ = [
     "EvalError",

@@ -13,11 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..expressions import Id, MorphExpr, Sym, fold
+from ..model_names import EvalError
 from ..signatures import ObjectExpr
-
-
-class EvalError(ValueError):
-    """Unbound box, witness/split inconsistency, or bad model data."""
 
 
 class Model:

@@ -35,6 +35,19 @@ class _Entry(weakref.ref):  # a table's weak reference, holding its key
     __slots__ = ("key",)
 
 
+def _inserter(setters: tuple, publish):
+    """``_insert(cls, key, *values)``, ``_intern`` after a lookup of ``key``
+    missed, for a class with these slot setters: one setter call per slot
+    written out, which takes half the time of a loop over the setters."""
+    args = "".join(f", v{i}" for i in range(len(setters)))
+    sets = "".join(f"    set{i}(x, v{i})\n" for i in range(len(setters)))
+    code = f"def _insert(cls, key{args}):\n    x = new(cls)\n{sets}    return publish(key, x)\n"
+    scope = {"new": object.__new__, "publish": publish}
+    scope.update((f"set{i}", set_slot) for i, set_slot in enumerate(setters))
+    exec(code, scope)
+    return scope["_insert"]
+
+
 class Interned:
     """Base of the classes whose equal values are one shared object, so
     ``==`` and ``hash`` are identity and never walk a value.
@@ -64,8 +77,17 @@ class Interned:
         def forget(entry: _Entry) -> None:  # unless a new instance took the key
             remove(table, entry.key)
 
-        cls._table, cls._forget = table, staticmethod(forget)
-        cls._setters = _slot_setters(cls)
+        def publish(key, x):
+            entry = _Entry(x, forget)
+            entry.key = key
+            while True:
+                shared = table.setdefault(key, entry)()
+                if shared is not None:  # this entry, or one that won the race
+                    return shared
+                remove(table, key)  # a dead entry whose callback has not run yet
+
+        cls._table = table
+        cls._insert = classmethod(_inserter(_slot_setters(cls), publish))
 
     @classmethod
     def _intern(cls, key, *values):
@@ -74,21 +96,6 @@ class Interned:
         if shared is not None:
             return shared
         return cls._insert(key, *values)
-
-    @classmethod
-    def _insert(cls, key, *values):
-        """``_intern`` after a lookup of ``key`` missed."""
-        x = object.__new__(cls)
-        for set_slot, value in zip(cls._setters, values):
-            set_slot(x, value)
-        entry = _Entry(x, cls._forget)
-        entry.key = key
-        table = cls._table
-        while True:
-            shared = table.setdefault(key, entry)()
-            if shared is not None:  # this entry, or one that won the race
-                return shared
-            _remove_dead_weakref(table, key)  # a dead entry whose callback has not run yet
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, a) for a in self.__match_args__)

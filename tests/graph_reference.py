@@ -3,8 +3,10 @@
 Each graph function answers one graph question by walking the diagram
 from scratch, the way ``gtc`` did before it read every answer off the
 cached ``DiagramIndex``.  ``test_graph_index`` asserts that both give
-equal results.  ``infer_trace_annotations`` is the exhaustive annotation
-search that the one-fold inference replaced, and ``diagram_iso`` the
+equal results.  ``split_derivable`` decides one claim structurally, and
+``infer_trace_annotations`` annotates each trace node in one fold;
+``search_trace_annotations`` is the exhaustive annotation search that
+the fold replaced, and ``diagram_iso`` the
 backtracking search over box assignments that wire-following replaced.
 ``elaborate`` is the union-find flattening that the one top-down walk
 replaced.  ``synthesize`` is the synthesis loop that built a new
@@ -27,7 +29,15 @@ from functools import reduce
 
 from gtc.diagrams import Diagram, DiagramError, Port, check_fits
 from gtc.expressions import Box, Comp, Id, MorphExpr, Sym, Tensor, Trace, fold, trace
-from gtc.guardedness import GeometricWitness, PortPath, check_annotated
+from gtc.guardedness import (
+    GeometricWitness,
+    PortPath,
+    _derives,
+    _rebuild_comp,
+    _rebuild_tensor,
+    check_annotated,
+    structural_reach,
+)
 from gtc.signatures import BoxSig, ObjectExpr, Split, corner_split
 from gtc.synthesis import (
     _compose_opt,
@@ -203,7 +213,37 @@ def compute_uv(d: Diagram, claim: Split) -> tuple[frozenset[int], frozenset[int]
     return frozenset(u_set), frozenset(v_set)
 
 
-def infer_trace_annotations(e, claim: Split):
+def split_derivable(e: MorphExpr, claim: Split) -> bool:
+    """Is the claim derivable for this trace-free expression?"""
+    check_fits(claim, len(e.dom), len(e.cod))
+    return _derives(structural_reach(e), claim)
+
+
+def infer_trace_annotations(e: MorphExpr, claim: Split) -> MorphExpr | None:
+    """Annotate every trace node as strongly as its body allows.
+
+    The loop word and its position are part of each trace node (they fix
+    the feedback wiring), so the only annotation freedom left is how many
+    body outputs are claimed unguarded ahead of the guarded block.  Bottom
+    up, each node claims the fewest that its re-annotated body derives.  A
+    stronger inner conclusion never makes an outer body derive less, so if
+    any choice checks, this one does.  Returns the re-annotated expression
+    if it checks under ``claim``, else None.
+    """
+
+    def retrace(x: Trace, body: MorphExpr) -> MorphExpr:
+        reach, a_len = structural_reach(body, []), len(x.corners[0])
+        for c_len in range(len(body.cod) - len(x.loop) + 1):
+            candidate = trace(x.loop, body, a_len, c_len)
+            if _derives(reach, candidate.annotation):
+                return candidate
+        return candidate  # no promise holds: the check below fails
+
+    candidate = fold(e, lambda x: x, _rebuild_comp, _rebuild_tensor, retrace)
+    return candidate if check_annotated(candidate, claim).ok else None
+
+
+def search_trace_annotations(e, claim: Split):
     """Try every combination of output promises across the trace nodes,
     the nodes in preorder and each from its strongest promise, and return
     the first re-annotated expression that checks under ``claim``."""

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -25,6 +28,29 @@ def source_file(tmp_path):
     return str(path)
 
 
+def test_check_and_synthesize_start_without_numpy(source_file, tmp_path):
+    # only eval and suite load the models, and numpy with them
+    code = (
+        "import sys\n"
+        "from gtc.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, sorted(m for m in sys.modules if m == 'numpy' or m.startswith('gtc.models')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    diagram = str(tmp_path / "d.json")
+    for args in (
+        ["check", source_file, "--name", "pipeline", "--claim", "X|I -> I|Y", "--json", diagram],
+        ["synthesize", diagram],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_check_accepts(source_file, capsys):
     code = main(["check", source_file, "--name", "pipeline", "--claim", "X|I -> I|Y"])
     assert code == 0
@@ -42,7 +68,7 @@ def test_check_rejects_with_witness(source_file, capsys):
 
 def test_check_cross_checked_against_structural_oracle(source_file, capsys):
     from gtc.expressions import parse_source
-    from gtc.guardedness import split_derivable
+    from graph_reference import split_derivable
     from gtc.signatures import parse_claim
 
     src = parse_source(GTC_SOURCE)
@@ -590,10 +616,15 @@ def test_synthesize_malformed_box_data_exit_2(tmp_path, capsys, sig, message):
 
 
 def test_check_deep_nesting_exit_2(tmp_path, capsys):
+    # no nesting limit: a 10,000-level nest checks; unbalanced, it is an error
     path = tmp_path / "deep.gtc"
-    path.write_text("box f : A | I -> I | A\nlet main = " + "(" * 1200 + "f" + ")" * 1200 + "\n")
-    assert main(["check", str(path), "--name", "main", "--claim", "A|I -> I|A"]) == 2
-    assert _error_line(capsys) == "error: line 2: expression nested too deeply for the parser"
+    args = ["check", str(path), "--name", "main", "--claim", "A|I -> I|A"]
+    path.write_text("box f : A | I -> I | A\nlet main = " + "(" * 10000 + "f" + ")" * 10000 + "\n")
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    path.write_text("box f : A | I -> I | A\nlet main = " + "(" * 10000 + "f" + ")" * 9999 + "\n")
+    assert main(args) == 2
+    assert _error_line(capsys) == "error: line 2: expected rpar at position 20000, got ''"
 
 
 @pytest.mark.parametrize(

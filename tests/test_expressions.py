@@ -1,8 +1,11 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import os
 import pickle
+import random
+import re
 import sys
 import threading
 import weakref
@@ -22,8 +25,11 @@ from gtc.expressions import (
     parse_source,
     print_expr,
 )
+from gtc.diagrams import import_json
 from gtc.generators import rand_accepted_traced, rand_trace_free_expr
 from gtc.signatures import UNIT, mk_split, obj, parse_box_decl
+from gtc.synthesis import SynthesisError, synthesize
+from test_signatures import _roundtrip_inputs
 
 SIGS = {
     s.name: s
@@ -230,3 +236,90 @@ def test_nodes_built_from_many_threads_are_one_object():
         first = built[0][i]
         assert print_expr(first) == text
         assert all(mine[i] is first for mine in built)
+
+
+# one input for each ParseError text of expressions.py, against SIGS
+MESSAGE_INPUTS = [
+    "f & g",  # unexpected character: the one after the last token read
+    "&f",
+    "f ;é",
+    "id A]",  # expected <token kind>
+    "sym[A B]",
+    "tr[B A|I -> I|I]{ k ; f }",
+    "tr[B: A|I -> I|I]{ k ; f ",
+    "(f",
+    "tr",
+    "id[;]",  # expected object
+    "id[A*]",
+    "id[I*A]",  # bad object
+    "f ; f",  # cannot compose
+    "; f",  # expected expression
+    "",
+    "f (*)",
+    "f ; (*) g",
+    "nope",  # unknown box
+    "tr[B: A|I -> I|C]{ f ; g }",  # trace body has profile
+    "f )",  # trailing input
+    "f ; g }",
+]
+# and each parse_source text
+SOURCE_INPUTS = [
+    "let = f",
+    "box f : A | I -> I | B\nlet m = f\nlet m = f",
+    "hello",
+    "box f : A | I -> I | B\nbox f : A | I -> I | B",
+    "box f : A -> B",
+    "box f : A | I -> I | B\n# a comment\nlet m = f ; f  # another",
+    "box f : A | I -> I | A\nlet m = ((f ; f)) (*) tr[A: I|I -> I|I]{ f } ; id[A]",  # parses
+]
+_TOKEN = re.compile(r"\(\*\)|->|\w+|\S")
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """``text`` with one token of its ``let`` line deleted, duplicated or
+    swapped with the next."""
+    start = text.index("\nlet ") + 1
+    spans = [m.span() for m in _TOKEN.finditer(text, start)][3:]  # past 'let name ='
+    kind, i = rng.randrange(3), rng.randrange(len(spans) - 1)
+    (a, b), (c, d) = spans[i], spans[i + 1]
+    if kind == 0:
+        return text[:a] + text[b:]
+    if kind == 1:
+        return text[:a] + text[a:b] + " " + text[a:]
+    return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        exprs = parse_source(text).exprs
+    except ParseError as exc:
+        return f"error: {exc}"
+    return "ok: " + " | ".join(print_expr(e) for e in exprs.values())
+
+
+def test_parse_error_texts_match_golden_digest():
+    # the seed-1 `roundtrip` benchmark sources (pipelines, and the text that
+    # synthesis prints for its valid diagrams), each with single-token
+    # mistakes, and one input per message
+    rng = random.Random(27)
+    decls = "\n".join(map(str, SIGS.values()))
+    texts = [f"{decls}\nlet main = {t}" for t in MESSAGE_INPUTS] + SOURCE_INPUTS
+    for kind, text, valid, _ in _roundtrip_inputs(1):
+        if kind == "pipeline":
+            texts.append(_mutant(text, rng))
+        elif valid:
+            d = import_json(text)
+            try:
+                e = synthesize(d, d.boundary_claim())
+            except SynthesisError:
+                continue
+            lines = [str(sig) for sig in dict.fromkeys(d.boxes)]
+            source = "\n".join([*lines, f"let main = {print_expr(e)}"])
+            texts += (_mutant(source, rng) for _ in range(2))
+    digest, outcomes = hashlib.sha256(), []
+    for text in texts:
+        outcomes.append(_parse_outcome(text))
+        digest.update(f"{text!r}\t{outcomes[-1]}\n".encode())
+    errors = sum(o.startswith("error: ") for o in outcomes)
+    assert (len(texts), errors) == (364, 363)
+    assert digest.hexdigest() == "7c98e5c0f9883258300f9ceb582a5e83aa65aa874123515dcf745b650a65fa05"

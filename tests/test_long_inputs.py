@@ -9,7 +9,7 @@ import numpy as np
 from graph_reference import relabel
 from gtc import diagrams, signatures
 from gtc.diagrams import diagram_iso, elaborate, export_json, import_json
-from gtc.expressions import Box, Id, Sym, parse_expr, parse_source, print_expr, trace
+from gtc.expressions import Box, Id, Sym, Trace, parse_expr, parse_source, print_expr, trace
 from gtc.guardedness import check_annotated, derivable_splits
 from gtc.models import eval_expr
 from gtc.models.io import load_bindings
@@ -167,6 +167,33 @@ def test_1500_loops_synthesize_in_under_10_seconds():
     assert time.process_time() - start < 10.0
     assert check_annotated(back, claim).ok
     assert diagram_iso(elaborate(back, claim), d)
+
+
+def test_1500_loops_print_and_parse_back_to_the_same_text():
+    # 4.5 million characters, nested 1,500 traces deep
+    d, claim = _loops(1500)
+    text = print_expr(synthesize(d, claim))
+    assert sys.getrecursionlimit() <= 1000
+    back = parse_expr(text, {sig.name: sig for sig in d.boxes})
+    assert print_expr(back) == text and back.dom == d.dom and back.cod == d.cod
+
+
+def test_10000_nested_parentheses_and_traces_parse():
+    # the parser keeps open parentheses and traces on a list, not the call stack
+    n = 10000
+    src = parse_source(
+        "box f : A | I -> I | A\n"
+        f"let parens = {'(' * n}f{')' * n}\n"
+        # each level's body is the level below it beside one more f
+        f"let traces = {'tr[A: I|I -> I|I]{ ' * n}f }}{' (*) f }' * (n - 1)}\n"
+    )
+    assert sys.getrecursionlimit() <= 1000
+    assert print_expr(src.exprs["parens"]) == "f"
+    e, depth = src.exprs["traces"], 0
+    while isinstance(e, Trace):
+        e, depth = e.body.top if depth < n - 1 else e.body, depth + 1
+    assert depth == n and e == Box(src.sigs["f"])
+    assert parse_expr(print_expr(src.exprs["traces"]), src.sigs) is src.exprs["traces"]
 
 
 def test_10000_nested_yanking_traces_elaborate_to_one_wire():
