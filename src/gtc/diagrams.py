@@ -625,7 +625,7 @@ def _sig_from_json(d: dict, shapes: dict) -> BoxSig:
     key = _shape(d)
     shape = shapes.get(key)
     if shape is not None:
-        return BoxSig._of(d["name"], *shape)
+        return BoxSig(d["name"], *shape)
     inputs, outputs = parse_object(d["inputs"]), parse_object(d["outputs"])
     ui, go = (tuple(_typed(g, int, "gate index") for g in d.get(side, ())) for side in _SIDES)
     name, layout = d["name"], (len(inputs), len(outputs), ui, go)

@@ -70,13 +70,7 @@ class Box(MorphExpr):
     __match_args__ = ("sig",)
 
     def __new__(cls, sig: BoxSig) -> Box:
-        # sig's data, which hashes without calling into Python
-        s = sig.split
-        key = (sig.name, sig.inputs, sig.outputs, s.unguarded_in_mask, s.guarded_out_mask)
-        x = cls._table.get(key, NoneType)()
-        if x is not None:
-            return x
-        return cls._insert(key, sig, sig.inputs, sig.outputs)
+        return cls._intern(sig, sig, sig.inputs, sig.outputs)
 
 
 class Id(MorphExpr):
@@ -283,14 +277,13 @@ _TRACE_SEPARATORS = (":", "|", "->", "|", "]")  # after each word of tr[U: A|B -
 
 class _Parser:
     """One expression's tokens, ``""`` last for the end of the text.  A bad
-    character is reported before any other error, at the end of the token
-    before it; token positions are found only for an error message."""
+    character is reported before any other error, at its own position;
+    token positions are found only for an error message."""
 
     def __init__(self, text: str, sigs: dict[str, BoxSig]):
         bad = _BAD_RE.search(text)
         if bad:
-            pos = len(text[: bad.start()].rstrip())
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+            raise ParseError(f"unexpected character {bad.group()!r} at position {bad.start()}")
         self.text = text
         self.toks = _TOKEN_RE.findall(text)
         self.toks.append("")

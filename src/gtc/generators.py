@@ -178,7 +178,7 @@ def rand_guarded_diagram(
             split = corner_split(len(dom), len(cod), len(dom), 0)
         else:
             split = corner_split(len(dom), len(cod), 0, len(cod))
-        boxes.append(BoxSig._of(f"n{k}", dom, cod, split))
+        boxes.append(BoxSig(f"n{k}", dom, cod, split))
 
     # a port is ("box", offset) from the first box gate's id, or a
     # boundary port ("din", i) or ("dout", j): its id once the boundary

@@ -442,39 +442,34 @@ def split_kind(s: Split) -> str:
     return MIXED
 
 
-def _check_box_name(name: str) -> None:
-    if not _ATOM_RE.fullmatch(name) or name in RESERVED_WORDS:
-        raise SignatureError(f"bad box name {name!r}")
+class BoxSig(Interned):
+    """A named box with its profile and declared split.  Equal signatures
+    are one shared object, keyed by data that hashes in C; the widths are
+    in the key, so a hit was checked when it was first built, and a miss
+    checks the name, then that the split fits the profile."""
 
-
-@dataclass(frozen=True, slots=True)
-class BoxSig:
-    """A named box with its profile and declared split."""
-
+    __slots__ = __match_args__ = ("name", "inputs", "outputs", "split")
     name: str
     inputs: ObjectExpr
     outputs: ObjectExpr
     split: Split
 
-    def __post_init__(self) -> None:
-        _check_box_name(self.name)
-        if self.split.n_in != len(self.inputs) or self.split.n_out != len(self.outputs):
+    def __new__(cls, name: str, inputs: ObjectExpr, outputs: ObjectExpr, split: Split) -> BoxSig:
+        s = split
+        key = (name, inputs, outputs, s.n_in, s.n_out, s.unguarded_in_mask, s.guarded_out_mask)
+        try:
+            sig = cls._table.get(key, NoneType)()
+        except TypeError:  # an unhashable name, which the name check rejects
+            sig = None
+        if sig is not None:
+            return sig
+        if not _ATOM_RE.fullmatch(name) or name in RESERVED_WORDS:
+            raise SignatureError(f"bad box name {name!r}")
+        if s.n_in != len(inputs) or s.n_out != len(outputs):
             raise SignatureError(
-                f"split of box {self.name!r} does not match profile "
-                f"{self.inputs} -> {self.outputs}"
+                f"split of box {name!r} does not match profile {inputs} -> {outputs}"
             )
-
-    @classmethod
-    def _of(cls, name: str, inputs: ObjectExpr, outputs: ObjectExpr, split: Split) -> BoxSig:
-        """``BoxSig(name, inputs, outputs, split)`` of a checked shape:
-        ``split`` must fit the two words, so only the name is checked."""
-        _check_box_name(name)
-        sig = object.__new__(cls)
-        _SET_NAME(sig, name)
-        _SET_INPUTS(sig, inputs)
-        _SET_OUTPUTS(sig, outputs)
-        _SET_SPLIT(sig, split)
-        return sig
+        return cls._insert(key, name, inputs, outputs, split)
 
     @property
     def kind(self) -> str:
@@ -488,9 +483,6 @@ class BoxSig:
         # a declaration puts unguarded inputs first and guarded outputs last;
         # any other split is spelled out, which parse_box_decl rejects
         return f"box {self.name} : {self.inputs} -> {self.outputs} split {self.split}"
-
-
-_SET_NAME, _SET_INPUTS, _SET_OUTPUTS, _SET_SPLIT = _slot_setters(BoxSig)
 
 
 _BOX_RE = re.compile(
@@ -513,11 +505,10 @@ def parse_box_decl(line: str, shapes: dict | None = None) -> BoxSig:
     corners = m.group("ui", "gi", "uo", "go")
     shapes = {} if shapes is None else shapes
     shape = shapes.get(corners)
-    if shape is not None:
-        return BoxSig._of(m.group("name"), *shape)
-    ui, gi, uo, go = map(parse_object, corners)
-    split = corner_split(len(ui) + len(gi), len(uo) + len(go), len(ui), len(uo))
-    shape = shapes[corners] = (ui * gi, uo * go, split)
+    if shape is None:
+        ui, gi, uo, go = map(parse_object, corners)
+        split = corner_split(len(ui) + len(gi), len(uo) + len(go), len(ui), len(uo))
+        shape = shapes[corners] = (ui * gi, uo * go, split)
     return BoxSig(m.group("name"), *shape)
 
 

@@ -13,7 +13,10 @@ outputs of that group are byte-identical.  The groups:
 * ``suite``: ``gtc suite --per-axiom 10`` stdout and report, ``max_dev``
   included, for seeds 0, 1 and 7;
 * ``oracle_op`` and ``roundtrip_op``: the ``repr`` of each benchmark
-  operation's result over its seed-1 inputs.
+  operation's result over its seed-1 inputs;
+* ``signatures``: the ``repr`` and ``str`` of every box signature parsed
+  from the seed-1 ``roundtrip`` sources and imported from their diagram
+  JSON texts, and each imported diagram's ``export_json`` text.
 
 pytest does not collect this file; it takes under a minute.
 """
@@ -98,6 +101,22 @@ def bench_op(h, name: str) -> None:
         h.update(repr(op(inp)).encode() + b"\n")
 
 
+def signatures(h) -> None:
+    import workloads
+    from gtc.diagrams import export_json, import_json
+    from gtc.expressions import parse_source
+
+    for kind, text, _, _ in workloads.roundtrip_inputs(1):
+        if kind == "pipeline":
+            sigs, out = parse_source(text).sigs.values(), ""
+        else:
+            d = import_json(text)
+            sigs, out = d.boxes, export_json(d)
+        for sig in sigs:
+            h.update(f"{sig!r}\n{sig}\n".encode())
+        h.update(f"{out}\n".encode())
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         groups = {
@@ -107,6 +126,7 @@ def main() -> None:
             "suite": lambda h: suite(h, tmp),
             "oracle_op": lambda h: bench_op(h, "oracle"),
             "roundtrip_op": lambda h: bench_op(h, "roundtrip"),
+            "signatures": signatures,
         }
         for name, group in groups.items():
             h = hashlib.sha256()

@@ -1,4 +1,6 @@
+import gc
 import json
+
 import numpy as np
 import pytest
 
@@ -455,13 +457,31 @@ def test_second_box_of_a_shape_fails_as_the_first_would(second, message):
     assert str(info.value) == f"bad diagram JSON: {message}"
 
 
-def test_box_shapes_are_shared_within_one_import_only():
-    text = export_json(elaborate(parse_expr("(b ; f) (*) w", SIGS)))
+def test_equal_box_signatures_from_two_imports_are_one_object():
+    # equal signatures are one object, however many imports build them, and
+    # boxes of one gate layout within one import share one split
+    decls = ["box b : Ai | I -> I | Ai", "box f : Ai | I -> I | Bi", "box w : I | Bi -> Ci | I"]
+    sigs = {s.name: s for s in map(parse_box_decl, decls)}
+    text = export_json(elaborate(parse_expr("(b ; f) (*) w", sigs)))
+    del sigs
+    gc.collect()  # the three signatures parsed above are gone
     first, second = import_json(text).boxes, import_json(text).boxes
     assert [s.name for s in first] == ["b", "f", "w"]
+    assert all(a is b for a, b in zip(first, second))
     assert first[0].split is first[1].split  # one gate layout over other words
     assert first[0].split is not first[2].split
-    assert not {id(s.split) for s in first} & {id(s.split) for s in second}
+
+
+def test_imported_boxes_are_the_live_diagrams_boxes():
+    rng = np.random.default_rng(28)
+    diagrams = [elaborate(parse_expr("(b ; f) (*) (p ; q)", SIGS))]
+    diagrams += [rand_guarded_diagram(rng)[0] for _ in range(100)]
+    traced = (rand_accepted_traced(rng) for _ in range(100))
+    diagrams += [elaborate(got[0]) for got in traced if got is not None]
+    for d in diagrams:
+        back = import_json(export_json(d))
+        assert len(back.boxes) == len(d.boxes)
+        assert all(back.boxes[i] is d.boxes[i] for i in range(len(d.boxes)))
 
 
 def test_shared_box_shapes_equal_those_built_alone():

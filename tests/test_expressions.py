@@ -65,6 +65,16 @@ def test_unknown_box_rejected():
         parse_expr("nope", SIGS)
 
 
+@pytest.mark.parametrize(
+    "text, bad, pos",
+    [("f & g", "&", 2), ("&f", "&", 0), ("f ;é", "é", 3), ("f  -  g", "-", 3), ("f ;\t> g", ">", 4)],
+)
+def test_bad_character_is_reported_at_its_own_position(text, bad, pos):
+    with pytest.raises(ParseError) as info:
+        parse_expr(text, SIGS)
+    assert str(info.value) == f"unexpected character {bad!r} at position {pos}"
+
+
 def test_malformed_trace_annotation_rejected():
     # body lacks the loop factor at the annotated spot
     with pytest.raises(ParseError):
@@ -240,7 +250,7 @@ def test_nodes_built_from_many_threads_are_one_object():
 
 # one input for each ParseError text of expressions.py, against SIGS
 MESSAGE_INPUTS = [
-    "f & g",  # unexpected character: the one after the last token read
+    "f & g",  # unexpected character, at its own position
     "&f",
     "f ;é",
     "id A]",  # expected <token kind>
@@ -322,4 +332,4 @@ def test_parse_error_texts_match_golden_digest():
         digest.update(f"{text!r}\t{outcomes[-1]}\n".encode())
     errors = sum(o.startswith("error: ") for o in outcomes)
     assert (len(texts), errors) == (364, 363)
-    assert digest.hexdigest() == "7c98e5c0f9883258300f9ceb582a5e83aa65aa874123515dcf745b650a65fa05"
+    assert digest.hexdigest() == "3e15f4e629589d52a390fa1fec55fa9a5876dfda07ecf81bc3c41479d1468ffe"

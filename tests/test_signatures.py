@@ -201,13 +201,15 @@ def test_second_use_of_a_shape_fails_as_the_first_would(second, message):
     assert str(info.value) == message
 
 
-def test_box_shapes_are_shared_within_one_source_only():
-    text = SHAPE + "box g : X | I -> I | X\nbox h : I | X -> X | I\n"
+def test_equal_box_signatures_from_two_sources_are_one_object():
+    # equal signatures are one object, however many sources build them, and
+    # boxes of one shape within one source share one split
+    text = "box f : Xo | I -> I | Xo\nbox g : Xo | I -> I | Xo\nbox h : I | Xo -> Xo | I\n"
     first, second = parse_source(text).sigs, parse_source(text).sigs
+    assert all(first[name] is second[name] for name in "fgh")
+    assert parse_box_decl("box h : I | Xo -> Xo | I") is first["h"]
     assert first["f"].split is first["g"].split
     assert first["f"].split is not first["h"].split
-    assert first["f"].split == second["f"].split
-    assert not {id(s.split) for s in first.values()} & {id(s.split) for s in second.values()}
 
 
 def test_shared_box_shapes_equal_those_parsed_alone():
@@ -413,6 +415,18 @@ def test_unreferenced_word_leaves_the_table():
     assert probe() is None and key not in ObjectExpr._table
 
 
+def test_unreferenced_box_signature_leaves_the_table():
+    sig = parse_box_decl("box zq : Zq | I -> I | Zr")
+    key = ("zq", obj("Zq"), obj("Zr"), 1, 1, 1, 1)
+    assert BoxSig._table[key]() is sig and sig not in Box._table
+    node = Box(sig)
+    assert Box._table[sig]() is node
+    probe = weakref.ref(sig)
+    del sig, node
+    gc.collect()
+    assert probe() is None and key not in BoxSig._table
+
+
 def test_object_words_reject_non_strings():
     for bad in ((5,), ("A", None), (["A"],), 5):
         with pytest.raises(SignatureError):
@@ -488,12 +502,12 @@ def test_split_kind_reads_the_masks():
 
 def test_interned_values_built_and_dropped_from_many_threads():
     # more threads than cores, switching often, each building the same
-    # fresh words and nodes and dropping them again, so dead entries are
-    # replaced while other threads insert: two equal values alive at once
-    # must be one object, and every table must end as it started
+    # fresh words, signatures and nodes and dropping them again, so dead
+    # entries are replaced while other threads insert: two equal values
+    # alive at once must be one object, and every table must end as it started
     n_threads = 4 * (os.cpu_count() or 1)
     atoms = [f"Zt{i}" for i in range(3)]
-    tables = (ObjectExpr, Id, Sym, Comp, Tensor)
+    tables = (ObjectExpr, Id, Sym, Comp, Tensor, BoxSig, Box)
     gc.collect()
     sizes = [len(cls._table) for cls in tables]
     seen: dict = {}  # key -> weak reference to the last value built for it
@@ -503,7 +517,8 @@ def test_interned_values_built_and_dropped_from_many_threads():
 
     def build(key):
         a, b = obj(*key[:2]), obj(*key[2:])
-        return a, b, Sym(a, b), Comp(Id(a * b), Sym(a, b)), Tensor(Id(a), Id(b))
+        sig = BoxSig(key[0].lower(), a, b, mk_split(2, 1, {0}, {0}))
+        return a, b, Sym(a, b), Comp(Id(a * b), Sym(a, b)), Tensor(Id(a), Id(b)), sig, Box(sig)
 
     def work(seed: int) -> None:
         rng = np.random.default_rng(seed)
@@ -575,32 +590,42 @@ def _roundtrip_inputs(seed: int) -> list:
     return workloads.roundtrip_inputs(seed)
 
 
-def test_box_signatures_of_known_shapes_match_checked_ones(monkeypatch):
-    # a source or JSON text checks each box shape once; every other box of
-    # that shape is built by BoxSig._of and equals the checked BoxSig
-    checks = []
-    post_init = BoxSig.__post_init__
-    monkeypatch.setattr(BoxSig, "__post_init__", lambda s: checks.append(s) or post_init(s))
-    n_checks = n_boxes = 0
+def _sig_alone(d: dict) -> BoxSig:
+    """The signature of JSON box ``d``, built from a new split and checked."""
+    inputs, outputs = parse_object(d["inputs"]), parse_object(d["outputs"])
+    split = mk_split(len(inputs), len(outputs), d["unguarded_in"], d["guarded_out"])
+    return BoxSig(d["name"], inputs, outputs, split)
+
+
+def test_box_signatures_of_known_shapes_match_checked_ones():
+    # a source or JSON text parses each box shape once; every box is still
+    # the signature that its own declaration or JSON object builds alone
+    n_boxes = 0
     for kind, text, _, _ in _roundtrip_inputs(1):
-        checks.clear()
         if kind == "pipeline":
             boxes = list(parse_source(text).sigs.values())
+            alone = [parse_box_decl(line) for line in text.splitlines() if line.startswith("box ")]
         else:
             boxes = import_json(text).boxes
-        shapes = {(sig.inputs, sig.outputs, sig.split) for sig in boxes}
-        assert len(checks) <= len(shapes)
-        n_checks, n_boxes = n_checks + len(checks), n_boxes + len(boxes)
-        for sig in boxes:
-            checked = BoxSig(sig.name, sig.inputs, sig.outputs, sig.split)
-            assert sig == checked and hash(sig) == hash(checked) and repr(sig) == repr(checked)
-    assert n_boxes > 10 * n_checks > 0
+            raw = sorted(json.loads(text)["boxes"], key=lambda b: b["id"])
+            alone = [_sig_alone(b["sig"]) for b in raw]
+        assert len(boxes) == len(alone)
+        n_boxes += len(boxes)
+        for sig, other in zip(boxes, alone):
+            assert other is sig
+            assert repr(sig) == (
+                f"BoxSig(name={sig.name!r}, inputs={sig.inputs!r}, "
+                f"outputs={sig.outputs!r}, split={sig.split!r})"
+            )
+            if " split " not in str(sig):
+                assert parse_box_decl(str(sig)) is sig
+    assert n_boxes > 1000
 
 
 @pytest.mark.parametrize("name", ["tr", "I", "let", "box", "fé", "a-b", "", 5])
 def test_bad_box_name_of_a_known_shape_raises_as_before(name):
-    # the first box of a shape is checked in full, the next by BoxSig._of;
-    # a bad name raises the same error text in either place
+    # the first box of a shape parses its words, the next finds them in the
+    # call's shape table; a bad name raises the same error text in either place
     decl = f"box {name} : A | I -> I | A"
     if isinstance(name, str) and re.fullmatch(r"\w+", name):
         for lines, lineno in (([decl], 1), (["box f : A | I -> I | A", decl], 2)):
@@ -620,6 +645,29 @@ def test_bad_box_name_of_a_known_shape_raises_as_before(name):
     assert errors[0] == errors[1]
     if isinstance(name, str):
         assert errors[0] == f"bad diagram JSON: bad box name {name!r}"
+
+
+@pytest.mark.parametrize("name", [["f"], {"f": 1}, None, 1.5, True])
+def test_box_name_of_another_json_type_raises_as_before(name):
+    # an unhashable name misses the table and fails the name check, with
+    # the same text as a number
+    shape = {"inputs": "A", "outputs": "A", "unguarded_in": [0], "guarded_out": []}
+    for names in ([name], ["f", name]):
+        text = json.dumps({
+            "boxes": [{"id": b, "sig": dict(shape, name=n)} for b, n in enumerate(names)],
+            "wires": [], "in": [], "out": [],
+        })
+        with pytest.raises(DiagramError) as exc:
+            import_json(text)
+        got = type(name).__name__
+        assert str(exc.value) == f"bad diagram JSON: expected string or bytes-like object, got {got!r}"
+
+
+def test_box_signature_pickles_and_copies_to_the_shared_object():
+    sig = parse_box_decl("box f : A | I -> I | A")
+    for back in (pickle.loads(pickle.dumps(sig)), copy.copy(sig), copy.deepcopy(sig)):
+        assert back is sig
+    assert BoxSig(sig.name, obj("A"), obj("A"), mk_split(1, 1, {0}, {0})) is sig
 
 
 def test_slotted_box_signature_pickles_and_copies():
