@@ -335,7 +335,7 @@ def metric_bindings(instance: AxiomInstance, rng, max_dim: int = 2):
                 sub = weight[out_ofs[j] : out_ofs[j + 1], in_ofs[i] : in_ofs[i + 1]]
                 if not sub.size:
                     continue
-                norm = max(np.max(np.sum(np.abs(sub), axis=1)), 1e-9)
+                norm = max(np.maximum.reduce(np.add.reduce(np.abs(sub), 1)), 1e-9)
                 if i in sig.split.unguarded_in and j in sig.split.guarded_out:
                     target = 0.7 / n_ug
                 else:

@@ -168,26 +168,31 @@ def structural_reach(e: MorphExpr, traces: list[Trace] | None = None) -> list[in
     A trace node counts as a box with its conclusion split and is
     appended to ``traces``; without a list it raises TraceNotAllowed.
     """
+    wires: dict = {}  # the masks of each Id and Sym leaf, kept for this call only
 
     def leaf(x: MorphExpr) -> list[int]:
-        if isinstance(x, Trace):
+        if isinstance(x, Box):
+            s = x.sig.split
+        elif isinstance(x, Trace):
             if traces is None:
                 raise TraceNotAllowed("expression contains a trace node")
             traces.append(x)
             s = x.conclusion_split()
-        elif isinstance(x, Box):
-            s = x.sig.split
         else:  # wires only: input i feeds output perm[i]
-            k, r = (len(x.left), len(x.right)) if isinstance(x, Sym) else (0, 0)
-            return [1 << (i + r if i < k else i - k) for i in range(len(x.dom))]
+            masks = wires.get(x)
+            if masks is None:
+                k, r = (len(x.left), len(x.right)) if isinstance(x, Sym) else (0, 0)
+                masks = wires[x] = [1 << (i + r if i < k else i - k) for i in range(len(x.dom))]
+            return masks
         # an unguarded input reaches every output the box does not promise,
         # a guarded one reaches them all
-        full = (1 << len(x.cod)) - 1
+        full = (1 << s.n_out) - 1
         ui, rest = s.unguarded_in_mask, full & ~s.guarded_out_mask
-        return [rest if ui >> i & 1 else full for i in range(len(x.dom))]
+        return [rest if ui >> i & 1 else full for i in range(s.n_in)]
 
     def comp(x: Comp, first: list[int], second: list[int]) -> list[int]:
-        return [_union(second, m) for m in first]
+        # a one-bit mask picks its row of ``second``; only a wider one needs a union
+        return [_union(second, m) if m & m - 1 else m and second[m.bit_length() - 1] for m in first]
 
     def tensor(x: Tensor, top: list[int], bottom: list[int]) -> list[int]:
         shift = len(x.top.cod)

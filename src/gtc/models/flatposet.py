@@ -216,14 +216,14 @@ def lfp_rec(f: dict, b_poset: Poset, a_poset: Poset) -> dict:
     bot = a_poset.bottom()
     if bot is None:
         raise EvalError("recursion needs a pointed carrier")
-    out = {}
+    out, leq, steps = {}, a_poset.leq, range(len(a_poset.elements) + 1)
     for bv in b_poset.elements:
         x = bot
-        for _ in range(len(a_poset.elements) + 1):
+        for _ in steps:
             nxt = f[(bv, x)]
             if nxt == x:
                 break
-            if not a_poset.le(x, nxt):
+            if (x, nxt) not in leq:
                 raise EvalError("iteration left the ascending chain; f not monotone?")
             x = nxt
         else:
@@ -239,7 +239,7 @@ def rec_to_grec(rec):
 
     Witness tables index the lifted carrier by ``lift(x_poset)`` names.
     The returned operator keeps the key set of Y x TX for each pair of
-    carriers it has seen.
+    carriers it has seen, and hands ``rec`` the witness table itself.
     """
     covers: dict = {}
 
@@ -251,7 +251,7 @@ def rec_to_grec(rec):
         if g.keys() != want:
             raise EvalError("witness table does not cover Y x TX")
         # eta injects by name, so eta . g reuses the same table over TX
-        z_star = rec(dict(g), y_poset, tx)
+        z_star = rec(g, y_poset, tx)
         return {yv: g[(yv, z_star[yv])] for yv in y_poset.elements}
 
     return grec
@@ -260,17 +260,22 @@ def rec_to_grec(rec):
 def grec_to_rec(grec):
     """Transport a guarded operator back: for f: B x A -> A over pointed A,
     recurse the lifted map eta f (id x alg) through ``grec`` and collapse
-    with the algebra."""
+    with the algebra, which the returned operator keeps per carrier."""
+    algebras: dict = {}
 
     def rec(f: dict, b_poset: Poset, a_poset: Poset) -> dict:
-        bot_a = a_poset.bottom()
-        if bot_a is None:
-            raise EvalError("recursion needs a pointed carrier")
-        ta, bot = lift(a_poset)
-        tta, bot2 = lift(ta)
-        # the structure map alg: TA -> A sends bot to bot_a and fixes the
-        # rest; alg2 = alg . T alg: TTA -> A also sends bot2 to bot_a
-        alg2 = [(w, bot_a if w == bot or w == bot2 else w) for w in tta.elements]
+        known = algebras.get(a_poset)
+        if known is None:
+            bot_a = a_poset.bottom()
+            if bot_a is None:
+                raise EvalError("recursion needs a pointed carrier")
+            ta, bot = lift(a_poset)
+            tta, bot2 = lift(ta)
+            # the structure map alg: TA -> A sends bot to bot_a and fixes the
+            # rest; alg2 = alg . T alg: TTA -> A also sends bot2 to bot_a
+            alg2 = [(w, bot_a if w == bot or w == bot2 else w) for w in tta.elements]
+            known = algebras[a_poset] = bot_a, ta, bot, alg2
+        bot_a, ta, bot, alg2 = known
         g = {(bv, w): f[(bv, a)] for bv in b_poset.elements for w, a in alg2}
         z = grec(g, b_poset, ta)
         return {bv: bot_a if z[bv] == bot else z[bv] for bv in b_poset.elements}

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..model_names import FeedbackError
 from ..signatures import BoxSig, ObjectExpr
 from .base import DimensionModel, EvalError, check_dimensions, check_finite, json_floats, trusted
 
@@ -157,7 +158,7 @@ class MetricModel(DimensionModel):
         ys2 = m2.apply(xs)
         worst = 0.0
         for y1, y2 in zip(ys1, ys2):
-            dev = np.max(np.abs(y1 - y2) / (1.0 + np.abs(y1)))
+            dev = np.maximum.reduce(np.abs(y1 - y2) / (1.0 + np.abs(y1)), None)
             worst = max(worst, float(dev))
         return worst <= tol, worst
 
@@ -188,7 +189,7 @@ def _loop_contraction(lip: np.ndarray, n_a: int, k: int, n_cd: int) -> float:
     if k == 0:
         return 0.0
     block = lip[n_a : n_a + k, n_cd : n_cd + k]
-    return float(np.max(np.sum(block, axis=0)))
+    return float(np.maximum.reduce(np.add.reduce(block, 0)))
 
 
 def _traced_lip(lip, n_a: int, k: int, n_cd: int, c_loop: float) -> np.ndarray:
@@ -196,9 +197,9 @@ def _traced_lip(lip, n_a: int, k: int, n_cd: int, c_loop: float) -> np.ndarray:
     keep_in = list(range(n_a)) + list(range(n_a + k, n_in))
     amplify = 1.0 / (1.0 - c_loop) if k else 0.0
     out = np.empty((len(keep_in), n_cd))
-    from_loop = [float(np.sum(lip[n_a : n_a + k, j])) if k else 0.0 for j in range(n_cd)]
+    from_loop = [float(np.add.reduce(lip[n_a : n_a + k, j])) if k else 0.0 for j in range(n_cd)]
     for row, i in enumerate(keep_in):
-        to_loop = float(np.sum(lip[i, n_cd:])) if k else 0.0
+        to_loop = float(np.add.reduce(lip[i, n_cd:])) if k else 0.0
         for j in range(n_cd):
             out[row, j] = lip[i, j] + to_loop * amplify * from_loop[j]
     return out
@@ -219,27 +220,30 @@ def _iterate(m, a_blocks, b_blocks, n_a, k, n_cd, c_loop, tol):
     u = [np.zeros((n_points, dim)) for dim in loop_dims]
     fn, head, tail = m.fn, list(a_blocks), list(b_blocks)
 
-    def step(cur):
-        return fn(head + list(cur) + tail)
+    def dist(xs, ys):  # max(..., default=0.0): a NaN first stays, a later one is passed over
+        out = None
+        for x, y in zip(xs, ys):
+            v = float(np.maximum.reduce(np.abs(x - y), None))
+            out = v if out is None or v > out else out
+        return 0.0 if out is None else out
 
-    def dist(xs, ys):
-        return max((float(np.abs(x - y).max()) for x, y in zip(xs, ys)), default=0.0)
-
-    ys = step(u)
+    ys = fn(head + u + tail)
     u1 = ys[n_cd : n_cd + k]
     d0 = dist(u1, u)
     goal = tol * (1.0 - c_loop)
     if d0 <= goal:
         return u1, 1, None if k else ys
+    if not math.isfinite(d0):
+        raise FeedbackError("metric feedback iterate is not finite")
     budget = math.ceil(math.log(goal / d0) / math.log(c_loop)) + 1 if c_loop > 0 else 2
-    cur, ys = u1, step(u1)
+    cur, ys = u1, fn(head + list(u1) + tail)  # a binding's fn may return a tuple
     count = 1
     while dist(cur, ys[n_cd : n_cd + k]) > goal:
         cur = ys[n_cd : n_cd + k]
-        ys = step(cur)
+        ys = fn(head + list(cur) + tail)
         count += 1
         if count > budget + 1:
-            raise EvalError(
+            raise FeedbackError(
                 "contraction iteration exceeded its a-priori bound; a declared "
                 "factor is wrong"
             )
@@ -293,17 +297,20 @@ def affine(
             flat = np.zeros((1, 0))
         else:
             n = xs[0].shape[0]
-            if any(x.shape[0] != n for x in xs):
-                xs = _same_batch(xs)
+            for x in xs:
+                if x.shape[0] != n:
+                    xs = _same_batch(xs)
+                    break
             flat = np.concatenate(xs, axis=1)
-        y = flat @ weight_t + offset
+        y = flat @ weight_t
+        y += offset
         return [y[:, cols] for cols in out_cols]
 
     lip = np.zeros((len(in_dims), len(out_dims)))
     for i in range(len(in_dims)):
         for j in range(len(out_dims)):
             sub = weight[out_ofs[j] : out_ofs[j + 1], in_ofs[i] : in_ofs[i + 1]]
-            lip[i, j] = float(np.max(np.sum(np.abs(sub), axis=1))) if sub.size else 0.0
+            lip[i, j] = float(np.maximum.reduce(np.add.reduce(np.abs(sub), 1))) if sub.size else 0.0
     return MetricMorphism(in_dims, out_dims, fn, lip)
 
 

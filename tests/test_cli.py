@@ -678,6 +678,57 @@ def test_oracle_block_counts_a_planted_disagreement(monkeypatch):
     assert cli._oracle_block(0, n_expr=10)["claims"]["failures"] > 0
 
 
+def _oracle_enumeration(seed: int, n_expr: int, structural_reach, geometric_reach_table) -> dict:
+    """``_oracle_block`` as a full enumeration of every claim of every expression."""
+    from gtc.diagrams import elaborate
+    from gtc.generators import rand_trace_free_expr
+    from gtc.guardedness import reach_table
+
+    rng = np.random.default_rng([seed, 91])
+    checked = failures = 0
+    for _ in range(n_expr):
+        e = rand_trace_free_expr(rng, max_boxes=6)
+        structural = reach_table(structural_reach(e))
+        table = geometric_reach_table(elaborate(e))
+        for a in range(1 << len(e.dom)):
+            for g in range(1 << len(e.cod)):
+                checked += 1
+                geometric = table is not None and table[a] & g == 0
+                failures += (structural[a] & g == 0) != geometric
+    return {"claims": {"instances": checked, "failures": failures}}
+
+
+def test_oracle_block_matches_a_full_enumeration(monkeypatch):
+    import gtc.cli as cli
+
+    real_reach, real_table = cli.structural_reach, cli.geometric_reach_table
+
+    def planted(e):
+        # flip one output bit in the mask of every other input: several
+        # rows of the reach table then differ from the geometric ones
+        reach = real_reach(e)
+        for i in range(0, len(reach) if e.cod else 0, 2):
+            reach[i] ^= 1 << (i + len(e.dom)) % len(e.cod)
+        return reach
+
+    def some_loops(d):  # claim an unguarded loop in some diagrams
+        return None if len(d.boundary_in) % 3 == 2 else real_table(d)
+
+    for seed in (0, 7):
+        honest = cli._oracle_block(seed, n_expr=30)
+        assert honest == _oracle_enumeration(seed, 30, real_reach, real_table)
+        assert honest["claims"]["failures"] == 0
+        for reach, table in ((planted, real_table), (real_reach, some_loops), (planted, some_loops)):
+            monkeypatch.setattr(cli, "structural_reach", reach)
+            monkeypatch.setattr(cli, "geometric_reach_table", table)
+            got = cli._oracle_block(seed, n_expr=30)
+            assert got == _oracle_enumeration(seed, 30, reach, table)
+            assert got["claims"]["instances"] == honest["claims"]["instances"]
+            assert got["claims"]["failures"] > 0
+        monkeypatch.setattr(cli, "structural_reach", real_reach)
+        monkeypatch.setattr(cli, "geometric_reach_table", real_table)
+
+
 def test_eval_too_deep_bindings_and_inputs_exit_2(tmp_path, capsys):
     src = tmp_path / "f.gtc"
     src.write_text("box p : I | A -> A | I\nlet main = id[A]\n")
@@ -790,6 +841,20 @@ def test_eval_non_finite_or_coerced_numbers_exit_2(
         argv += ["--inputs", str(inputs)]
     assert main(argv) == 2
     assert message in _error_line(capsys)
+
+
+def test_eval_metric_feedback_that_overflows_is_not_a_bad_point(tmp_path, capsys):
+    src = tmp_path / "f.gtc"
+    src.write_text("box f : A*U | I -> B | U\nlet main = tr[U: A|I -> B|I]{ f }\n")
+    bind = tmp_path / "b.json"
+    f = {"weight": [[1.0, 0.0], [0.9, 0.05]], "offset": [0.0, 1e308]}
+    objects = {"A": 1, "B": 1, "U": 1}
+    bind.write_text(json.dumps({"model": "metric", "objects": objects, "boxes": {"f": f}}))
+    inputs = tmp_path / "in.json"
+    inputs.write_text('{"blocks": [[1e308]]}')  # a valid point whose first iterate is inf
+    argv = ["eval", str(src), "--name", "main", "--model", "metric", "--bindings", str(bind)]
+    assert main([*argv, "--inputs", str(inputs)]) == 2
+    assert _error_line(capsys) == "error: metric feedback iterate is not finite"
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -338,6 +338,17 @@ def test_mask_deciders_match_split_deciders():
     assert max(widths) == 10
 
 
+def test_structural_reach_hands_each_caller_its_own_list():
+    # the masks of wire leaves are kept for one call only
+    a, b = obj("A"), obj("B")
+    for e, masks in ((Id(a * b), [1, 2]), (Sym(a, b), [2, 1]), (Sym(a, a * b), [4, 1, 2])):
+        got = structural_reach(e)
+        assert got == masks
+        got[0] = -1
+        assert structural_reach(e) == masks
+    assert structural_reach(Comp(Sym(a, b), Sym(b, a))) == [1, 2]
+
+
 def test_reach_table_matches_geometric_check_with_loops():
     rng = np.random.default_rng(201)
     loops = 0

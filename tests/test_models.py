@@ -191,6 +191,12 @@ def test_banach_calls_the_loop_map_once_per_iterate():
     assert count == count_plain and np.array_equal(y[0], y_plain[0])
 
 
+def test_banach_accepts_a_map_that_returns_a_tuple():
+    f = MetricMorphism((1,), (1,), lambda xs: (xs[0] / 2.0 + 1.0,), np.array([[0.5]]))
+    y, _ = banach_rec(f, [], 1e-12)
+    assert abs(float(y[0][0]) - 2.0) < 1e-11
+
+
 def test_banach_wrong_factor_reported():
     # expanding map declared contractive
     f = MetricMorphism((1,), (1,), lambda xs: [2.0 * xs[0] + 1.0], np.array([[0.9]]))
@@ -206,6 +212,20 @@ def test_metric_feedback_rejects_a_tolerance_that_is_not_positive(tol):
 def test_metric_feedback_rejects_an_infinite_tolerance():
     # an infinite tolerance would stop the iteration after its first step
     _rejects_tolerance(math.inf, "tolerance must be finite, not inf")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("offset, point", [(1e308, 1e308), (math.nan, 0.0)], ids=["inf", "nan"])
+def test_metric_feedback_that_is_not_finite_raises_eval_error(offset, point):
+    # U' = 0.9 a + 0.05 u + offset: the first iterate is infinite (or NaN),
+    # which bounds no number of steps
+    body = affine([1, 1], [1, 1], np.array([[1.0, 0.0], [0.9, 0.05]]), np.array([0.0, offset]))
+    model = MetricModel({"A": 1, "B": 1, "U": 1})
+    traced = model.trace(body, obj("U"), (obj("A"), UNIT, obj("B"), UNIT))
+    with pytest.raises(EvalError, match="^metric feedback iterate is not finite$"):
+        model.apply(traced, {"blocks": [[point]]})
+    with pytest.raises(EvalError, match="not finite"):
+        banach_rec(affine([1, 1], [1], np.array([[0.9, 0.05]]), np.array([offset])), [[point]], 1e-9)
 
 
 def _rejects_tolerance(tol, message):
